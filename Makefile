@@ -49,9 +49,10 @@ bench-only:
 		--json results/json-only/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-only/
 
-# Engine v3 at scale: the full SCALE sweep — single-sender RB to
+# The arena core at scale: the full SCALE sweep — single-sender RB to
 # n=10,000 and consensus to n=301 (55M deliveries) under the arena
-# core, cross-core identity and flat-allocation claims gated.
+# core, with the reference core rerunning the overlap sizes for the
+# cross-core identity claim and the flat-allocation claim gated.
 # ~5 min serial; the n=10,000 cell wants several GB of RAM (per-node
 # protocol state, not the delivery engine).
 scale:
@@ -60,8 +61,9 @@ scale:
 	dune exec bin/bench_diff.exe -- --check-claims results/json-scale/
 
 # Regenerate the committed refactor-gate baseline. PERF is excluded on
-# purpose: it races the two delivery cores head to head, so its timing
-# cells change run to run and can never be a determinism reference.
+# purpose: it races the arena core against the reference core, so its
+# timing cells change run to run and can never be a determinism
+# reference.
 # PERF2 is included on purpose: its digests are independent of machine,
 # --jobs, and pool backend, so the baseline pins executor determinism.
 # SCALE and CX2 are re-run in full mode: their committed baselines carry

@@ -1143,7 +1143,7 @@ let a4 () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* PERF: engine throughput — indexed v2 delivery core vs the seed core  *)
+(* PERF: engine throughput — arena delivery core vs the seed core      *)
 (* ------------------------------------------------------------------ *)
 
 module Rbs = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
@@ -1209,7 +1209,7 @@ let perf_run ~delivery ~n =
 
 (* Scale rows: single-sender broadcast with n in the hundreds. The seed
    core's per-delivery duplicate scan is quadratic in inbox length, so
-   this is where the dense-index path pays off; one rep and fewer rounds
+   this is where the arena core pays off; one rep and fewer rounds
    keep the naive cell affordable. *)
 let perf_scale_rounds = 4
 
@@ -1266,8 +1266,8 @@ let perf () =
   let t =
     Table.create
       ~title:
-        "PERF: engine throughput — multi-sender RB (indexed v2 core vs the \
-         seed scan core), single-sender scale rows up to n=301, and the \
+        "PERF: engine throughput — multi-sender RB (arena core vs the seed \
+         scan core), single-sender scale rows up to n=301, and the \
          pool executor on a fixed consensus sweep (digest cells are \
          deterministic; elapsed/speedup are timing)"
       ~columns:
@@ -1294,16 +1294,13 @@ let perf () =
   in
   let race ~workload ~rounds run n =
     let naive_ms, naive_msgs, naive_dig = run ~delivery:Delivery.Naive ~n in
-    let indexed_ms, indexed_msgs, indexed_dig =
-      run ~delivery:Delivery.Indexed ~n
-    in
+    let arena_ms, arena_msgs, arena_dig = run ~delivery:Delivery.Arena ~n in
     add ~workload ~n:(Table.cell_int n) ~engine:"naive" ~rounds
       ~msgs:naive_msgs ~digest:(digest_cell naive_dig) ~ms:naive_ms
       ~speedup:"-";
-    add ~workload ~n:(Table.cell_int n) ~engine:"indexed" ~rounds
-      ~msgs:indexed_msgs ~digest:(digest_cell indexed_dig) ~ms:indexed_ms
-      ~speedup:
-        (Table.cell_float ~digits:2 (naive_ms /. Float.max indexed_ms 1e-6))
+    add ~workload ~n:(Table.cell_int n) ~engine:"arena" ~rounds
+      ~msgs:arena_msgs ~digest:(digest_cell arena_dig) ~ms:arena_ms
+      ~speedup:(Table.cell_float ~digits:2 (naive_ms /. Float.max arena_ms 1e-6))
   in
   let sizes = if !fast then [ 8; 13; 21 ] else [ 13; 25; 40; 61 ] in
   List.iter
@@ -1428,16 +1425,15 @@ let perf2 () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* SCALE: engine v3 arena core at n up to 10,000                        *)
+(* SCALE: the arena core at n up to 10,000                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The existing experiments stop around n=301 because every workload is
-   Ω(n²) deliveries and the v2 engine pays per-round map/hashtable
-   rebuilds on top. SCALE sweeps the arena core (engine v3) far past
-   that: single-sender RB to n = 10,000 and all-correct consensus to
-   n = 1,001, with wire accounting off so the sweep measures the engine,
-   not the observer. At every overlap size both the v2 indexed core and
-   the arena core run the identical workload and must produce identical
+   Ω(n²) deliveries. SCALE sweeps the arena core far past that:
+   single-sender RB to n = 10,000 and all-correct consensus to n = 301,
+   with wire accounting off so the sweep measures the engine, not the
+   observer. At every overlap size both the reference core and the
+   arena core run the identical workload and must produce identical
    digests, delivered counts and round counts — the identity claim that
    lets the larger arena-only rows be trusted. The minor-w/msg column is
    GC minor words allocated per delivered message; the arena core's
@@ -1446,7 +1442,7 @@ let perf2 () =
    suffixes keep the alloc/timing cells out of metric comparison;
    bench_diff additionally exempts them from exact mode. *)
 
-let scale_engines_overlap = [ ("indexed", Delivery.Indexed); ("arena", Delivery.Arena) ]
+let scale_engines_overlap = [ ("reference", Delivery.Naive); ("arena", Delivery.Arena) ]
 let scale_engines_large = [ ("arena", Delivery.Arena) ]
 
 let scale_rb_run ~delivery ~n =
@@ -1511,9 +1507,9 @@ let scale () =
   let t =
     Table.create
       ~title:
-        "SCALE: engine v3 arena delivery at large n — single-sender RB to \
-         n=10,000 and all-correct consensus to n=301 (55M deliveries), \
-         wire accounting off; indexed-vs-arena identity gated at every \
+        "SCALE: arena delivery at large n — single-sender RB to n=10,000 \
+         and all-correct consensus to n=301 (55M deliveries), wire \
+         accounting off; reference-vs-arena identity gated at every \
          overlap size, minor-w/msg is the flat-allocation evidence \
          (alloc/timing cells are unit-suffixed and exempt from exact diff)"
       ~columns:
@@ -1685,13 +1681,13 @@ let cx1 () =
       (fun n ->
         List.map
           (fun (algo, run) ->
-            let w_idx = run ~delivery:Delivery.Indexed n in
+            let w_arena = run ~delivery:Delivery.Arena n in
             let w_ref = run ~delivery:Delivery.Naive n in
             ( algo,
               n,
-              Ubpa_obs.Wire.messages w_idx,
-              Ubpa_obs.Wire.bits w_idx,
-              Ubpa_obs.Wire.equal w_idx w_ref ))
+              Ubpa_obs.Wire.messages w_arena,
+              Ubpa_obs.Wire.bits w_arena,
+              Ubpa_obs.Wire.equal w_arena w_ref ))
           runs)
       ns
     |> List.concat
@@ -1735,7 +1731,7 @@ let cx1 () =
   (* A small traced run for the observability tooling: TRACE_CX1.jsonl is
      what `ubpa trace --file` examples and the CI trace artifact read. *)
   let tr = Trace.create () in
-  let (_ : Ubpa_obs.Wire.t) = rb_run ~delivery:Delivery.Indexed ~trace:tr 5 in
+  let (_ : Ubpa_obs.Wire.t) = rb_run ~delivery:Delivery.Arena ~trace:tr 5 in
   cx1_trace := Trace.to_jsonl tr;
   t
 
@@ -1752,7 +1748,7 @@ let cx1 () =
    Sqrt_polylog shape). The sweep keeps n ∈ {301, 1001, 3001} in full
    mode (the committed baseline) and shrinks only under --fast; fits are
    calibrated on the smallest swept point either way. At the smallest n
-   the identical run is repeated on the indexed v2 core and every
+   the identical run is repeated on the reference core and every
    behavioural field must match — the cross-core identity that lets the
    arena-only rows at larger n be trusted (CX1's claim, at the committee
    protocol's sparse fan-out shape). *)
@@ -1800,7 +1796,7 @@ let cx2 () =
             let cross =
               if n <> overlap_n then "-"
               else
-                let s' = run ~delivery:Delivery.Indexed ~inputs n in
+                let s' = run ~delivery:Delivery.Naive ~inputs n in
                 Table.cell_bool
                   (s.C.outputs = s'.C.outputs
                   && s.C.rounds = s'.C.rounds
@@ -1864,7 +1860,7 @@ let cx2 () =
    transports at n = 4 and 7, all-correct populations, rounds run flat
    out. Every cell runs the protocol on actual concurrent per-node
    processes, replays the recorded delivery schedule through the
-   simulator's indexed core, and runs a fresh simulator instance on the
+   simulator's arena core, and runs a fresh simulator instance on the
    same population; the oracle / sim / wire columns are
    Runtime_exec.compare_with_sim's check verdicts. Byte counts are
    deliberately absent from the table — frame counts are deterministic,
@@ -2827,7 +2823,7 @@ module Claims = struct
                    | _ -> false)
                  ns);
           claim "PERF.identical-deliveries-at-scale"
-            "at every swept n — including the n=301 scale row — the indexed \
+            "at every swept n — including the n=301 scale row — the arena \
              core's per-node accepted outputs are byte-identical to the \
              reference core's (digest match)"
             (ns <> []
@@ -2835,13 +2831,13 @@ module Claims = struct
             && List.for_all
                  (fun n -> digests_match (fun r -> geti r "n" = Some n))
                  ns);
-          claim "PERF.v2-faster-at-max"
-            "the indexed v2 core is strictly faster than the seed scan core \
-             at the largest swept n"
+          claim "PERF.arena-faster-at-max"
+            "the arena core is strictly faster than the seed scan core at \
+             the largest swept n"
             (List.exists
                (fun r ->
                  geti r "n" = Some n_max
-                 && get r "engine" = "indexed"
+                 && get r "engine" = "arena"
                  &&
                  match getf r "speedup" with
                  | Some s -> s > 1.0
@@ -2938,7 +2934,7 @@ module Claims = struct
                  | _ -> false)
                rows);
           claim "CX2.cross-core-identity"
-            "at the overlap population the arena run matches the indexed \
+            "at the overlap population the arena run matches the reference \
              run field-for-field (outputs, rounds, deliveries, per-node \
              budgets)"
             (List.exists (fun r -> get r "cross-core" = "yes") rows
@@ -3009,7 +3005,7 @@ module Claims = struct
         [
           claim "RT1.oracle-equivalence"
             "every networked run's recorded delivery schedule replays \
-             cleanly through the simulator's indexed core (present sets, \
+             cleanly through the simulator's arena core (present sets, \
              inboxes, sends)"
             (all_yes "oracle");
           claim "RT1.sim-equivalence"
@@ -3181,7 +3177,7 @@ module Claims = struct
         [
           claim "SCALE.identical-deliveries"
             "at every overlap size the arena core's digest, delivered count \
-             and round count are identical to the v2 indexed core's — the \
+             and round count are identical to the reference core's — the \
              identity gate that certifies the arena-only rows"
             (overlap_groups <> []
             && List.length
@@ -3376,7 +3372,7 @@ let () =
   register "RT1" "networked runtime oracle" rt1;
   register "RT2" "fault-tolerant runtime" rt2;
   register "RT3" "runtime latency/throughput" rt3;
-  register "SCALE" "engine v3 at scale" scale;
+  register "SCALE" "arena core at scale" scale;
   register "CX2" "sub-quadratic committee agreement" cx2;
   let wanted (id, _, _) =
     match !only with

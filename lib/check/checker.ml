@@ -177,8 +177,8 @@ module Make (M : Model.S) = struct
         (Node_id.Set.of_list sim.byz_ids)
     in
     let inboxes, _delivered =
-      Delivery.route ~interner:None ~impl:Delivery.Naive
-        ~equal:P.equal_message ~present ~envelopes:sim.pending ()
+      Delivery.route_reference ~equal:P.equal_message ~present
+        ~envelopes:sim.pending ()
     in
     let inbox_of id =
       let inbox =

@@ -61,7 +61,7 @@ module Make (P : Protocol.S) = struct
   (* Rebuild the delivery contract from raw received frames: drop
      duplicate (sender, payload) pairs keeping the first (per-sender
      arrival order is send order on every transport), then stable-sort by
-     sender id — exactly what Delivery.route produces per recipient. *)
+     sender id — exactly what either delivery core produces per recipient. *)
   let assemble_inbox frames =
     let kept = ref [] in
     List.iter

@@ -1,6 +1,6 @@
 open Ubpa_util
 
-type impl = Indexed | Naive | Arena
+type impl = Naive | Arena
 
 type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
 
@@ -12,7 +12,7 @@ let by_sender (a, _) (b, _) = Node_id.compare a b
 
 (* Seed-engine core, kept as the executable specification. The final
    [List.sort] is OCaml's stable sort, so same-sender messages stay in
-   send order — the indexed core must match that, not just the multiset.
+   send order — the arena core must match that, not just the multiset.
 
    [on_deliver] fires at the accept point — after the dedup decided the
    delivery counts — with the recipient, sender, and payload; both cores
@@ -51,149 +51,12 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
   let sorted = Node_id.Map.map (fun box -> List.sort by_sender (List.rev !box)) inboxes in
   (sorted, !delivered)
 
-(* Per-recipient delivery bucket: items newest-first, plus a sender-keyed
-   table of the payloads already delivered so the dup check scans only one
-   sender's distinct payloads instead of the whole inbox. [owner] is the
-   recipient's id, carried so the accept point can report deliveries. *)
-type 'm box = {
-  owner : Node_id.t;
-  mutable rev_items : (Node_id.t * 'm) list;
-  seen : (Node_id.t, 'm list) Hashtbl.t;
-}
-
-(* Dense variant of the indexed core: recipients are resolved through a
-   per-network interner so broadcast fan-out indexes an array instead of
-   hashing node ids. Per-recipient dedup state is identical to the sparse
-   indexed path, so results are bit-for-bit the same. *)
-let route_indexed_dense ?on_deliver ~intr ~equal ~present ~envelopes () =
-  let notify = notify_of on_deliver in
-  let pres = Node_id.Set.elements present in
-  let pres_ix = List.map (Interner.intern intr) pres in
-  let boxes = Array.make (max 1 (Interner.size intr)) None in
-  List.iter2
-    (fun id ix ->
-      boxes.(ix) <- Some { owner = id; rev_items = []; seen = Hashtbl.create 8 })
-    pres pres_ix;
-  let delivered = ref 0 in
-  (* [find_opt] allocates its option on every hit, and this runs once per
-     (envelope, recipient): match on the lookup instead of defaulting
-     through [Option.value] so the accept path allocates nothing beyond
-     the delivery record itself. *)
-  let push box src payload =
-    match Hashtbl.find_opt box.seen src with
-    | Some prior when List.exists (equal payload) prior -> ()
-    | prior_opt ->
-        let prior = match prior_opt with Some l -> l | None -> [] in
-        Hashtbl.replace box.seen src (payload :: prior);
-        box.rev_items <- (src, payload) :: box.rev_items;
-        incr delivered;
-        notify ~recipient:box.owner ~src payload
-  in
-  let bcast_seen : (Node_id.t, 'm list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (env : 'm Envelope.t) ->
-      match env.dst with
-      | Envelope.To id -> (
-          match Interner.find_opt intr id with
-          | Some ix when ix < Array.length boxes -> (
-              match boxes.(ix) with
-              | Some box -> push box env.src env.payload
-              | None -> ())
-          | _ -> ())
-      | Envelope.Broadcast ->
-          let prior =
-            Option.value ~default:[] (Hashtbl.find_opt bcast_seen env.src)
-          in
-          if not (List.exists (equal env.payload) prior) then begin
-            Hashtbl.replace bcast_seen env.src (env.payload :: prior);
-            List.iter
-              (fun ix ->
-                match boxes.(ix) with
-                | Some box -> push box env.src env.payload
-                | None -> ())
-              pres_ix
-          end)
-    envelopes;
-  let inboxes =
-    List.fold_left2
-      (fun acc id ix ->
-        match boxes.(ix) with
-        | None -> acc
-        | Some box ->
-            let sorted = List.stable_sort by_sender (List.rev box.rev_items) in
-            Node_id.Map.add id sorted acc)
-      Node_id.Map.empty pres pres_ix
-  in
-  (inboxes, !delivered)
-
-let route_indexed_sparse ?on_deliver ~equal ~present ~envelopes () =
-  let notify = notify_of on_deliver in
-  let n = Node_id.Set.cardinal present in
-  let boxes : (Node_id.t, _ box) Hashtbl.t = Hashtbl.create (max 16 (2 * n)) in
-  Node_id.Set.iter
-    (fun id ->
-      Hashtbl.replace boxes id
-        { owner = id; rev_items = []; seen = Hashtbl.create 8 })
-    present;
-  let delivered = ref 0 in
-  (* Same per-push shape as the dense path: no [Option.value ~default]
-     allocation in the dedup check. *)
-  let push box src payload =
-    match Hashtbl.find_opt box.seen src with
-    | Some prior when List.exists (equal payload) prior -> ()
-    | prior_opt ->
-        let prior = match prior_opt with Some l -> l | None -> [] in
-        Hashtbl.replace box.seen src (payload :: prior);
-        box.rev_items <- (src, payload) :: box.rev_items;
-        incr delivered;
-        notify ~recipient:box.owner ~src payload
-  in
-  (* Sender-level broadcast dedup: the present set is fixed for the round,
-     so a repeated broadcast from the same sender cannot deliver anything
-     the first copy did not (any interleaved unicast of the same payload is
-     caught by the per-recipient check either way). *)
-  let bcast_seen : (Node_id.t, 'm list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (env : 'm Envelope.t) ->
-      match env.dst with
-      | Envelope.To id -> (
-          match Hashtbl.find_opt boxes id with
-          | None -> ()
-          | Some box -> push box env.src env.payload)
-      | Envelope.Broadcast ->
-          let prior =
-            Option.value ~default:[] (Hashtbl.find_opt bcast_seen env.src)
-          in
-          if not (List.exists (equal env.payload) prior) then begin
-            Hashtbl.replace bcast_seen env.src (env.payload :: prior);
-            (* [find_opt], matching the dense path: every present id has a
-               box, but an exception-raising [find] here would turn any
-               future bookkeeping slip into a routed-round abort instead
-               of a droppable miss. *)
-            Node_id.Set.iter
-              (fun id ->
-                match Hashtbl.find_opt boxes id with
-                | Some box -> push box env.src env.payload
-                | None -> ())
-              present
-          end)
-    envelopes;
-  let inboxes =
-    Node_id.Set.fold
-      (fun id acc ->
-        let box = Hashtbl.find boxes id in
-        let sorted = List.stable_sort by_sender (List.rev box.rev_items) in
-        Node_id.Map.add id sorted acc)
-      present Node_id.Map.empty
-  in
-  (inboxes, !delivered)
-
 (* -------------------------------------------------------------------- *)
-(* Engine v3: arena-based sparse delivery.                               *)
+(* The arena core: the one fast delivery core.                          *)
 (*                                                                       *)
-(* The indexed cores rebuild per-recipient hashtables and a Node_id.Map  *)
-(* every round, which is fine at n ≈ 300 and dominates the profile at    *)
-(* n ≈ 10,000. The arena core keeps one grow-only state across rounds:   *)
+(* Rebuilding per-recipient tables and a Node_id.Map every round is fine *)
+(* at n ≈ 300 and dominates the profile at n ≈ 10,000. The arena core    *)
+(* keeps one grow-only state across rounds instead:                      *)
 (*                                                                       *)
 (*   - recipients and senders are interned once (the interner persists   *)
 (*     and only grows), and per-round presence is a stamp in a flat      *)
@@ -209,9 +72,9 @@ let route_indexed_sparse ?on_deliver ~equal ~present ~envelopes () =
 (*     common one-payload-per-sender case, falling back to a hashed      *)
 (*     payload list only for senders that broadcast twice.               *)
 (*                                                                       *)
-(* Delivery identity with the other cores is the contract: same sorted   *)
-(* inboxes, same [delivered] count, same accept-point [on_deliver]       *)
-(* multiset. The subtle case is cross-shape dedup — a unicast equal to   *)
+(* Delivery identity with the reference core is the contract: same      *)
+(* sorted inboxes, same [delivered] count, same accept-point             *)
+(* [on_deliver] multiset. The subtle case is cross-shape dedup — a unicast equal to   *)
 (* an earlier broadcast from the same sender is suppressed at scan time, *)
 (* while a broadcast equal to an earlier accepted unicast records the    *)
 (* already-served recipients in its exclusion list and skips them at     *)
@@ -482,7 +345,7 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
           | None -> ()
           | Some f ->
               (* Accept-point notification per recipient, ascending id —
-                 the multiset matches the fan-out cores. Only walked when
+                 the multiset matches the reference fan-out. Only walked when
                  a hook is installed, so the wire-accounting-off hot path
                  keeps broadcasts O(1). *)
               Arena.iteri st.pres_ixs (fun k rix ->
@@ -566,21 +429,3 @@ let view_present st =
 let view_to_map st =
   Arena.fold st.pres_ids ~init:Node_id.Map.empty ~f:(fun acc id ->
       Node_id.Map.add id (view_inbox st id) acc)
-
-let route_indexed ?on_deliver ~interner ~equal ~present ~envelopes () =
-  match interner with
-  | Some intr -> route_indexed_dense ?on_deliver ~intr ~equal ~present ~envelopes ()
-  | None -> route_indexed_sparse ?on_deliver ~equal ~present ~envelopes ()
-
-let route ?on_deliver ~interner ~impl ~equal ~present ~envelopes () =
-  match impl with
-  | Indexed -> route_indexed ?on_deliver ~interner ~equal ~present ~envelopes ()
-  | Naive -> route_reference ?on_deliver ~equal ~present ~envelopes ()
-  | Arena ->
-      (* Ephemeral state: the map-returning entry point can't reuse the
-         arena across rounds, so this path exists for the generic [route]
-         API and the differential tests. Long-lived callers (the network
-         round loop) hold an [arena_state] and call [route_arena]. *)
-      let st = arena_create ~hint:(Node_id.Set.cardinal present) () in
-      let view = route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () in
-      (view_to_map view, view_delivered view)

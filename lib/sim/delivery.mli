@@ -1,6 +1,6 @@
 (** Per-round message delivery cores.
 
-    Every core implements the same delivery contract over one round's worth
+    Both cores implement the same delivery contract over one round's worth
     of envelopes:
 
     - only nodes in [present] receive anything;
@@ -12,21 +12,18 @@
       the total length of all inboxes.
 
     {!route_reference} is the seed engine's list-scan implementation, kept
-    verbatim as an executable specification: the differential test replays
-    randomized traffic through the cores, and the PERF experiment races
-    them head to head. {!route_indexed} is engine v2 — single pass over the
-    envelopes with hash-keyed dedup, plus sender-level suppression of
-    repeated broadcast envelopes before fan-out. {!route_arena} is engine
-    v3 — a grow-only flat-arena state reused across rounds, broadcasts kept
-    as single logical records expanded lazily at read time, built for the
-    n ≈ 10,000 SCALE sweeps. *)
+    verbatim as an executable specification: the differential tests replay
+    randomized traffic through both cores, and the PERF experiment races
+    them head to head. {!route_arena} is the fast core and the network
+    default — a grow-only flat-arena state reused across rounds, with
+    broadcasts kept as single logical records expanded lazily at read
+    time, built for the n ≈ 10,000 SCALE sweeps. *)
 
 open Ubpa_util
 
 type impl =
-  | Indexed  (** Engine v2 (default). *)
-  | Naive  (** Seed engine. *)
-  | Arena  (** Engine v3: arena state, lazy broadcast expansion. *)
+  | Naive  (** Seed engine: {!route_reference}. *)
+  | Arena  (** Arena state, lazy broadcast expansion (default). *)
 
 type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
 (** Delivery-accounting hook. Every core invokes it at its accept point —
@@ -34,27 +31,6 @@ type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
     observed through [on_deliver] sees exactly the deliveries the returned
     count reports, in the core's acceptance order. The network layer uses
     it to feed {!Ubpa_obs.Wire} with per-message sizes. *)
-
-val route_indexed :
-  ?on_deliver:'m on_deliver ->
-  interner:Interner.t option ->
-  equal:('m -> 'm -> bool) ->
-  present:Node_id.Set.t ->
-  envelopes:'m Envelope.t list ->
-  unit ->
-  (Node_id.t * 'm) list Node_id.Map.t * int
-(** Single-pass bucketed delivery. Per recipient, a hash table keyed by
-    sender holds the payloads already delivered from that sender, so each
-    push costs a lookup plus a scan of that sender's (few) distinct
-    payloads instead of a scan of the whole inbox. A repeated broadcast
-    envelope — same sender, [equal] payload — is dropped before fan-out:
-    since the present set is fixed for the round, it could not deliver
-    anything the first copy did not. [envelopes] must be in send order.
-
-    When [interner] is given (the per-network id table), recipients resolve
-    to dense indices and broadcast fan-out walks an array instead of a hash
-    table — same results, cheaper per push. Present ids are interned on
-    entry; unknown recipients are dropped exactly like absent ones. *)
 
 val route_reference :
   ?on_deliver:'m on_deliver ->
@@ -65,13 +41,13 @@ val route_reference :
   (Node_id.t * 'm) list Node_id.Map.t * int
 (** The seed engine's core: list inboxes, linear duplicate scan per push.
     Quadratic in per-recipient traffic; bit-for-bit the same result as
-    {!route_indexed} — including the [on_deliver] multiset, which is what
+    {!route_arena} — including the [on_deliver] multiset, which is what
     the CX1 cross-core wire-identity claim checks. *)
 
 type 'm arena_state
-(** Engine v3 round state: interner, presence stamps, flat record arenas
-    and CSR inbox slices, all grow-only and reused across rounds. Create
-    one per network and feed it every round through {!route_arena}; a
+(** Arena round state: interner, presence stamps, flat record arenas and
+    CSR inbox slices, all grow-only and reused across rounds. Create one
+    per network and feed it every round through {!route_arena}; a
     steady-state round allocates only the inbox lists actually read. *)
 
 val arena_create : ?hint:int -> unit -> 'm arena_state
@@ -92,7 +68,7 @@ val route_arena :
   envelopes:'m Envelope.t list ->
   unit ->
   'm view
-(** Engine v3 entry point. Scans [envelopes] once (dedup decisions and
+(** Arena entry point. Scans [envelopes] once (dedup decisions and
     [on_deliver] fire here, at the accept points), seals unicasts into
     per-recipient CSR slices, and returns the round's read view. A
     broadcast is accepted as one record and charged [|present|] minus its
@@ -101,32 +77,18 @@ val route_arena :
     present recipient so wire accounting sees the fan-out multiset. *)
 
 val view_delivered : 'm view -> int
-(** Total deliveries this round — same number the other cores return. *)
+(** Total deliveries this round — same number the reference core returns. *)
 
 val view_inbox : 'm view -> Node_id.t -> (Node_id.t * 'm) list
 (** [view_inbox v id] expands [id]'s inbox: a merge of the broadcast
     records (minus exclusions) with [id]'s unicast slice, sorted by
-    (sender id, send order) exactly like the other cores' inboxes.
+    (sender id, send order) exactly like the reference core's inboxes.
     Empty for absent or unknown recipients. *)
 
 val view_present : 'm view -> Node_id.t list
 (** The round's present set in ascending id order. *)
 
 val view_to_map : 'm view -> (Node_id.t * 'm) list Node_id.Map.t
-(** Materialise every present inbox — the bridge back to the map-shaped
-    contract, used by the generic {!route} dispatch and the differential
-    tests. Costs the full fan-out the lazy representation avoids. *)
-
-val route :
-  ?on_deliver:'m on_deliver ->
-  interner:Interner.t option ->
-  impl:impl ->
-  equal:('m -> 'm -> bool) ->
-  present:Node_id.Set.t ->
-  envelopes:'m Envelope.t list ->
-  unit ->
-  (Node_id.t * 'm) list Node_id.Map.t * int
-(** Dispatch on [impl]. [interner] only affects the [Indexed] core; the
-    reference core stays the untouched executable specification. [Arena]
-    routes through an ephemeral {!arena_state} and materialises the map —
-    use {!route_arena} directly to get the cross-round reuse. *)
+(** Materialise every present inbox — the bridge back to the reference
+    core's map-shaped result, used by the differential tests. Costs the
+    full fan-out the lazy representation avoids. *)

@@ -29,21 +29,12 @@ module Make (P : Protocol.S) = struct
     | Join_correct of Node_id.t * P.input
     | Join_byzantine of Node_id.t * P.message Strategy.t
 
-  (* One routed round as the stepping loop consumes it. [Mapped] is the
-     historical shape (and the one fault filters rewrite); [Sliced] is the
-     engine-v3 cursor view, where each inbox stays a lazy (offset, length)
-     slice into the arena until the owning node is actually stepped — no
-     per-round Node_id.Map is ever built. *)
-  type inboxes =
-    | Mapped of (Node_id.t * P.message) list Node_id.Map.t
-    | Sliced of P.message Delivery.view
-
   type t = {
     rushing : bool;
     delivery : Delivery.impl;
     wire_accounting : bool;
-    arena : P.message Delivery.arena_state option;
-        (* engine-v3 cross-round state, allocated iff delivery = Arena *)
+    arena : P.message Delivery.arena_state;
+        (* cross-round arena state, fed every round when delivery = Arena *)
     rng : Rng.t;
     faults : Ubpa_faults.plan;
     frng : Rng.t;
@@ -51,9 +42,6 @@ module Make (P : Protocol.S) = struct
            leaves every existing random stream untouched, and a non-empty
            one gives identical decisions on both delivery cores. *)
     tr : Trace.t;
-    intr : Interner.t;
-        (* per-network dense id table; every member id is interned at join
-           so the indexed delivery core can use array-addressed fan-out *)
     classify : (P.message -> string) option;
     stimulus : round:int -> Node_id.t -> P.stimulus list;
     metrics : Metrics.t;
@@ -70,7 +58,10 @@ module Make (P : Protocol.S) = struct
 
   let no_stimulus ~round:_ _ = []
 
-  let create ?(rushing = true) ?(delivery = Delivery.Indexed)
+  let find_inbox inboxes id =
+    match Node_id.Map.find_opt id inboxes with Some l -> l | None -> []
+
+  let create ?(rushing = true) ?(delivery = Delivery.Arena)
       ?(wire_accounting = true) ?(seed = 0xbadc0ffeeL)
       ?(faults = Ubpa_faults.empty) ?(trace = Trace.disabled) ?classify
       ?(stimulus = no_stimulus) ~correct ~byzantine () =
@@ -79,15 +70,11 @@ module Make (P : Protocol.S) = struct
         rushing;
         delivery;
         wire_accounting;
-        arena =
-          (match delivery with
-          | Delivery.Arena -> Some (Delivery.arena_create ())
-          | _ -> None);
+        arena = Delivery.arena_create ();
         rng = Rng.create seed;
         faults;
         frng = Rng.create (Int64.logxor seed 0x6661756c745eedL);
         tr = trace;
-        intr = Interner.create ();
         classify;
         stimulus;
         metrics = Metrics.create ();
@@ -126,7 +113,6 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (correct)";
-            ignore (Interner.intern t.intr id);
             t.correct <-
               Node_id.Map.add id
                 {
@@ -144,7 +130,6 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (byzantine %s)" (Strategy.name strat);
-            ignore (Interner.intern t.intr id);
             let act = Strategy.instantiate strat (Rng.split t.rng) id in
             t.byzantine <- Node_id.Map.add id { b_id = id; b_act = act } t.byzantine)
       (List.rev t.queued_joins);
@@ -200,11 +185,60 @@ module Make (P : Protocol.S) = struct
   let byzantine_ids t =
     Node_id.Map.fold (fun id _ acc -> id :: acc) t.byzantine [] |> List.rev
 
-  (* Deliver pending envelopes to the nodes present this round. Returns a map
-     from recipient to its inbox sorted by sender id. Duplicate
-     (sender, payload) pairs for the same recipient are dropped, with payload
-     equality decided by [P.equal_message]. *)
-  let rec deliver t ~present =
+  (* Receive-omission and delay are per recipient, after routing: a
+     broadcast may be lost at one victim and arrive everywhere else. Each
+     present node's inbox is read once, in ascending id order, and
+     filtered over its sender-sorted entries — the [frng] draw order the
+     [?faults] doc in network.mli specifies. *)
+  let fault_filter t ~present inbox_of delivered =
+    let dropped = ref 0 in
+    let drop_with ~p ~what dst inbox =
+      List.filter
+        (fun (src, payload) ->
+          if Rng.float t.frng 1.0 < p then begin
+            incr dropped;
+            if Trace.enabled t.tr then
+              Trace.recordf t.tr ~round:t.round ~node:dst ~kind:Trace.Fault
+                "fault: %s from %a: %a" what Node_id.pp src P.pp_message
+                payload;
+            false
+          end
+          else true)
+        inbox
+    in
+    let filtered =
+      Node_id.Set.fold
+        (fun dst acc ->
+          let inbox = inbox_of dst in
+          let p =
+            Ubpa_faults.recv_omission_prob t.faults ~node:dst ~round:t.round
+          in
+          let inbox =
+            if p <= 0. then inbox
+            else drop_with ~p ~what:"recv-omission drop" dst inbox
+          in
+          (* A delayed envelope misses its delivery round; the synchronous
+             engine has no late slot, so it is dropped. No randomness is
+             drawn unless a delay window is active, keeping delay-free
+             plans bit-reproducible. *)
+          let inbox =
+            match Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round with
+            | None -> inbox
+            | Some (p, dr) ->
+                drop_with ~p
+                  ~what:(Printf.sprintf "delay +%dr (missed its round)" dr)
+                  dst inbox
+          in
+          Node_id.Map.add dst inbox acc)
+        present Node_id.Map.empty
+    in
+    (find_inbox filtered, delivered - !dropped)
+
+  (* Deliver pending envelopes to the nodes present this round. Returns the
+     round's inbox reader: recipient to its inbox sorted by sender id.
+     Duplicate (sender, payload) pairs for the same recipient are dropped,
+     with payload equality decided by [P.equal_message]. *)
+  let deliver t ~present =
     let faulty = not (Ubpa_faults.is_empty t.faults) in
     let envelopes = List.rev t.pending in
     (* Link-level faults happen before routing: per-envelope loss drops the
@@ -267,95 +301,29 @@ module Make (P : Protocol.S) = struct
               ~kind:(kind_of payload) ~bits;
             Metrics.record_wire t.metrics ~round:t.round ~bits)
     in
-    let inboxes, delivered =
-      match t.arena with
-      | Some state when not faulty ->
-          (* Cursor fast path: scan + seal, no map, no fan-out. Inboxes
-             are expanded one node at a time as the step loop reads them.
-             Fault plans fall through to the map path below so the
-             post-route filters (and their [frng] draw order) stay
-             byte-identical with the other cores. *)
+    let inbox_of, delivered =
+      match t.delivery with
+      | Delivery.Arena ->
+          (* Scan + seal, no map, no fan-out: each inbox is expanded from
+             the view only when its owner is stepped. *)
           let view =
-            Delivery.route_arena ?on_deliver ~state ~equal:P.equal_message
-              ~present ~envelopes ()
+            Delivery.route_arena ?on_deliver ~state:t.arena
+              ~equal:P.equal_message ~present ~envelopes ()
           in
-          (Sliced view, Delivery.view_delivered view)
-      | Some state ->
-          let view =
-            Delivery.route_arena ?on_deliver ~state ~equal:P.equal_message
-              ~present ~envelopes ()
-          in
-          (Mapped (Delivery.view_to_map view), Delivery.view_delivered view)
-      | None ->
+          (Delivery.view_inbox view, Delivery.view_delivered view)
+      | Delivery.Naive ->
           let inboxes, delivered =
-            Delivery.route ?on_deliver ~interner:(Some t.intr)
-              ~impl:t.delivery ~equal:P.equal_message ~present ~envelopes ()
+            Delivery.route_reference ?on_deliver ~equal:P.equal_message
+              ~present ~envelopes ()
           in
-          (Mapped inboxes, delivered)
+          (find_inbox inboxes, delivered)
     in
-    (* Receive-omission is per recipient, after routing: a broadcast may be
-       lost at one victim and arrive everywhere else. *)
-    let inboxes, delivered =
-      if not faulty then (inboxes, delivered)
-      else
-        match inboxes with
-        | Sliced _ -> (inboxes, delivered) (* unreachable: faulty => Mapped *)
-        | Mapped mapped ->
-            let mapped, delivered = fault_filter t mapped delivered in
-            (Mapped mapped, delivered)
+    let inbox_of, delivered =
+      if faulty then fault_filter t ~present inbox_of delivered
+      else (inbox_of, delivered)
     in
     Metrics.record_delivered t.metrics ~round:t.round delivered;
-    inboxes
-
-  and fault_filter t inboxes delivered =
-        let dropped = ref 0 in
-        let inboxes =
-          Node_id.Map.mapi
-            (fun dst inbox ->
-              let p =
-                Ubpa_faults.recv_omission_prob t.faults ~node:dst
-                  ~round:t.round
-              in
-              let inbox =
-                if p <= 0. then inbox
-                else
-                  List.filter
-                    (fun (src, payload) ->
-                      if Rng.float t.frng 1.0 < p then begin
-                        incr dropped;
-                        if Trace.enabled t.tr then
-                          Trace.recordf t.tr ~round:t.round ~node:dst
-                            ~kind:Trace.Fault
-                            "fault: recv-omission drop from %a: %a" Node_id.pp
-                            src P.pp_message payload;
-                        false
-                      end
-                      else true)
-                    inbox
-              in
-              (* A delayed envelope misses its delivery round; the
-                 synchronous engine has no late slot, so it is dropped.
-                 No randomness is drawn unless a delay window is active,
-                 keeping delay-free plans bit-reproducible. *)
-              match Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round with
-              | None -> inbox
-              | Some (dp, dr) ->
-                  List.filter
-                    (fun (src, payload) ->
-                      if Rng.float t.frng 1.0 < dp then begin
-                        incr dropped;
-                        if Trace.enabled t.tr then
-                          Trace.recordf t.tr ~round:t.round ~node:dst
-                            ~kind:Trace.Fault
-                            "fault: delay +%dr (missed its round) from %a: %a"
-                            dr Node_id.pp src P.pp_message payload;
-                        false
-                      end
-                      else true)
-                    inbox)
-            inboxes
-        in
-        (inboxes, delivered - !dropped)
+    inbox_of
 
   let step_round_untimed t =
     t.round <- t.round + 1;
@@ -367,13 +335,7 @@ module Make (P : Protocol.S) = struct
         (Node_id.Set.of_list (active_correct t))
         (Node_id.Set.of_list (byzantine_ids t))
     in
-    let inboxes = deliver t ~present in
-    let inbox_of id =
-      match inboxes with
-      | Mapped m -> (
-          match Node_id.Map.find_opt id m with Some l -> l | None -> [])
-      | Sliced view -> Delivery.view_inbox view id
-    in
+    let inbox_of = deliver t ~present in
     (* Correct nodes first (their sends feed the rushing adversary). *)
     let correct_sends = ref [] in
     let faulty = not (Ubpa_faults.is_empty t.faults) in

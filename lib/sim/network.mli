@@ -45,12 +45,11 @@ module Make (P : Protocol.S) : sig
     unit ->
     t
   (** All listed nodes join in round 1. Identifiers must be distinct across
-      both lists. [delivery] selects the delivery core (default
-      {!Delivery.Indexed}; {!Delivery.Naive} keeps the seed engine's
-      list-scan core — same results, slower — for differential testing and
-      head-to-head benchmarks; {!Delivery.Arena} is the engine-v3 arena
-      core, which feeds the round loop through lazy inbox slices instead
-      of a per-round map when the fault plan is empty).
+      both lists. [delivery] selects the delivery core: the default
+      {!Delivery.Arena} feeds the round loop through lazy per-node inbox
+      reads from one arena state kept across rounds; {!Delivery.Naive}
+      keeps the seed engine's list-scan core — same results, slower — for
+      differential testing and head-to-head benchmarks.
       [wire_accounting] (default [true]) controls the per-delivery
       {!Ubpa_obs.Wire} hook; switching it off leaves {!wire} empty and
       lets the arena core keep broadcasts O(1) instead of fanning out for
@@ -58,12 +57,22 @@ module Make (P : Protocol.S) : sig
       [faults] (default {!Ubpa_faults.empty})
       injects benign faults into correct nodes at the delivery boundary:
       crashed/left nodes are absent from the present set (they neither
-      step nor receive, state kept for recovery), send/receive omission
-      and per-envelope loss/duplication drop or re-deliver envelopes, and
-      every injected fault is recorded as a {!Trace.Fault} event. The
-      plan's random decisions come from a dedicated stream, so an empty
-      plan is byte-identical to no plan and a non-empty plan makes the
-      same decisions on both delivery cores. *)
+      step nor receive, state kept for recovery), send/receive omission,
+      delay and per-envelope loss/duplication drop or re-deliver
+      envelopes, and every injected fault is recorded as a {!Trace.Fault}
+      event. The plan's random decisions come from a dedicated stream, so
+      an empty plan is byte-identical to no plan. Each round draws from
+      that stream in a fixed order that neither core influences, so a
+      non-empty plan makes the same decisions on both:
+      + loss, then duplication, over the pending envelopes in send order;
+      + then, per present recipient in ascending id order, receive
+        omission over its sender-sorted inbox, then delay over what
+        survived;
+      + then send omission, per send, as the step loop runs the correct
+        nodes in ascending id order.
+
+      A draw happens only where its probability is active for that
+      envelope, node and round. *)
 
   (** {2 Dynamic membership} *)
 

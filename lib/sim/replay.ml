@@ -80,7 +80,7 @@ module Make (P : Protocol.S) = struct
           })
         (List.sort (fun (a, _) (b, _) -> Node_id.compare a b) sc.sc_nodes)
     in
-    let intr = Interner.create () in
+    let arena = Delivery.arena_create () in
     let wire = Ubpa_obs.Wire.create () in
     let divergence = ref None in
     let diverge ~round ?node what =
@@ -154,19 +154,15 @@ module Make (P : Protocol.S) = struct
               Ubpa_obs.Wire.record wire ~round ~sender:src ~recipient
                 ~kind:"msg" ~bits:(P.encoded_bits payload)
           in
-          let inboxes, _delivered =
-            Delivery.route ~on_deliver ~interner:(Some intr)
-              ~impl:Delivery.Indexed ~equal:P.equal_message ~present
+          let view =
+            Delivery.route_arena ~on_deliver ~state:arena
+              ~equal:P.equal_message ~present
               ~envelopes:(List.rev !pending) ()
           in
           pending := [];
           List.iter
             (fun n ->
-              let routed =
-                match Node_id.Map.find_opt n.rn_id inboxes with
-                | Some l -> l
-                | None -> []
-              in
+              let routed = Delivery.view_inbox view n.rn_id in
               let nr = Node_id.Map.find_opt n.rn_id recorded in
               (match nr with
               | None -> ()

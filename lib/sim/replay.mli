@@ -3,14 +3,14 @@
     The networked runtime ({!Ubpa_runtime}) records, per node per round,
     the inbox it actually consumed and the sends its protocol instance
     emitted. This module feeds that recorded delivery schedule back
-    through the simulator's indexed delivery core and re-steps the pure
+    through the simulator's arena delivery core and re-steps the pure
     state machines, flagging the {e first} round where the wire diverged
     from the model:
 
     - {e present-set check} — the runtime stepped exactly the nodes the
       oracle considers alive (halts propagate identically);
     - {e inbox check} — what each node received over the wire is exactly
-      what {!Delivery.route_indexed} routes from the previous round's
+      what {!Delivery.route_arena} routes from the previous round's
       sends (same dedup, same sender-sorted order);
     - {e send check} — the protocol instance driven by the runtime emitted
       exactly the sends the oracle's replayed state machine emits.

@@ -1,6 +1,6 @@
 (** Grow-only scratch buffers reused across rounds.
 
-    The engine-v3 delivery core keys one round's records into flat arrays
+    The arena delivery core keys one round's records into flat arrays
     and throws the {e contents} away every round while keeping the
     {e storage}: {!clear} drops the length back to zero without freeing,
     so a steady-state round allocates nothing in the arena no matter how

@@ -153,7 +153,7 @@ let test_sampling_identical_across_jobs () =
    unicasts (inner consensus at k ≈ 2√n fan-out, reports at √n·log n
    fan-out) — a shape the original differential's uniform random traffic
    underweights. Generate exactly that shape from real samples and
-   require all three cores to agree on inboxes and wire counters. *)
+   require both cores to agree on inboxes and wire counters. *)
 let committee_traffic rng =
   let n = 20 + Rng.int rng 60 in
   let seed = Rng.int64 rng in
@@ -196,15 +196,11 @@ let wire_of routefn ~present ~envelopes =
 
 let prop_sparse_fanout_cross_core =
   QCheck2.Test.make ~count:80
-    ~name:"sparse committee fan-out: arena == indexed == reference"
+    ~name:"sparse committee fan-out: arena == reference"
     QCheck2.Gen.(int_range 1 100_000)
     (fun qseed ->
       let rng = Rng.create (Int64.of_int qseed) in
       let present, envelopes = committee_traffic rng in
-      let route impl ~on_deliver ~present ~envelopes =
-        Delivery.route ~on_deliver ~interner:None ~impl ~equal:Int.equal
-          ~present ~envelopes ()
-      in
       let i_ref, c_ref, w_ref =
         wire_of
           (fun ~on_deliver ~present ~envelopes ->
@@ -212,13 +208,8 @@ let prop_sparse_fanout_cross_core =
               ~envelopes ())
           ~present ~envelopes
       in
-      List.for_all
-        (fun impl ->
-          let i, c, w = wire_of (route impl) ~present ~envelopes in
-          c = c_ref
-          && Node_id.Map.equal ( = ) i i_ref
-          && Ubpa_obs.Wire.equal w w_ref)
-        [ Delivery.Indexed; Delivery.Arena ])
+      let i, c, w = wire_of Helpers.arena_route ~present ~envelopes in
+      c = c_ref && Node_id.Map.equal ( = ) i i_ref && Ubpa_obs.Wire.equal w w_ref)
 
 (* ----- protocol end-to-end ----- *)
 
@@ -279,7 +270,7 @@ let test_inner_split_attack () =
   check_green "inner split" s
 
 let test_cores_agree_end_to_end () =
-  (* The same run on the indexed and arena cores must produce identical
+  (* The same run on the reference and arena cores must produce identical
      outputs, rounds and wire counters — CX1's identity claim at the
      committee protocol's fan-out shape, end to end. *)
   let run delivery =
@@ -287,7 +278,7 @@ let test_cores_agree_end_to_end () =
       ~byz:[ C.Attacks.silent_member; C.Attacks.report_flood 5 ]
       ~inputs:binary_split ()
   in
-  let a = run Delivery.Indexed and b = run Delivery.Arena in
+  let a = run Delivery.Naive and b = run Delivery.Arena in
   check_true "same outputs" (a.C.outputs = b.C.outputs);
   check_int "same rounds" a.C.rounds b.C.rounds;
   check_int "same delivered" a.C.delivered_msgs b.C.delivered_msgs;
@@ -325,7 +316,7 @@ let suite =
         test_report_flood_attack;
       quick "protocol: inner split-world through the overlay"
         test_inner_split_attack;
-      quick "protocol: indexed and arena cores byte-identical"
+      quick "protocol: reference and arena cores byte-identical"
         test_cores_agree_end_to_end;
       quick "protocol: per-node budget qualitatively sparse"
         test_budget_is_subquadratic;

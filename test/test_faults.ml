@@ -158,13 +158,6 @@ let test_fault_events_traced () =
 
 (* ----- delay faults and the runtime-facing queries (PR 8) ----- *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1))
-  in
-  go 0
-
 let test_delay_queries () =
   let p =
     F.make

@@ -162,7 +162,7 @@ let wire_of_route routefn ~present ~envelopes =
 
 let prop_wire_cross_core_identity =
   QCheck2.Test.make ~count:120
-    ~name:"wire counters: indexed core == reference core on random traffic"
+    ~name:"wire counters: arena core == reference core on random traffic"
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
@@ -174,15 +174,11 @@ let prop_wire_cross_core_identity =
               ~envelopes ())
           ~present ~envelopes
       in
-      let w_idx, c_idx =
-        wire_of_route
-          (fun ~on_deliver ~present ~envelopes ->
-            Delivery.route_indexed ~on_deliver ~interner:None ~equal:Int.equal
-              ~present ~envelopes ())
-          ~present ~envelopes
+      let w_arena, c_arena =
+        wire_of_route Helpers.arena_route ~present ~envelopes
       in
-      c_ref = c_idx
-      && Wire.equal w_ref w_idx
+      c_ref = c_arena
+      && Wire.equal w_ref w_arena
       && Wire.messages w_ref = c_ref)
 
 let test_on_deliver_matches_count () =
@@ -190,13 +186,7 @@ let test_on_deliver_matches_count () =
   let rng = Rng.create 0xB17C0DEL in
   for _ = 1 to 25 do
     let present, envelopes = random_traffic rng in
-    let w, count =
-      wire_of_route
-        (fun ~on_deliver ~present ~envelopes ->
-          Delivery.route ~on_deliver ~interner:None ~impl:Delivery.Indexed
-            ~equal:Int.equal ~present ~envelopes ())
-        ~present ~envelopes
-    in
+    let w, count = wire_of_route Helpers.arena_route ~present ~envelopes in
     check_int "hook fired once per delivery" count (Wire.messages w)
   done
 
