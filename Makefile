@@ -96,8 +96,10 @@ check:
 		--json results/json-mc/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-mc/
 
-# Deeper, slower sweeps straight through the CLI (~4 min serial) — not
-# part of any gate. `make check-full JOBS=0` uses every core for the
+# Deeper, slower sweeps straight through the CLI — not part of any gate.
+# On a 2-vCPU Xeon VM, serial: rb n=5 takes 1 s and consensus n=4 7 s;
+# rb n=4 at 6 rounds needs more than that VM's 7 GB of memory (5 rounds
+# peak at about 3 GB). `make check-full JOBS=0` uses every core for the
 # frontier expansion.
 check-full:
 	dune exec bin/ubpa_cli.exe -- check --protocol rb -n 5 -f 1 \

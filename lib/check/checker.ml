@@ -210,10 +210,12 @@ module Make (M : Model.S) = struct
           List.iter
             (fun (dst, payload) ->
               let env = { Envelope.src = n.cn_id; dst; payload } in
-              Trace.recordf tr ~round ~node:n.cn_id ~kind:Trace.Send
-                "send %a"
-                (Envelope.pp P.pp_message)
-                env;
+              (* As in Network: per send, skip even the unformatted call. *)
+              if Trace.enabled tr then
+                Trace.recordf tr ~round ~node:n.cn_id ~kind:Trace.Send
+                  "send %a"
+                  (Envelope.pp P.pp_message)
+                  env;
               correct_envs := env :: !correct_envs)
             sends;
           match status with
@@ -233,9 +235,11 @@ module Make (M : Model.S) = struct
       List.map
         (fun (src, dst, payload) ->
           let env = { Envelope.src; dst = Envelope.To dst; payload } in
-          Trace.recordf tr ~round ~node:src ~kind:Trace.Byz_send "byz-send %a"
-            (Envelope.pp P.pp_message)
-            env;
+          if Trace.enabled tr then
+            Trace.recordf tr ~round ~node:src ~kind:Trace.Byz_send
+              "byz-send %a"
+              (Envelope.pp P.pp_message)
+              env;
           env)
         a.byz
     in
@@ -269,32 +273,66 @@ module Make (M : Model.S) = struct
   (* Canonical configuration key                                       *)
   (* ---------------------------------------------------------------- *)
 
-  let config_key sim =
-    let b = Buffer.create 256 in
-    Buffer.add_string b (string_of_int sim.round);
+  (* Keys are binary and prefix-free ({!Key}). Protocol messages have no
+     binary writer of their own, so a payload is keyed by its printed
+     form: [payload] is a per-expansion memo that prints each distinct
+     message once (see [payload_writer]). *)
+
+  module Pmap = Map.Make (struct
+    type t = P.message
+
+    let compare = P.compare_message
+  end)
+
+  (* A fresh memo per call, so Pool workers never share one. *)
+  let payload_writer () =
+    let memo = ref Pmap.empty in
+    fun b m ->
+      let s =
+        match Pmap.find_opt m !memo with
+        | Some s -> s
+        | None ->
+            let s = Fmt.str "%a" P.pp_message m in
+            memo := Pmap.add m s !memo;
+            s
+      in
+      Key.string b s
+
+  let envelope_key ~payload b (env : P.message Envelope.t) =
+    Key.id b env.src;
+    (match env.dst with
+    | Envelope.Broadcast -> Key.tag b 0
+    | Envelope.To dst ->
+        Key.tag b 1;
+        Key.id b dst);
+    payload b env.payload
+
+  (* Everything but the round's Byzantine vector, which [byz_vectors]
+     appends as a [vector_suffix]. *)
+  let config_key ~payload sim =
+    let b = Buffer.create 1024 in
+    Key.int b sim.round;
+    Key.int b (Array.length sim.nodes);
     Array.iter
       (fun n ->
-        Buffer.add_char b '|';
-        Buffer.add_string b (Fmt.str "%a" Node_id.pp n.cn_id);
-        (match n.cn_halted with
-        | Some r -> Buffer.add_string b (Printf.sprintf "!h%d" r)
-        | None -> ());
-        (match n.cn_down with
-        | Some r -> Buffer.add_string b (Printf.sprintf "!d%d" r)
-        | None -> ());
-        Buffer.add_char b ':';
-        Buffer.add_string b (M.state_key n.cn_state);
-        Buffer.add_char b ':';
-        match n.cn_output with
-        | None -> Buffer.add_char b '-'
-        | Some o -> Buffer.add_string b (M.output_key o))
+        Key.id b n.cn_id;
+        Key.option Key.int b n.cn_halted;
+        Key.option Key.int b n.cn_down;
+        Key.string b (M.state_key n.cn_state);
+        Key.option (fun b o -> Key.string b (M.output_key o)) b n.cn_output)
       sim.nodes;
-    List.iter
-      (fun (env : P.message Envelope.t) ->
-        Buffer.add_char b '|';
-        Buffer.add_string b (Fmt.str "%a" (Envelope.pp P.pp_message) env))
-      sim.pending;
+    Key.list (envelope_key ~payload) b sim.pending;
     Buffer.contents b
+
+  (* A Byzantine vector's key: its entry count, then each entry's
+     envelope key, in (sender, recipient) order. *)
+  let vector_suffix frags =
+    let b = Buffer.create 64 in
+    Key.int b (List.length frags);
+    List.iter (Buffer.add_string b) frags;
+    Buffer.contents b
+
+  let silent_suffix = vector_suffix []
 
   (* ---------------------------------------------------------------- *)
   (* Scripted replay (counterexamples, differential tests, monitors)   *)
@@ -493,7 +531,7 @@ module Make (M : Model.S) = struct
      input and identical adversary history, neither pinned) — per-sender
      sorting alone would prune both representatives of some orbits when
      several byz senders are in play. *)
-  let byz_vectors ~symmetry ~palette ~byz ~recipients ~clone_class =
+  let byz_vectors ~payload ~symmetry ~palette ~byz ~recipients ~clone_class =
     let opts = Array.of_list palette in
     let n_opts = 1 + Array.length opts in
     let byz = Array.of_list byz in
@@ -530,15 +568,16 @@ module Make (M : Model.S) = struct
     in
     let total = pow n_cols (List.length tagged) in
     (* key fragments per (recipient, byz, option), so the hot leaf path
-       below never formats — it only sorts and concatenates *)
+       below never encodes — it only sorts and concatenates *)
     let frag =
       List.map
         (fun (r, _) ->
           ( r,
             Array.init nb (fun i ->
                 Array.init (n_opts - 1) (fun o ->
-                    Fmt.str "|%a->%a:%a" Node_id.pp byz.(i) Node_id.pp r
-                      P.pp_message opts.(o))) ))
+                    Key.to_string
+                      (envelope_key ~payload)
+                      (Envelope.send ~src:byz.(i) ~dst:r opts.(o)))) ))
         tagged
     in
     let vectors = ref [] and emitted = ref 0 in
@@ -555,9 +594,7 @@ module Make (M : Model.S) = struct
               acc
           in
           let vec = List.map (fun (s, d, m, _) -> (s, d, m)) entries in
-          let suffix =
-            String.concat "" (List.map (fun (_, _, _, f) -> f) entries)
-          in
+          let suffix = vector_suffix (List.map (fun (_, _, _, f) -> f) entries) in
           vectors := (vec, suffix) :: !vectors
       | (r, cls) :: rest, (_, fr) :: frest ->
           let floor_ =
@@ -583,37 +620,46 @@ module Make (M : Model.S) = struct
     go tagged frag None [];
     (List.rev !vectors, total - !emitted)
 
-  (* Clone classes for the symmetry reduction: a recipient's class string
+  (* Clone classes for the symmetry reduction: a recipient's class key
      is its input plus everything the adversary ever did to it
      specifically (scripted unicasts, omissions); crashed nodes are not
-     recipients. Correct traffic is broadcast, so equal class strings
-     mean the nodes are indistinguishable clones. *)
-  let clone_classes ~pinned ~inputs script_oldest =
+     recipients. Correct traffic is broadcast, so equal class keys mean
+     the nodes are indistinguishable clones. *)
+  let clone_classes ~payload ~pinned ~inputs script_oldest =
     fun id ->
       if List.exists (Node_id.equal id) pinned then None
       else
         let b = Buffer.create 64 in
-        (match List.assoc_opt id inputs with
-        | Some i -> Buffer.add_string b (M.input_key i)
-        | None -> Buffer.add_char b '?');
+        Key.option
+          (fun b i -> Key.string b (M.input_key i))
+          b
+          (List.assoc_opt id inputs);
         List.iteri
           (fun i (a : action) ->
             let mine =
               List.filter_map
                 (fun (src, dst, m) ->
-                  if Node_id.equal dst id then
-                    Some (Fmt.str "%a>%a" Node_id.pp src P.pp_message m)
-                  else None)
+                  if Node_id.equal dst id then Some (src, m) else None)
                 a.byz
-              |> List.sort String.compare
+              |> List.sort (fun (s, m) (s', m') ->
+                     match Node_id.compare s s' with
+                     | 0 -> P.compare_message m m'
+                     | c -> c)
             in
-            if mine <> [] then
-              Buffer.add_string b
-                (Printf.sprintf "|%d:%s" i (String.concat ";" mine));
+            if mine <> [] then begin
+              Key.int b i;
+              Key.tag b 0;
+              Key.list
+                (fun b (src, m) ->
+                  Key.id b src;
+                  payload b m)
+                b mine
+            end;
             match a.omit with
             | Some (src, dst) when Node_id.equal dst id ->
-                Buffer.add_string b
-                  (Fmt.str "|%d:om<%a" i Node_id.pp src)
+                Key.int b i;
+                Key.tag b 1;
+                Key.id b src
             | _ -> ())
           script_oldest;
         Some (Buffer.contents b)
@@ -642,6 +688,7 @@ module Make (M : Model.S) = struct
        copy, check properties and enumerate the next canonical byz
        vectors. Pure: safe on the Pool. *)
     let expand g =
+      let payload = payload_writer () in
       let base = replay_script g.gr_prefix in
       (match g.gr_benign with None -> () | Some b -> step base b);
       let benign' =
@@ -705,24 +752,26 @@ module Make (M : Model.S) = struct
                   let terminal = all_done sim' in
                   let vectors, skipped =
                     if terminal || sim'.round >= max_rounds then
-                      ([ ([], "") ], 0)
+                      ([ ([], silent_suffix) ], 0)
                     else
                       let palette =
                         M.palette ~arrival:(sim'.round + 1) ~correct
                           ~byzantine
                       in
-                      if palette = [] || byzantine = [] then ([ ([], "") ], 0)
+                      if palette = [] || byzantine = [] then
+                        ([ ([], silent_suffix) ], 0)
                       else
-                        byz_vectors
+                        byz_vectors ~payload
                           ~symmetry:(symmetry && M.recipient_symmetric)
                           ~palette ~byz:base.byz_ids
                           ~recipients:(active_ids sim')
                           ~clone_class:
-                            (clone_classes ~pinned ~inputs:correct_inputs
+                            (clone_classes ~payload ~pinned
+                               ~inputs:correct_inputs
                                (List.rev (action' :: parent_script)))
                   in
                   skips := !skips + skipped;
-                  let base_key = config_key sim' in
+                  let base_key = config_key ~payload sim' in
                   let b_keyed =
                     List.map
                       (fun (vec, suffix) -> (base_key ^ suffix, vec))
@@ -790,7 +839,9 @@ module Make (M : Model.S) = struct
           } )
     in
     let root_sim = make_sim ~correct:correct_inputs ~byzantine () in
-    Hashtbl.add seen (config_key root_sim) ();
+    Hashtbl.add seen
+      (config_key ~payload:(payload_writer ()) root_sim ^ silent_suffix)
+      ();
     let frontier =
       ref
         [

@@ -47,10 +47,13 @@ module type S = sig
 
   val state_key : P.state -> string
   (** Canonical fingerprint. Soundness contract: equal keys imply equal
-      behavior on equal future inboxes {e and} equal property verdicts. *)
+      behavior on equal future inboxes {e and} equal property verdicts.
+      Keys are opaque bytes, compared and hashed but never shown; write
+      them with {!Ubpa_util.Key}. *)
 
   val input_key : P.input -> string
   val output_key : P.output -> string
+  (** Exact binary keys, like {!state_key}. *)
 
   val recipient_symmetric : bool
   (** Declare [true] only when the protocol's dynamics are invariant

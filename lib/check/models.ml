@@ -52,14 +52,17 @@ module Rb = struct
   let copy_state = P.copy_state
   let state_key = P.state_key
 
-  let input_key = function None -> "-" | Some v -> v
+  let input_key = Key.to_string (Key.option Key.string)
+
+  (* Sorted, like the accepted list inside [P.state_key]. *)
   let output_key out =
-    List.map
-      (fun (a : P.accepted) ->
-        Fmt.str "%s/%a@%d" a.payload Node_id.pp a.sender a.accepted_round)
-      out
-    |> List.sort String.compare
-    |> String.concat ";"
+    List.map (fun (a : P.accepted) -> (a.payload, a.sender, a.accepted_round)) out
+    |> List.sort compare
+    |> Key.to_string
+         (Key.list (fun b (payload, sender, round) ->
+              Key.string b payload;
+              Key.id b sender;
+              Key.int b round))
 
   (* RB's dynamics are id-order-free (thresholds count distinct echoers);
      only the designated sender and the echo-attribution target are
@@ -102,7 +105,7 @@ module Rb = struct
                            "%a accepted (%s, %a) but correct %a's input is %s"
                            Node_id.pp o.Model.ob_id a.payload Node_id.pp
                            a.sender Node_id.pp a.sender
-                           (input_key input))
+                           (Option.value ~default:"-" input))
                   | None -> (* attributed to a byzantine node *) None)
                 (accepted o))
             obs );
@@ -189,8 +192,8 @@ module Consensus = struct
 
   let copy_state = P.copy_state
   let state_key = P.state_key
-  let input_key = string_of_int
-  let output_key = string_of_int
+  let input_key = Key.to_string Key.int
+  let output_key = Key.to_string Key.int
 
   (* The rotor coordinator is List.nth of the sorted candidate set —
      id-order-sensitive, so correct nodes are never interchangeable. *)

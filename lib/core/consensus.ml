@@ -1,3 +1,4 @@
+open Ubpa_util
 open Ubpa_sim
 
 module Make (V : Value.S) = struct
@@ -32,8 +33,9 @@ module Make (V : Value.S) = struct
   let copy_state st = { st with core = Core.copy st.core }
 
   let state_key st =
-    Printf.sprintf "%s;d=%s" (Core.key st.core)
-      (match st.decided_phase with
-      | None -> "-"
-      | Some p -> string_of_int p)
+    Key.to_string ~size:512
+      (fun b st ->
+        Core.key b st.core;
+        Key.option Key.int b st.decided_phase)
+      st
 end

@@ -34,6 +34,7 @@ module Make (V : Value.S) : sig
       Used by the bounded checker to branch a configuration. *)
 
   val state_key : state -> string
-  (** Canonical id-space fingerprint ({!Core.key} plus the decided phase);
-      equal keys mean equal behavior on equal future inboxes. *)
+  (** Canonical id-space fingerprint ({!Core.key} plus the decided phase),
+      as binary bytes; equal keys mean equal behavior on equal future
+      inboxes. *)
 end

@@ -101,8 +101,8 @@ module Make (V : Value.S) = struct
      Set-semantics fields ([intr] membership, [phase_silent], the echo and
      strongprefer buffers — every consumer runs them through a tally whose
      thresholds and deterministic tie-break are insertion-order free) are
-     sorted; everything else is copied verbatim. *)
-  let key t =
+     sorted; everything else is written verbatim. *)
+  let key b t =
     let members = ref [] in
     Interner.iter t.intr (fun _ id -> members := id :: !members);
     let members = List.sort Node_id.compare !members in
@@ -121,24 +121,26 @@ module Make (V : Value.S) = struct
           match Node_id.compare a b with 0 -> V.compare x y | c -> c)
         t.strong_stash
     in
-    let pp_opt_v = Fmt.(option ~none:(any "-") V.pp) in
-    Fmt.str "r=%d;x=%a;n=%d;m=%a;rot=%s;cb=%a;co=%a;ss=%a;si=%a;sp=%a;st=%a;ps=%a"
-      t.local_round V.pp t.x_v t.n_v
-      Fmt.(list ~sep:comma Node_id.pp)
-      members
-      (Rotor_core.fingerprint t.rotor)
-      Fmt.(
-        list ~sep:semi (fun ppf (s, p) ->
-            Fmt.pf ppf "%a>%a" Node_id.pp s Node_id.pp p))
-      cands
-      Fmt.(option ~none:(any "-") Node_id.pp)
-      t.coordinator
-      Fmt.(
-        list ~sep:semi (fun ppf (s, x) ->
-            Fmt.pf ppf "%a:%a" Node_id.pp s V.pp x))
-      stash pp_opt_v t.sent_input pp_opt_v t.sent_prefer pp_opt_v t.sent_strong
-      Fmt.(list ~sep:comma Node_id.pp)
-      silent
+    Key.int b t.local_round;
+    V.key b t.x_v;
+    Key.int b t.n_v;
+    Key.list Key.id b members;
+    Rotor_core.fingerprint b t.rotor;
+    Key.list
+      (fun b (s, p) ->
+        Key.id b s;
+        Key.id b p)
+      b cands;
+    Key.option Key.id b t.coordinator;
+    Key.list
+      (fun b (s, x) ->
+        Key.id b s;
+        V.key b x)
+      b stash;
+    Key.option V.key b t.sent_input;
+    Key.option V.key b t.sent_prefer;
+    Key.option V.key b t.sent_strong;
+    Key.list Key.id b silent
 
   let phase t =
     if t.local_round < 3 then 0 else ((t.local_round - 3) / 5) + 1

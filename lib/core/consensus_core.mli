@@ -80,9 +80,10 @@ module Make (V : Value.S) : sig
   (** Independent snapshot; stepping the copy never affects the
       original. Used by the bounded checker to branch a configuration. *)
 
-  val key : t -> string
-  (** Canonical id-space fingerprint: equal keys mean the two machines
-      behave identically on identical future inboxes. Set-semantics
-      buffers are sorted before encoding (their order never reaches a
-      threshold or the deterministic tally tie-break). *)
+  val key : Buffer.t -> t -> unit
+  (** Writes the canonical id-space fingerprint, a prefix-free binary
+      encoding ({!Ubpa_util.Key}): equal keys mean the two machines behave
+      identically on identical future inboxes. Set-semantics buffers are
+      sorted before encoding (their order never reaches a threshold or the
+      deterministic tally tie-break). *)
 end

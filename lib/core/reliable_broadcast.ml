@@ -50,16 +50,18 @@ module Make (V : Value.S) = struct
         (fun a b -> Pair.compare (a.payload, a.sender) (b.payload, b.sender))
         st.accepted
     in
-    let pp_acc ppf a =
-      Fmt.pf ppf "%a/%a@%d" V.pp a.payload Node_id.pp a.sender a.accepted_round
-    in
-    Fmt.str "r=%d;p=%a;h=%a;a=%a" st.local_round
-      Fmt.(option ~none:(any "-") V.pp)
-      st.my_payload
-      Fmt.(list ~sep:comma Node_id.pp)
-      heard
-      Fmt.(list ~sep:semi pp_acc)
-      acc
+    Key.to_string ~size:256
+      (fun b st ->
+        Key.int b st.local_round;
+        Key.option V.key b st.my_payload;
+        Key.list Key.id b heard;
+        Key.list
+          (fun b a ->
+            V.key b a.payload;
+            Key.id b a.sender;
+            Key.int b a.accepted_round)
+          b acc)
+      st
 
   let init ~self:_ ~round:_ input =
     {

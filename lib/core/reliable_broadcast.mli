@@ -49,7 +49,8 @@ module Make (V : Value.S) : sig
       Used by the bounded checker to branch a configuration. *)
 
   val state_key : state -> string
-  (** Canonical id-space fingerprint: equal keys mean the two states
+  (** Canonical id-space fingerprint as binary bytes
+      ({!Ubpa_util.Key}): equal keys mean the two states
       behave identically on identical future inboxes (the [accepted] list
       is compared as a set — its order only shows up in the output list,
       never in a threshold). Feeds the checker's state-hash dedup. *)

@@ -84,10 +84,7 @@ let copy t =
    rounds: C_v (already ascending), S_v (a set), and the loop index.
    [history] only feeds introspection and [echoers] is an index table, so
    neither belongs in the fingerprint. *)
-let fingerprint t =
-  Fmt.str "c=%a;s=%a;r=%d"
-    Fmt.(list ~sep:comma Node_id.pp)
-    t.c
-    Fmt.(list ~sep:comma Node_id.pp)
-    (Node_id.Set.elements t.s)
-    t.r
+let fingerprint b t =
+  Key.list Key.id b t.c;
+  Key.list Key.id b (Node_id.Set.elements t.s);
+  Key.int b t.r

@@ -46,8 +46,8 @@ val selections : t -> (int * Node_id.t) list
 val copy : t -> t
 (** Independent snapshot; stepping the copy never affects the original. *)
 
-val fingerprint : t -> string
-(** Canonical encoding of the dynamics-relevant state ([C_v], [S_v], loop
-    index) in id space: equal fingerprints mean the two rotors behave
-    identically on identical future echoes. Used by the bounded checker's
-    state-hash dedup. *)
+val fingerprint : Buffer.t -> t -> unit
+(** Writes the canonical binary encoding ({!Ubpa_util.Key}) of the
+    dynamics-relevant state ([C_v], [S_v], loop index) in id space: equal
+    fingerprints mean the two rotors behave identically on identical
+    future echoes. Used by the bounded checker's exact dedup. *)

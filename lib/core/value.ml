@@ -5,11 +5,17 @@
     ordering events"). The implementation is generic in the opinion type;
     instances for the common cases live here. *)
 
+open Ubpa_util
+
 module type S = sig
   type t
 
   val compare : t -> t -> int
   val pp : t Fmt.t
+
+  val key : Buffer.t -> t -> unit
+  (** Prefix-free binary encoding ({!Ubpa_util.Key}) for canonical state
+      keys: values that [compare] apart never share an encoding. *)
 end
 
 module Bool : S with type t = bool = struct
@@ -17,6 +23,7 @@ module Bool : S with type t = bool = struct
 
   let compare = Stdlib.compare
   let pp = Fmt.bool
+  let key = Key.bool
 end
 
 module Int : S with type t = int = struct
@@ -24,6 +31,7 @@ module Int : S with type t = int = struct
 
   let compare = Stdlib.compare
   let pp = Fmt.int
+  let key = Key.int
 end
 
 module Float : S with type t = float = struct
@@ -31,6 +39,7 @@ module Float : S with type t = float = struct
 
   let compare = Float.compare
   let pp = Fmt.float
+  let key b x = Buffer.add_int64_le b (Int64.bits_of_float x)
 end
 
 module String : S with type t = string = struct
@@ -38,6 +47,7 @@ module String : S with type t = string = struct
 
   let compare = Stdlib.compare
   let pp = Fmt.string
+  let key = Key.string
 end
 
 (** Lift a value module to values-with-bottom, used by parallel consensus
@@ -47,4 +57,5 @@ module Option (V : S) : S with type t = V.t option = struct
 
   let compare = Option.compare V.compare
   let pp = Fmt.option ~none:(Fmt.any "⊥") V.pp
+  let key = Key.option V.key
 end

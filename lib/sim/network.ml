@@ -197,10 +197,8 @@ module Make (P : Protocol.S) = struct
         (fun (src, payload) ->
           if Rng.float t.frng 1.0 < p then begin
             incr dropped;
-            if Trace.enabled t.tr then
-              Trace.recordf t.tr ~round:t.round ~node:dst ~kind:Trace.Fault
-                "fault: %s from %a: %a" what Node_id.pp src P.pp_message
-                payload;
+            Trace.recordf t.tr ~round:t.round ~node:dst ~kind:Trace.Fault
+              "fault: %s from %a: %a" what Node_id.pp src P.pp_message payload;
             false
           end
           else true)
@@ -255,10 +253,9 @@ module Make (P : Protocol.S) = struct
             List.filter
               (fun (env : P.message Envelope.t) ->
                 if Rng.float t.frng 1.0 < loss then begin
-                  if Trace.enabled t.tr then
-                    Trace.recordf t.tr ~round:t.round ~node:env.src
-                      ~kind:Trace.Fault "fault: loss %a"
-                      (Envelope.pp P.pp_message) env;
+                  Trace.recordf t.tr ~round:t.round ~node:env.src
+                    ~kind:Trace.Fault "fault: loss %a"
+                    (Envelope.pp P.pp_message) env;
                   false
                 end
                 else true)
@@ -268,10 +265,9 @@ module Make (P : Protocol.S) = struct
           List.iter
             (fun (env : P.message Envelope.t) ->
               if Rng.float t.frng 1.0 < dup then begin
-                if Trace.enabled t.tr then
-                  Trace.recordf t.tr ~round:t.round ~node:env.src
-                    ~kind:Trace.Fault "fault: duplicate (next round) %a"
-                    (Envelope.pp P.pp_message) env;
+                Trace.recordf t.tr ~round:t.round ~node:env.src
+                  ~kind:Trace.Fault "fault: duplicate (next round) %a"
+                  (Envelope.pp P.pp_message) env;
                 t.dup_next <- env :: t.dup_next
               end)
             kept;
@@ -356,17 +352,18 @@ module Make (P : Protocol.S) = struct
         List.iter
           (fun (dst, payload) ->
             let env = { Envelope.src = n.c_id; dst; payload } in
-            if omit_p > 0. && Rng.float t.frng 1.0 < omit_p then begin
-              if Trace.enabled t.tr then
-                Trace.recordf t.tr ~round:t.round ~node:n.c_id
-                  ~kind:Trace.Fault "fault: send-omission drop %a"
-                  (Envelope.pp P.pp_message) env
-            end
+            if omit_p > 0. && Rng.float t.frng 1.0 < omit_p then
+              Trace.recordf t.tr ~round:t.round ~node:n.c_id ~kind:Trace.Fault
+                "fault: send-omission drop %a" (Envelope.pp P.pp_message) env
             else begin
               Metrics.record_send t.metrics ~byzantine:false;
               (match t.classify with
               | Some f -> Metrics.record_kind t.metrics (f payload)
               | None -> ());
+              (* Kept although [recordf] formats nothing on a disabled
+                 trace: the call still allocates a closure per argument,
+                 2.5 % of all allocation in an untraced 61-node consensus
+                 run. The same holds for Byzantine sends below. *)
               if Trace.enabled t.tr then
                 Trace.recordf t.tr ~round:t.round ~node:n.c_id
                   ~kind:Trace.Send "send %a" (Envelope.pp P.pp_message) env;

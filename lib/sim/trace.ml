@@ -58,7 +58,8 @@ let record t ~round ?node ?(kind = Engine) what =
   end
 
 let recordf t ~round ?node ?kind fmt =
-  Format.kasprintf (fun s -> record t ~round ?node ?kind s) fmt
+  if t.enabled then Format.kasprintf (fun s -> record t ~round ?node ?kind s) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let enabled t = t.enabled
 let events t = List.rev t.events

@@ -52,9 +52,14 @@ val recordf :
   ?kind:kind ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
+(** As {!record}, with the message formatted. On {!disabled} nothing is
+    formatted: the arguments are consumed and no printer is called. *)
 
 val enabled : t -> bool
-(** False only for {!disabled}; lets hot paths skip formatting. *)
+(** False only for {!disabled}. {!recordf} already skips formatting on a
+    disabled trace, but the call still consumes its arguments through a
+    chain of closures: test this to skip work outside the format, or the
+    call itself on a per-message path. *)
 
 val events : t -> event list
 (** In order of recording. *)

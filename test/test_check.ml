@@ -84,6 +84,13 @@ let test_jobs_identical () =
   let a = run 1 and b = run 2 in
   check_true "full result identical at jobs 1 vs 2 (incl. cex JSONL)" (a = b)
 
+(* Consensus too: its expansion memoises payload keys per group, and
+   that memo must never leak between Pool workers. *)
+let test_jobs_identical_consensus () =
+  let run jobs = Ck_cons.check ~jobs ~n:4 ~f:1 ~max_rounds:3 () in
+  let a = run 1 and b = run 2 in
+  check_true "consensus result identical at jobs 1 vs 2" (a = b)
+
 let test_symmetry_sound () =
   let on = Ck_rb.check ~symmetry:true ~n:4 ~f:1 ~max_rounds:3 () in
   let off = Ck_rb.check ~symmetry:false ~n:4 ~f:1 ~max_rounds:3 () in
@@ -93,6 +100,96 @@ let test_symmetry_sound () =
   check_int "the full search prunes nothing" 0 off.stats.sym_skips;
   check_true "fewer distinct configs under the reduction"
     (on.stats.distinct < off.stats.distinct)
+
+(* ----- canonical state keys ignore insertion order ----- *)
+
+(* Two copies of a machine fed the same inbox multisets, one in reverse
+   sender order, intern senders and fill their buffers in opposite orders;
+   the canonical key must not see the difference. *)
+let drive ~init ~step ~key inboxes =
+  let run rev =
+    List.fold_left
+      (fun (st, round) inbox ->
+        let st, _, _ =
+          step ~round st ~inbox:(if rev then List.rev inbox else inbox)
+        in
+        (st, round + 1))
+      (init (), 1) inboxes
+    |> fst |> key
+  in
+  (run false, run true)
+
+let test_rb_key_order_free () =
+  let module P = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String) in
+  let ids = List.map Node_id.of_int [ 11; 22; 33 ] in
+  let all m = List.map (fun id -> (id, m)) ids in
+  let c1 = List.nth ids 1 and c2 = List.nth ids 2 in
+  let echo_a = all (P.inject (P.Echo ("A", c1))) in
+  let echoes =
+    echo_a @ all (P.inject (P.Echo ("B", c2)))
+    |> List.stable_sort (fun (a, _) (b, _) -> Node_id.compare a b)
+  in
+  let first =
+    [
+      (List.nth ids 0, P.inject P.Present);
+      (c1, P.inject (P.Payload "A"));
+      (c2, P.inject (P.Payload "B"));
+    ]
+  in
+  let drive =
+    drive
+      ~init:(fun () -> P.init ~self:(List.hd ids) ~round:1 None)
+      ~step:(fun ~round st ~inbox ->
+        P.step ~self:(List.hd ids) ~round ~stim:[] st ~inbox)
+      ~key:P.state_key
+  in
+  (* both pairs are accepted in round 3, in the tally's order *)
+  let fwd, rev = drive [ first; echoes; echoes ] in
+  Alcotest.(check string) "heard_from and accepted are sets" fwd rev;
+  let fewer, _ = drive [ first; echoes; echo_a ] in
+  check_false "a missing acceptance changes the key" (String.equal fwd fewer)
+
+let test_consensus_key_order_free () =
+  let module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int) in
+  let ids = List.map Node_id.of_int [ 11; 22; 33; 44 ] in
+  let all m = List.map (fun id -> (id, m)) ids in
+  let self = List.hd ids in
+  let echoes =
+    List.concat_map
+      (fun src -> List.map (fun p -> (src, C.Core.Cand_echo p)) ids)
+      ids
+  in
+  let rounds =
+    [
+      all C.Core.Init;
+      echoes;
+      (* position 1 buffers these candidate echoes *)
+      echoes;
+      all (C.Core.Input 0);
+      all (C.Core.Prefer 0);
+      (* position 4 stashes the strongprefers *)
+      List.mapi (fun i id -> (id, C.Core.Strongprefer (i mod 2))) ids;
+    ]
+  in
+  let key = C.state_key in
+  let step ~round st ~inbox = C.step ~self ~round ~stim:[] st ~inbox in
+  let init () = C.init ~self ~round:1 1 in
+  List.iteri
+    (fun i _ ->
+      let prefix = List.filteri (fun j _ -> j <= i) rounds in
+      let fwd, rev = drive ~init ~step ~key prefix in
+      Alcotest.(check string)
+        (Printf.sprintf
+           "members, cand_buffer and strong_stash are sets (round %d)" (i + 1))
+        fwd rev)
+    rounds;
+  let fwd, _ = drive ~init ~step ~key rounds in
+  let other, _ =
+    drive ~init ~step ~key
+      (List.filteri (fun j _ -> j < 5) rounds
+      @ [ all (C.Core.Strongprefer 1) ])
+  in
+  check_false "a different stash changes the key" (String.equal fwd other)
 
 (* ----- golden: the committed boundary counterexample ----- *)
 
@@ -215,7 +312,12 @@ let suite =
       quick "consensus boundary violation replays" test_consensus_violation;
       quick "rb counterexample JSONL round-trips" test_rb_cex_roundtrip;
       quick "jobs 1 vs 2 byte-identical" test_jobs_identical;
+      quick "consensus jobs 1 vs 2 byte-identical"
+        test_jobs_identical_consensus;
       slow "symmetry reduction is sound" test_symmetry_sound;
+      quick "rb state key ignores insertion order" test_rb_key_order_free;
+      quick "consensus state key ignores insertion order"
+        test_consensus_key_order_free;
       quick "committed CEX_MC1.jsonl golden" test_committed_cex_golden;
       quick "differential: engine vs checker (halting)"
         test_differential_terminating;

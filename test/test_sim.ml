@@ -303,6 +303,20 @@ let test_trace_json () =
       | Error msg -> Alcotest.fail msg)
     lines
 
+let test_recordf_disabled_formats_nothing () =
+  let calls = ref 0 in
+  let pp ppf x =
+    incr calls;
+    Fmt.int ppf x
+  in
+  Trace.recordf Trace.disabled ~round:1 "send %a" pp 7;
+  check_int "the disabled trace never calls the printer" 0 !calls;
+  let trace = Trace.create () in
+  Trace.recordf trace ~round:1 "send %a" pp 7;
+  check_int "an enabled trace calls it once" 1 !calls;
+  check_true "and records the formatted event"
+    (Trace.find trace ~f:(fun e -> e.Trace.what = "send 7") <> None)
+
 let test_decision_round_reported () =
   let net = mk 2 4 in
   let _ = Net.run net in
@@ -337,6 +351,8 @@ let suite =
       quick "metrics JSON round-trip" test_metrics_json_roundtrip;
       quick "trace records engine events" test_trace_records;
       quick "trace events serialize to JSON/JSONL" test_trace_json;
+      quick "recordf on the disabled trace formats nothing"
+        test_recordf_disabled_formats_nothing;
       quick "reports carry decision rounds" test_decision_round_reported;
       quick "run_until stops on predicate" test_run_until;
     ] )

@@ -154,6 +154,50 @@ let test_value_modules () =
   check_int "equal options" 0 (O.compare (Some 3) (Some 3));
   Alcotest.(check string) "bottom renders" "⊥" (Fmt.to_to_string O.pp None)
 
+(* No encoding in [encs] is a proper prefix of another, and distinct
+   values never share one. *)
+let check_prefix_free msg encs =
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i <> j then begin
+            check_false (msg ^ ": distinct values, distinct keys")
+              (String.equal a b);
+            check_false
+              (msg ^ ": no key is a prefix of another")
+              (String.length a < String.length b
+              && String.equal a (String.sub b 0 (String.length a)))
+          end)
+        encs)
+    encs
+
+let test_key_prefix_free () =
+  let strings = Key.to_string (Key.list Key.string) in
+  check_prefix_free "separator inside a string"
+    [ strings [ "a;b" ]; strings [ "a"; "b" ]; strings [ "a"; ""; "b" ] ];
+  let seq = Key.to_string (fun b l -> List.iter (Key.string b) l) in
+  check_prefix_free "strings back to back"
+    [ seq [ "ab" ]; seq [ "a"; "b" ]; seq [ "b"; "a" ] ];
+  check_prefix_free "string lists"
+    [ strings []; strings [ "" ]; strings [ ""; "" ]; strings [ "ab" ] ];
+  let opt = Key.to_string (Key.option Key.string) in
+  check_prefix_free "None vs Some \"\"" [ opt None; opt (Some ""); opt (Some "-") ];
+  let ints = [ 0; 1; -1; 9; 10; 255; 256; 1 lsl 30; 1 lsl 40; max_int; min_int ] in
+  let int_keys = List.map (Key.to_string Key.int) ints in
+  List.iter (fun k -> check_int "ints are fixed-width" 8 (String.length k)) int_keys;
+  check_prefix_free "ints of different magnitude" int_keys;
+  check_prefix_free "int lists"
+    (List.map (Key.to_string (Key.list Key.int)) [ []; [ 1 ]; [ 1; 2 ]; [ 12 ] ]);
+  let open Unknown_ba.Value in
+  check_prefix_free "floats by bits"
+    (List.map (Key.to_string Float.key) [ 0.; -0.; 1.; 1. +. epsilon_float; nan ]);
+  let module O = Option (String) in
+  check_prefix_free "value options"
+    (List.map (Key.to_string O.key) [ None; Some ""; Some "a"; Some "ab" ]);
+  check_prefix_free "bools"
+    (List.map (Key.to_string Bool.key) [ false; true ])
+
 let test_max_f () =
   List.iter
     (fun (n, expected) ->
@@ -188,4 +232,5 @@ let suite =
       quick "table: csv quoting" test_table_csv_quoting;
       quick "value modules order and print" test_value_modules;
       quick "max_f is the tight n>3f bound" test_max_f;
+      quick "key: encodings are prefix-free" test_key_prefix_free;
     ] )
