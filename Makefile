@@ -120,6 +120,8 @@ chaos:
 # transports, each run gated by the lockstep-simulator oracle (the exit
 # code is the verdict). Needs an OCaml 5 build; on 4.14 this fails with
 # "runtime unavailable". See EXPERIMENTS.md (RT1) for the bench version.
+# The last two cells are sizes past OCaml's 128-domain cap (n=130
+# in-process) and past select's FD_SETSIZE (the n=40 socket mesh).
 runtime:
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus -n 5
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol consensus -n 5
@@ -127,6 +129,10 @@ runtime:
 		--max-rounds 6
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol rb -n 5 \
 		--max-rounds 6
+	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol rb -n 130 \
+		--max-rounds 3
+	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol rb -n 40 \
+		--max-rounds 3
 
 # Fault-injected runtime smoke: seeded wire faults + process crashes on
 # both transports, gated on graceful degradation (delivered-schedule

@@ -661,8 +661,8 @@ let run_cmd =
       & opt (enum [ ("domains", `Domains); ("socket", `Socket) ]) `Domains
       & info [ "runtime" ] ~docv:"TRANSPORT"
           ~doc:
-            "Transport backend: domains (OCaml 5 domains with in-process \
-             mailboxes) or socket (Unix-domain socketpairs with \
+            "Transport backend: domains (in-process mailboxes between \
+             node threads) or socket (Unix-domain socketpairs with \
              length-prefixed framing).")
   in
   let protocol_t =

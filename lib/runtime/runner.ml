@@ -36,8 +36,8 @@ module Make (P : Protocol.S) = struct
   let available = Runtime_backend.available
   let unavailable_reason = Runtime_backend.unavailable_reason
 
-  (* Per-node recording cell. Written only by the owning node's domain
-     while it runs; read only by the coordinator after Domain.join, which
+  (* Per-node recording cell. Written only by the owning node's thread
+     while it runs; read only by the coordinator after the join, which
      provides the synchronization edge. *)
   type slot = {
     sl_id : Node_id.t;
@@ -80,7 +80,8 @@ module Make (P : Protocol.S) = struct
   let node_loop (type hub endpoint)
       (module F : Transport_faulty.S with type hub = hub and type endpoint = endpoint)
       ~(slot : slot) ~(ids : Node_id.t array) ~plan ~(sync : Sync.t)
-      ~(ep : endpoint) ~max_rounds =
+      ~(ep : endpoint) ~(bells : Runtime_backend.doorbell array) ~me
+      ~max_rounds =
     let self = slot.sl_id in
     let state = ref (P.init ~self ~round:1 slot.sl_input) in
     let inbox = ref [] in
@@ -159,6 +160,12 @@ module Make (P : Protocol.S) = struct
           }
         in
         Array.iter (fun id -> F.send ep ~dst:id marker) ids;
+        (* Flush, then ring: a peer woken by the ring finds this round's
+           data and marker on its next drain. *)
+        F.flush ep;
+        Array.iteri
+          (fun i bell -> if i <> me then Runtime_backend.ring bell)
+          bells;
         if !pending_halt || !r >= max_rounds then running := false
         else begin
           Sync.begin_round sync ~round:!r ~now:(Unix.gettimeofday ());
@@ -171,11 +178,12 @@ module Make (P : Protocol.S) = struct
                   slot.sl_ctrl_frames <- slot.sl_ctrl_frames + 1)
               frames;
             Sync.offer sync frames;
-            match Sync.ready sync ~now:(Unix.gettimeofday ()) with
+            let now = Unix.gettimeofday () in
+            match Sync.ready sync ~now with
             | Some v -> verdict := Some v
-            | None -> (
-                try Unix.sleepf 0.0002
-                with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+            | None ->
+                Runtime_backend.wait bells.(me)
+                  ~timeout:(Sync.timeout sync ~now)
           done;
           let v = Option.get !verdict in
           slot.sl_missing <- slot.sl_missing + List.length v.Sync.v_missing;
@@ -231,19 +239,23 @@ module Make (P : Protocol.S) = struct
     let ids = Array.of_list (List.map (fun s -> s.sl_id) slots) in
     let id_list = Array.to_list ids in
     let hub = F.create ~ids:id_list in
+    (* One doorbell per node, indexed like [ids] and [slots]. *)
+    let bells = Array.map (fun _ -> Runtime_backend.doorbell ()) ids in
     let cells =
-      List.map
-        (fun slot ->
+      List.mapi
+        (fun me slot ->
           let ep = F.endpoint hub ~self:slot.sl_id in
           let sync = Sync.create ~peers:id_list ~round_ms ~dead_after in
-          (slot, ep, sync))
+          (me, slot, ep, sync))
         slots
     in
     let handles =
       List.map
-        (fun (slot, ep, sync) ->
+        (fun (me, slot, ep, sync) ->
           Runtime_backend.spawn (fun () ->
-              try node_loop (module F) ~slot ~ids ~plan ~sync ~ep ~max_rounds
+              try
+                node_loop (module F) ~slot ~ids ~plan ~sync ~ep ~bells ~me
+                  ~max_rounds
               with e ->
                 slot.sl_error <-
                   Some
@@ -253,13 +265,14 @@ module Make (P : Protocol.S) = struct
     in
     List.iter Runtime_backend.join handles;
     F.close hub;
+    Array.iter Runtime_backend.close_doorbell bells;
     (* Collect the per-endpoint fault observations now the owners are
        gone (join is the synchronization edge). Sorting by (round, what)
        inside each owner makes the event stream a pure function of what
        was injected, independent of arrival interleaving. *)
     let injected = { Transport_faulty.inj_lost = 0; inj_dup = 0; inj_delayed = 0 } in
     List.iter
-      (fun (slot, ep, sync) ->
+      (fun (_, slot, ep, sync) ->
         let inj = F.injected ep in
         injected.Transport_faulty.inj_lost <-
           injected.Transport_faulty.inj_lost + inj.Transport_faulty.inj_lost;

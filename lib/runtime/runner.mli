@@ -1,11 +1,13 @@
 (** The networked runtime: one concurrent process per node.
 
     [Make (P)] runs an {e unchanged} [Protocol.S] instance per node, each
-    on its own OCaml 5 domain, exchanging messages through a
+    on its own system thread, exchanging messages through a
     {!Transport.S} backend wrapped in the {!Transport_faulty} fault
     middleware. The deadline-based round synchronizer ({!Sync}) keeps the
     processes aligned with the synchronous model without any shared
     barrier: each node broadcasts a control marker after its send phase,
+    flushes its frames (one write per peer per round) and rings every
+    peer's doorbell; a waiting node sleeps on its own doorbell and
     advances as soon as every awaited peer has marked (fast path — on a
     fault-free run this reproduces the lockstep schedule exactly), or
     when its [round_ms] deadline fires (real timeout — missing frames

@@ -1,11 +1,11 @@
-(* OCaml 4.14 stub: the networked runtime needs domains. Keeps the
+(* OCaml 4.14 stub: the networked runtime needs OCaml 5. Keeps the
    interface so [Ubpa_runtime] compiles everywhere; every operation
    raises, and Runner.run checks [available] to fail gracefully first. *)
 
 let available = false
 
 let unavailable_reason =
-  "runtime unavailable: the networked runtime needs OCaml 5 domains \
+  "runtime unavailable: the networked runtime needs OCaml 5 \
    (this build is sequential-only)"
 
 let unavailable () = failwith unavailable_reason
@@ -20,3 +20,10 @@ type mailbox = unit
 let mailbox () : mailbox = unavailable ()
 let push (_ : mailbox) (_ : string) = unavailable ()
 let drain (_ : mailbox) : string list = unavailable ()
+
+type doorbell = unit
+
+let doorbell () : doorbell = unavailable ()
+let ring (_ : doorbell) = unavailable ()
+let wait (_ : doorbell) ~timeout:(_ : float) = unavailable ()
+let close_doorbell (_ : doorbell) = unavailable ()

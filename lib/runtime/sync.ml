@@ -102,6 +102,7 @@ let begin_round t ~round ~now =
   List.iter (note_frame t) (List.rev buffered)
 
 let offer t frames = List.iter (note_frame t) frames
+let timeout t ~now = t.deadline -. now
 
 let waiting_on t =
   let out = ref [] in

@@ -23,6 +23,11 @@
       for good, so one crashed process costs [dead_after] timeouts, not
       a timeout per remaining round.
 
+    The synchronizer never blocks or sleeps. Between checks the node
+    blocks on its doorbell ({!Runtime_backend.wait}), which every peer
+    rings after flushing a round's data and marker, for at most
+    {!timeout}, so the deadline still fires when nobody rings.
+
     The synchronizer is pure state + an injected clock ([~now]), so the
     deadline/liveness logic unit-tests on any OCaml, including the 4.14
     leg where the runtime itself cannot run. *)
@@ -62,6 +67,12 @@ val offer : t -> Frame.t list -> unit
 val ready : t -> now:float -> verdict option
 (** [None] while still waiting. [Some] when every awaited peer has
     marked this round (fast path) or the deadline has fired. *)
+
+val timeout : t -> now:float -> float
+(** Seconds left before this round's deadline (zero or less once it has
+    passed), or [infinity] when there is none ([round_ms <= 0]) — how
+    long a node may block waiting for markers before {!ready} can change
+    its answer without a new frame. *)
 
 val waiting_on : t -> Node_id.t list
 (** Peers currently blocking the round: not presumed dead, not halted

@@ -5,9 +5,12 @@
     halt handling) and all accounting live {e above} this interface in
     {!Runner}, so every backend automatically inherits the simulator's
     delivery contract. Two backends ship: {!Transport_domains}
-    (in-process mailboxes between OCaml 5 domains) and
+    (in-process mailboxes between node threads) and
     {!Transport_socket} (a full mesh of Unix-domain socketpairs with
-    length-prefixed stream framing). *)
+    length-prefixed stream framing).
+
+    This is the only copy of the signature: {!Transport_faulty.S}
+    includes it. *)
 
 module type S = sig
   val name : string
@@ -18,9 +21,9 @@ module type S = sig
   (** Shared wiring for one run, created before any node spawns. *)
 
   type endpoint
-  (** One node's view of the hub. [send] may be called by the owning
-      node's process only; likewise [drain]. Distinct endpoints are safe
-      to use concurrently. *)
+  (** One node's view of the hub. [send] and [flush] may be called by
+      the owning node's process only; likewise [drain]. Distinct
+      endpoints are safe to use concurrently. *)
 
   val create : ids:Ubpa_util.Node_id.t list -> hub
 
@@ -31,6 +34,11 @@ module type S = sig
   (** Enqueue one frame for [dst]. A destination outside the hub is
       dropped silently — the simulator routes unicasts only to present
       nodes, and the runtime matches by dropping at the edge. *)
+
+  val flush : endpoint -> unit
+  (** Frames given to {!send} reach their destinations no later than the
+      next [flush]: until then a backend may hold them, so a peer's
+      {!drain} need not see them. Per-edge FIFO holds across flushes. *)
 
   val drain : endpoint -> Frame.t list
   (** Everything received so far, per-sender FIFO (the property the

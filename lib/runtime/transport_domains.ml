@@ -1,7 +1,8 @@
-(* In-process transport for the domain backend: one Mutex-protected
-   mailbox per node, frames still serialized through {!Frame.encode} so
-   both transports exercise the same codec and carry no shared heap
-   structure between domains. *)
+(* In-process transport: one Mutex-protected mailbox per node, frames
+   still serialized through {!Frame.encode} so both transports exercise
+   the same codec and carry no shared heap structure between node
+   processes. The name "domains" predates node threads and stays: it is
+   the CLI's [--runtime] value and a column in results and traces. *)
 
 open Ubpa_util
 
@@ -26,6 +27,9 @@ let send ep ~dst frame =
   match find ep.e_hub dst with
   | Some box -> Runtime_backend.push box (Frame.encode frame)
   | None -> () (* unknown destination: dropped at the edge, like the sim *)
+
+(* [push] already made the frame visible to its owner. *)
+let flush (_ : endpoint) = ()
 
 let drain ep =
   List.map

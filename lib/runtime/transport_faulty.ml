@@ -14,16 +14,8 @@ module type CONFIG = sig
 end
 
 module type S = sig
-  val name : string
+  include Transport.S
 
-  type hub
-  type endpoint
-
-  val create : ids:Node_id.t list -> hub
-  val endpoint : hub -> self:Node_id.t -> endpoint
-  val send : endpoint -> dst:Node_id.t -> Frame.t -> unit
-  val drain : endpoint -> Frame.t list
-  val close : hub -> unit
   val note_round : endpoint -> int -> unit
   val injected : endpoint -> injected
   val fault_events : endpoint -> fault_event list
@@ -112,6 +104,7 @@ module Make (B : Transport.S) (C : CONFIG) = struct
           end
           else B.send ep.e_base ~dst f
 
+  let flush ep = B.flush ep.e_base
   let note_round ep r = ep.e_round <- r
 
   let drain ep =

@@ -29,8 +29,6 @@
     (no draws, no buffering): the fault-free path is byte-identical to
     the bare backend. *)
 
-open Ubpa_util
-
 (** Injection counters for one endpoint (receiver side for delay,
     sender side for loss/omission/dup). *)
 type injected = {
@@ -50,21 +48,11 @@ end
 
 (** {!Transport.S} plus the fault-injection surface. *)
 module type S = sig
-  val name : string
-
-  type hub
-  type endpoint
-
-  val create : ids:Node_id.t list -> hub
-  val endpoint : hub -> self:Node_id.t -> endpoint
-  val send : endpoint -> dst:Node_id.t -> Frame.t -> unit
-  val drain : endpoint -> Frame.t list
-  val close : hub -> unit
+  include Transport.S
 
   val note_round : endpoint -> int -> unit
-  (** The owner entered this round: flush held duplicates whose release
-      round arrived, and let matured delayed frames surface on the next
-      {!drain}. *)
+  (** The owner entered this round: held duplicates and delayed frames
+      whose release round arrived surface on the next {!drain}. *)
 
   val injected : endpoint -> injected
   val fault_events : endpoint -> fault_event list

@@ -2,10 +2,16 @@
    (one per unordered node pair, including the self pair, so broadcast
    to self crosses a real kernel buffer too). Each file descriptor has
    exactly one writing node and one reading node, so no locking is
-   needed; receive sides are non-blocking and feed a per-peer
-   incremental {!Frame.decoder}, because the kernel is free to hand back
-   partial frames. Writes block if a socket buffer fills — fine at the
-   small n the runtime targets (the harness pool is the scale story). *)
+   needed. [send] only appends to a per-peer buffer and [flush] writes
+   each buffer with one [write_all], so a round costs one write per
+   peer however many frames it carries. Receive sides are non-blocking
+   and feed a per-peer incremental {!Frame.decoder}, because the kernel
+   is free to hand back partial frames. Writes block if a socket buffer
+   fills, and a waiting peer drains only after its doorbell rings, which
+   follows the whole flush: one round's frames to one peer must fit in
+   a socket buffer (about 200 KB on Linux). Runtime rounds carry a few
+   hundred bytes per edge at n = 40 — fine at the small n the runtime
+   targets (the harness pool is the scale story). *)
 
 open Ubpa_util
 
@@ -14,9 +20,14 @@ type peer = {
   p_send : Unix.file_descr;
   p_recv : Unix.file_descr;
   p_dec : Frame.decoder;
+  p_out : Buffer.t;  (* encoded frames sent since the last flush *)
 }
 
-type endpoint = { e_self : Node_id.t; e_peers : peer list (* ascending id *) }
+type endpoint = {
+  e_self : Node_id.t;
+  e_peers : peer list;  (* ascending id *)
+  e_buf : Bytes.t;  (* read buffer, reused for every peer and drain *)
+}
 
 type hub = {
   h_eps : (Node_id.t * endpoint) list;
@@ -46,6 +57,15 @@ let create ~ids =
     (a, b)
   in
   let peers_of = Hashtbl.create 16 in
+  let peer p_id p_send p_recv =
+    {
+      p_id;
+      p_send;
+      p_recv;
+      p_dec = Frame.decoder ();
+      p_out = Buffer.create 256;
+    }
+  in
   let add id peer =
     Unix.set_nonblock peer.p_recv;
     let prior = Option.value ~default:[] (Hashtbl.find_opt peers_of id) in
@@ -57,12 +77,12 @@ let create ~ids =
         (fun j b ->
           if j > i then begin
             let fa, fb = pair () in
-            add a { p_id = b; p_send = fa; p_recv = fa; p_dec = Frame.decoder () };
-            add b { p_id = a; p_send = fb; p_recv = fb; p_dec = Frame.decoder () }
+            add a (peer b fa fa);
+            add b (peer a fb fb)
           end
           else if j = i then begin
             let fa, fb = pair () in
-            add a { p_id = a; p_send = fa; p_recv = fb; p_dec = Frame.decoder () }
+            add a (peer a fa fb)
           end)
         ids)
     ids;
@@ -73,7 +93,7 @@ let create ~ids =
           Hashtbl.find peers_of id
           |> List.sort (fun a b -> Node_id.compare a.p_id b.p_id)
         in
-        (id, { e_self = id; e_peers = peers }))
+        (id, { e_self = id; e_peers = peers; e_buf = Bytes.create 4096 }))
       ids
   in
   { h_eps = eps; h_fds = !fds; h_closed = false }
@@ -99,16 +119,28 @@ let rec write_all fd s off len =
 let send ep ~dst frame =
   match List.find_opt (fun p -> Node_id.equal p.p_id dst) ep.e_peers with
   | None -> () (* unknown destination: dropped at the edge, like the sim *)
-  | Some p -> (
-      let s = Frame.encode frame in
-      try write_all p.p_send s 0 (String.length s)
-      with Unix.Unix_error (Unix.EPIPE, _, _) ->
-        failwith
-          (Printf.sprintf "Transport_socket.send: peer #%d is gone (EPIPE)"
-             (Node_id.to_int dst)))
+  | Some p -> Buffer.add_string p.p_out (Frame.encode frame)
 
-let drain_peer p =
-  let buf = Bytes.create 4096 in
+let flush ep =
+  List.iter
+    (fun p ->
+      if Buffer.length p.p_out > 0 then begin
+        let s = Buffer.contents p.p_out in
+        Buffer.clear p.p_out;
+        try write_all p.p_send s 0 (String.length s)
+        with Unix.Unix_error (Unix.EPIPE, _, _) ->
+          failwith
+            (Printf.sprintf "Transport_socket.flush: peer #%d is gone (EPIPE)"
+               (Node_id.to_int p.p_id))
+      end)
+    ep.e_peers
+
+(* A read shorter than [buf] emptied the socket, so it ends the drain
+   without the extra read that would only return EAGAIN: every read is
+   a system call, and on a node thread every system call hands the
+   runtime lock to whichever node is waiting for it. Bytes that land
+   after the short read are the next drain's. *)
+let drain_peer buf p =
   let chunks = ref [] in
   let continue = ref true in
   while !continue do
@@ -116,7 +148,9 @@ let drain_peer p =
     | 0 -> continue := false
     | n -> (
         match Frame.feed p.p_dec buf n with
-        | Ok fs -> chunks := fs :: !chunks
+        | Ok fs ->
+            chunks := fs :: !chunks;
+            if n < Bytes.length buf then continue := false
         | Error e ->
             failwith
               (Printf.sprintf "Transport_socket.drain: corrupt stream from #%d: %s"
@@ -128,7 +162,7 @@ let drain_peer p =
   done;
   List.concat (List.rev !chunks)
 
-let drain ep = List.concat_map drain_peer ep.e_peers
+let drain ep = List.concat_map (drain_peer ep.e_buf) ep.e_peers
 
 let close hub =
   if not hub.h_closed then begin

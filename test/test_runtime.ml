@@ -1,6 +1,6 @@
 (* The networked runtime against the lockstep simulator: frame codec
    units (including hostile-header rejection), the deadline synchronizer
-   as pure state, trace diffing, PR-6-style differentials — the same
+   as pure state, the doorbell and flush contracts, trace diffing, PR-6-style differentials — the same
    protocol on concurrent per-node processes must produce byte-identical
    decide sets, trace events, wire counters and monitor verdicts as the
    simulator — and the fault-injection path, gated on graceful
@@ -15,6 +15,8 @@ open Helpers
 
 module Frame = Ubpa_runtime.Frame
 module Sync = Ubpa_runtime.Sync
+module Backend = Ubpa_runtime.Runtime_backend
+module Socket = Ubpa_runtime.Transport_socket
 
 (* ----- frame codec ----- *)
 
@@ -152,6 +154,8 @@ let test_sync_fast_path () =
   let s = Sync.create ~peers:peers4 ~round_ms:0. ~dead_after:2 in
   Sync.begin_round s ~round:1 ~now:0.;
   check_true "nothing offered: waiting" (Sync.ready s ~now:1000. = None);
+  check_true "no deadline: wait without a timeout"
+    (Sync.timeout s ~now:1000. = infinity);
   Sync.offer s [ dframe ~src:2 ~round:1 "m"; marker ~src:2 ~round:1 () ];
   check_int "three peers still block" 3 (List.length (Sync.waiting_on s));
   Sync.offer s (markers_from [ 1; 3; 4 ] ~round:1);
@@ -167,6 +171,8 @@ let test_sync_deadline_no_frames () =
   let s = Sync.create ~peers:peers4 ~round_ms:1000. ~dead_after:3 in
   Sync.begin_round s ~round:1 ~now:0.;
   check_true "before the deadline: waiting" (Sync.ready s ~now:0.5 = None);
+  check_true "timeout is the time left before the deadline"
+    (Sync.timeout s ~now:0.25 = 0.75);
   match Sync.ready s ~now:1.5 with
   | None -> Alcotest.fail "deadline fired: must advance anyway"
   | Some v ->
@@ -256,6 +262,54 @@ let test_sync_halt_excuses () =
   Sync.offer s (markers_from [ 1; 2; 3 ] ~round:2);
   check_true "round completes without the halted peer"
     (Sync.ready s ~now:0. <> None)
+
+(* ----- doorbell and flush contract ----- *)
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+let test_doorbell_ring_before_wait () =
+  (* The ring lands before the owner waits: the wait must not sleep
+     through it. *)
+  if Backend.available then begin
+    let d = Backend.doorbell () in
+    Backend.ring d;
+    let dt = elapsed (fun () -> Backend.wait d ~timeout:10.) in
+    Backend.close_doorbell d;
+    check_true (Printf.sprintf "returned at once (%.3f s)" dt) (dt < 1.)
+  end
+
+let test_doorbell_timeout () =
+  if Backend.available then begin
+    let d = Backend.doorbell () in
+    let dt = elapsed (fun () -> Backend.wait d ~timeout:0.02) in
+    Backend.close_doorbell d;
+    check_true
+      (Printf.sprintf "an unrung wait lasts its timeout (%.3f s)" dt)
+      (dt >= 0.02 && dt < 1.)
+  end
+
+let test_socket_flush_contract () =
+  let a = nid 1 and b = nid 2 in
+  let hub = Socket.create ~ids:[ a; b ] in
+  Fun.protect
+    ~finally:(fun () -> Socket.close hub)
+    (fun () ->
+      let ea = Socket.endpoint hub ~self:a
+      and eb = Socket.endpoint hub ~self:b in
+      Socket.send ea ~dst:b (dframe ~src:1 ~round:1 "held");
+      Socket.send ea ~dst:b (marker ~src:1 ~round:1 ());
+      check_int "sent, not flushed: the peer drains nothing" 0
+        (List.length (Socket.drain eb));
+      Socket.flush ea;
+      match Socket.drain eb with
+      | [ d; m ] ->
+          Alcotest.(check string) "data first" "held" d.Frame.body;
+          check_true "then the marker" (m.Frame.kind = Frame.Done)
+      | fs ->
+          Alcotest.failf "after flush: %d frames, expected 2" (List.length fs))
 
 (* ----- trace diff ----- *)
 
@@ -391,6 +445,43 @@ let test_rb_differential () =
           (Printf.sprintf "rb %s" (Er.RT.transport_name transport))
           (Er.compare_with_sim ~transport ~max_rounds:6
              ~correct:(rb_correct ~seed:3L 5) ()))
+      [ `Domains; `Socket ]
+
+let test_rb_in_process_n130 () =
+  (* More node processes than OCaml's 128-domain cap. *)
+  if Er.RT.available then
+    assert_verdict_rb "rb domains n=130"
+      (Er.compare_with_sim ~transport:`Domains ~max_rounds:3
+         ~correct:(rb_correct ~seed:3L 130) ())
+
+let test_rb_socket_n40 () =
+  (* The mesh holds 40 * 41 socket fds plus two per doorbell, well past
+     select's FD_SETSIZE of 1024. *)
+  if Er.RT.available then
+    assert_verdict_rb "rb socket n=40"
+      (Er.compare_with_sim ~transport:`Socket ~max_rounds:3
+         ~correct:(rb_correct ~seed:3L 40) ())
+
+let test_runs_release_fds () =
+  (* Every run opens doorbells (and, on the socket transport, its mesh);
+     all of them must be closed when [run] returns. *)
+  if Ec.RT.available && Sys.file_exists "/proc/self/fd" then
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    List.iter
+      (fun transport ->
+        let before = open_fds () in
+        for _ = 1 to 50 do
+          match
+            Ec.RT.run ~transport ~max_rounds:40
+              ~correct:(consensus_correct ~seed:1L 4) ()
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "runtime error: %s" e
+        done;
+        check_int
+          (Printf.sprintf "%s: open fds after 50 runs"
+             (Ec.RT.transport_name transport))
+          before (open_fds ()))
       [ `Domains; `Socket ]
 
 let test_round_ms_pacing () =
@@ -646,6 +737,9 @@ let suite =
       quick "sync late frames monotone" test_sync_late_frames_monotone;
       quick "sync dead-peer detection" test_sync_dead_peer;
       quick "sync halt excuses the peer" test_sync_halt_excuses;
+      quick "doorbell ring before wait" test_doorbell_ring_before_wait;
+      quick "doorbell wait times out" test_doorbell_timeout;
+      quick "socket frames wait for flush" test_socket_flush_contract;
       quick "trace diff identical" test_trace_diff_identical;
       quick "trace diff divergence" test_trace_diff_divergence;
       quick "trace diff prefix" test_trace_diff_prefix;
@@ -654,6 +748,9 @@ let suite =
       quick "consensus domains differential" test_consensus_domains_differential;
       quick "consensus socket differential" test_consensus_socket_differential;
       quick "rb differential both transports" test_rb_differential;
+      quick "rb in-process at n=130" test_rb_in_process_n130;
+      quick "rb socket at n=40" test_rb_socket_n40;
+      quick "runs release their fds" test_runs_release_fds;
       quick "round-ms pacing is behaviour-neutral" test_round_ms_pacing;
       quick "decide sets byte-identical" test_decides_byte_identical;
       quick "monitor verdicts identical" test_monitor_verdicts_identical;
