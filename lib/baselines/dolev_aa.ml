@@ -16,7 +16,7 @@ type state = {
 
 let name = "dolev-approximate-agreement"
 
-let init ~self:_ ~round:_ { value; iterations; f } =
+let init ~self:_ ~round:_ ~index:_ { value; iterations; f } =
   { iterations; f; estimate = value; iteration = 0 }
 
 let pp_message ppf (Estimate v) = Fmt.pf ppf "estimate(%g)" v

@@ -9,8 +9,11 @@ module Make (V : Value.S) = struct
   type stimulus = Protocol.No_stimulus.t
   type output = V.t
 
+  module Value_tally = Tally.Make (V)
+
   type state = {
     self : Node_id.t;
+    index : Interner.t;  (** the run's sender index, shared *)
     members : Node_id.t list;  (** ascending; kings rotate through it *)
     n : int;
     f : int;
@@ -24,10 +27,11 @@ module Make (V : Value.S) = struct
 
   let name = "phase-king"
 
-  let init ~self ~round:_ { value; members; f } =
+  let init ~self ~round:_ ~index { value; members; f } =
     let members = Node_id.sorted members in
     {
       self;
+      index;
       members;
       n = List.length members;
       f;
@@ -66,12 +70,12 @@ module Make (V : Value.S) = struct
     let phase = ((st.local_round - 1) / 3) + 1 in
     let pos = ((st.local_round - 1) mod 3) + 1 in
     let tally_of extract =
-      let t = Tally.create ~compare:V.compare () in
+      let t = Value_tally.create ~index:st.index () in
       List.iter
         (fun (src, msg) ->
           if List.exists (Node_id.equal src) st.members then
             match extract msg with
-            | Some x -> Tally.add t ~sender:src x
+            | Some x -> Value_tally.add t ~sender:src x
             | None -> ())
         inbox;
       t
@@ -102,7 +106,7 @@ module Make (V : Value.S) = struct
     | 2 ->
         let t = tally_of (function Value x -> Some x | _ -> None) in
         let sends =
-          match Tally.max_by_count t with
+          match Value_tally.max_by_count t with
           | Some (y, c) when c >= st.n - st.f ->
               [ (Envelope.Broadcast, Propose y) ]
           | _ -> []
@@ -110,7 +114,7 @@ module Make (V : Value.S) = struct
         (st, sends, Protocol.Continue)
     | _ ->
         let t = tally_of (function Propose x -> Some x | _ -> None) in
-        (match Tally.max_by_count t with
+        (match Value_tally.max_by_count t with
         | Some (z, c) when c >= st.f + 1 ->
             st.x <- z;
             st.propose_count_high <- c >= st.n - st.f

@@ -18,8 +18,10 @@ module Make (V : Value.S) = struct
   end
 
   module Pair_map = Map.Make (Pair)
+  module Pair_tally = Tally.Make (Pair)
 
   type state = {
+    index : Interner.t;  (** the run's sender index, shared *)
     my_payload : V.t option;
     f : int;
     mutable accepted : accepted list;
@@ -29,8 +31,9 @@ module Make (V : Value.S) = struct
 
   let name = "st-broadcast"
 
-  let init ~self:_ ~round:_ { payload; f } =
+  let init ~self:_ ~round:_ ~index { payload; f } =
     {
+      index;
       my_payload = payload;
       f;
       accepted = [];
@@ -76,11 +79,11 @@ module Make (V : Value.S) = struct
         in
         (st, sends, Protocol.Continue)
     | _ ->
-        let tally = Tally.create ~compare:Pair.compare () in
+        let tally = Pair_tally.create ~index:st.index () in
         List.iter
           (fun (src, msg) ->
             match msg with
-            | Echo (m, s) -> Tally.add tally ~sender:src (m, s)
+            | Echo (m, s) -> Pair_tally.add tally ~sender:src (m, s)
             | Payload _ | Present -> ())
           inbox;
         let sends = ref [] in
@@ -88,7 +91,7 @@ module Make (V : Value.S) = struct
         List.iter
           (fun pair ->
             let already = Pair_map.mem pair st.accepted_set in
-            let count = Tally.count tally pair in
+            let count = Pair_tally.count tally pair in
             if (not already) && count >= st.f + 1 then begin
               let m, s = pair in
               sends := (Envelope.Broadcast, Echo (m, s)) :: !sends
@@ -101,7 +104,7 @@ module Make (V : Value.S) = struct
                 :: st.accepted;
               newly := true
             end)
-          (Tally.contents tally);
+          (Pair_tally.contents tally);
         let status =
           if !newly then Protocol.Deliver (List.rev st.accepted)
           else Protocol.Continue

@@ -84,6 +84,10 @@ module Make (M : Model.S) = struct
     let correct =
       List.sort (fun (a, _) (b, _) -> Node_id.compare a b) correct
     in
+    (* One sender index per simulation, shared by every state copied from
+       it; nothing registers after this point, so worker domains may read
+       it concurrently. *)
+    let index = Interner.of_ids (List.map fst correct @ byzantine) in
     let nodes =
       Array.of_list
         (List.map
@@ -91,7 +95,7 @@ module Make (M : Model.S) = struct
              {
                cn_id = id;
                cn_input = input;
-               cn_state = P.init ~self:id ~round:1 input;
+               cn_state = P.init ~self:id ~round:1 ~index input;
                cn_first_output = None;
                cn_output = None;
                cn_halted = None;

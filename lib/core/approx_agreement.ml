@@ -16,7 +16,7 @@ type state = {
 
 let name = "approximate-agreement"
 
-let init ~self:_ ~round:_ { value; iterations } =
+let init ~self:_ ~round:_ ~index:_ { value; iterations } =
   if iterations < 1 then invalid_arg "Approx_agreement: iterations must be >= 1";
   { iterations; estimate = value; iteration = 0; leaving = false }
 

@@ -14,8 +14,11 @@ type message_view =
 type message = message_view
 type stimulus = Protocol.No_stimulus.t
 
+module Bool_tally = Tally.Make (Bool)
+
 type state = {
   self : Node_id.t;
+  index : Interner.t;  (** the run's sender index, shared *)
   rotor : Rotor_core.t;
   mutable x_v : bool;
   mutable local_round : int;
@@ -33,10 +36,11 @@ type state = {
 
 let name = "binary-consensus"
 
-let init ~self ~round:_ input =
+let init ~self ~round:_ ~index input =
   {
     self;
-    rotor = Rotor_core.create ();
+    index;
+    rotor = Rotor_core.create ~index ();
     x_v = input;
     local_round = 0;
     heard_from = Node_id.Set.empty;
@@ -78,11 +82,13 @@ let phase st =
 
 let position st = ((st.local_round - 3) mod 5) + 1
 
-let tally_bool inbox ~extract =
-  let t = Tally.create ~compare:Bool.compare () in
+let tally_bool st inbox ~extract =
+  let t = Bool_tally.create ~index:st.index () in
   List.iter
     (fun (src, msg) ->
-      match extract msg with Some x -> Tally.add t ~sender:src x | None -> ())
+      match extract msg with
+      | Some x -> Bool_tally.add t ~sender:src x
+      | None -> ())
     inbox;
   t
 
@@ -118,10 +124,12 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
           (st, [ (Envelope.Broadcast, Input st.x_v) ], Protocol.Continue)
       | 2 ->
           let t =
-            tally_bool inbox ~extract:(function Input x -> Some x | _ -> None)
+            tally_bool st inbox ~extract:(function
+              | Input x -> Some x
+              | _ -> None)
           in
           let sends =
-            match Tally.max_by_count t with
+            match Bool_tally.max_by_count t with
             | Some (x, count) when Threshold.ge_two_thirds ~count ~of_:n_v ->
                 [ (Envelope.Broadcast, Support x) ]
             | _ -> []
@@ -129,11 +137,11 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
           (st, sends, Protocol.Continue)
       | 3 ->
           let t =
-            tally_bool inbox ~extract:(function
+            tally_bool st inbox ~extract:(function
               | Support x -> Some x
               | _ -> None)
           in
-          (match Tally.max_by_count t with
+          (match Bool_tally.max_by_count t with
           | Some (x, count) when Threshold.ge_third ~count ~of_:n_v ->
               if st.decided = None then st.x_v <- x;
               st.strong_support <- Threshold.ge_two_thirds ~count ~of_:n_v

@@ -68,14 +68,14 @@ module Make (V : Value.S) = struct
     mutable decided : V.t option;
   }
 
-  let init ~self ~round:_ (input : input) =
+  let init ~self ~round:_ ~index (input : input) =
     let universe = Node_id.sorted input.universe in
     let committee_list = Committee.members ~seed:input.seed ~universe in
     let committee = Node_id.Set.of_list committee_list in
     let role =
       if Node_id.Set.mem self committee then
         Member
-          { core = Core.create ~self ~input:input.value; committee;
+          { core = Core.create ~self ~index ~input:input.value; committee;
             committee_list }
       else
         let att =

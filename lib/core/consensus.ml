@@ -16,7 +16,8 @@ module Make (V : Value.S) = struct
   let compare_message = Core.compare_message
   let equal_message = Core.equal_message
   let encoded_bits = Core.encoded_bits
-  let init ~self ~round:_ input = { core = Core.create ~self ~input; decided_phase = None }
+  let init ~self ~round:_ ~index input =
+    { core = Core.create ~self ~index ~input; decided_phase = None }
 
   let step ~self:_ ~round:_ ~stim:_ st ~inbox =
     let sends, status = Core.step st.core ~inbox in

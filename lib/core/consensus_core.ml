@@ -43,13 +43,18 @@ module Make (V : Value.S) = struct
 
   type status = Running | Decided of V.t
 
+  module Value_tally = Tally.Make (V)
+
   type t = {
     self : Node_id.t;
+    index : Interner.t;  (** the run's sender index, shared *)
     rotor : Rotor_core.t;
     mutable x_v : V.t;
     mutable local_round : int;
-    intr : Interner.t;
-        (** dense member indices; fed until round 3, frozen after *)
+    members : Bitset.t;
+        (** slots of every sender heard from; fed until round 3, frozen
+            after *)
+    mutable member_slots : int array;  (** [members], ascending, at freeze *)
     mutable members_asc : Node_id.t list;  (** ascending, cached at freeze *)
     mutable n_v : int;
     mutable cand_buffer : (Node_id.t * Node_id.t) list;
@@ -62,18 +67,20 @@ module Make (V : Value.S) = struct
     mutable sent_prefer : V.t option;  (** my broadcast at position 2 *)
     mutable sent_strong : V.t option;  (** my broadcast at position 3 *)
     mutable phase_silent : Bitset.t;
-        (** members (by dense index) that sent no [input] this phase —
+        (** members (by slot) that sent no [input] this phase —
             terminated (or byz-silent) nodes whose messages get
             substituted *)
   }
 
-  let create ~self ~input =
+  let create ~self ~index ~input =
     {
       self;
-      rotor = Rotor_core.create ();
+      index;
+      rotor = Rotor_core.create ~index ();
       x_v = input;
       local_round = 0;
-      intr = Interner.create ();
+      members = Interner.sender_set index;
+      member_slots = [||];
       members_asc = [];
       n_v = 0;
       cand_buffer = [];
@@ -93,24 +100,22 @@ module Make (V : Value.S) = struct
     {
       t with
       rotor = Rotor_core.copy t.rotor;
-      intr = Interner.copy t.intr;
+      members = Bitset.copy t.members;
       phase_silent = Bitset.copy t.phase_silent;
     }
 
+  let ids_of t set =
+    Bitset.fold set ~init:[] ~f:(fun acc s -> Interner.extern t.index s :: acc)
+    |> List.sort Node_id.compare
+
   (* Canonical id-space fingerprint for the bounded checker's dedup.
-     Set-semantics fields ([intr] membership, [phase_silent], the echo and
+     Set-semantics fields ([members], [phase_silent], the echo and
      strongprefer buffers — every consumer runs them through a tally whose
      thresholds and deterministic tie-break are insertion-order free) are
-     sorted; everything else is written verbatim. *)
+     written as sorted ids; everything else is written verbatim. *)
   let key b t =
-    let members = ref [] in
-    Interner.iter t.intr (fun _ id -> members := id :: !members);
-    let members = List.sort Node_id.compare !members in
-    let silent =
-      Bitset.fold t.phase_silent ~init:[] ~f:(fun acc ix ->
-          if ix < t.n_v then Interner.extern t.intr ix :: acc else acc)
-      |> List.sort Node_id.compare
-    in
+    let members = ids_of t t.members in
+    let silent = ids_of t t.phase_silent in
     let pair_cmp (a, b) (c, d) =
       match Node_id.compare a c with 0 -> Node_id.compare b d | x -> x
     in
@@ -148,30 +153,31 @@ module Make (V : Value.S) = struct
   let position t = ((t.local_round - 3) mod 5) + 1
 
   (* Count messages of one kind from this round's inbox. Members of
-     [eligible] (a predicate over dense member indices) that sent nothing of
-     this kind are substituted with [my_send] — the message this node itself
+     [eligible] (a predicate over member slots) that sent nothing of this
+     kind are substituted with [my_send] — the message this node itself
      sent of that kind — per the caption of Algorithm 3. Returns the tally
-     and the dense-index set of real senders. By the time this runs,
-     membership is frozen and the inbox is filtered to members, so every
-     sender already has a dense index. *)
+     and the slot set of real senders. By the time this runs, membership
+     is frozen and the inbox is filtered to members. *)
   let tally_with_substitution t ~extract ~my_send ~eligible inbox =
-    let tally = Tally.create_dense ~compare:V.compare ~interner:t.intr () in
-    let spoke = Bitset.create ~hint:t.n_v () in
+    let tally = Value_tally.create ~index:t.index () in
+    let spoke = Interner.sender_set t.index in
     List.iter
       (fun (src, msg) ->
         match extract msg with
         | Some x ->
-            Bitset.add spoke (Interner.intern t.intr src);
-            Tally.add tally ~sender:src x
+            let slot = Interner.slot t.index src in
+            Bitset.add spoke slot;
+            Value_tally.add_slot tally ~slot x
         | None -> ())
       inbox;
     (match my_send with
     | None -> ()
     | Some x ->
-        for ix = 0 to t.n_v - 1 do
-          if eligible ix && not (Bitset.mem spoke ix) then
-            Tally.add tally ~sender:(Interner.extern t.intr ix) x
-        done);
+        Array.iter
+          (fun slot ->
+            if eligible slot && not (Bitset.mem spoke slot) then
+              Value_tally.add_slot tally ~slot x)
+          t.member_slots);
     (tally, spoke)
 
   let buffer_cand_echoes t inbox =
@@ -188,10 +194,15 @@ module Make (V : Value.S) = struct
        round 3 on, messages from non-members are discarded. *)
     let inbox =
       if t.local_round <= 3 then begin
-        List.iter (fun (src, _) -> ignore (Interner.intern t.intr src)) inbox;
+        List.iter
+          (fun (src, _) -> Bitset.add t.members (Interner.slot t.index src))
+          inbox;
         inbox
       end
-      else List.filter (fun (src, _) -> Interner.mem t.intr src) inbox
+      else
+        List.filter
+          (fun (src, _) -> Bitset.mem t.members (Interner.slot t.index src))
+          inbox
     in
     match t.local_round with
     | 1 -> ([ (Envelope.Broadcast, Init) ], Running)
@@ -207,12 +218,14 @@ module Make (V : Value.S) = struct
         (sends, Running)
     | _ -> (
         if t.local_round = 3 then begin
-          (* Freeze membership: the interner stops admitting new senders
-             (the round >= 4 filter above rejects them before interning). *)
-          t.n_v <- Interner.size t.intr;
-          let ids = ref [] in
-          Interner.iter t.intr (fun _ id -> ids := id :: !ids);
-          t.members_asc <- List.sort Node_id.compare !ids
+          (* Freeze membership: the round >= 4 filter above rejects new
+             senders before they reach [members]. *)
+          t.n_v <- Bitset.count t.members;
+          t.member_slots <-
+            Array.of_list
+              (List.rev
+                 (Bitset.fold t.members ~init:[] ~f:(fun acc s -> s :: acc)));
+          t.members_asc <- ids_of t t.members
         end;
         buffer_cand_echoes t inbox;
         match position t with
@@ -234,13 +247,14 @@ module Make (V : Value.S) = struct
             in
             (* Members without an input this phase are terminated (or
                byz-silent); their later messages are substituted too. *)
-            let silent = Bitset.create ~hint:t.n_v () in
-            for ix = 0 to t.n_v - 1 do
-              if not (Bitset.mem spoke ix) then Bitset.add silent ix
-            done;
+            let silent = Interner.sender_set t.index in
+            Array.iter
+              (fun slot ->
+                if not (Bitset.mem spoke slot) then Bitset.add silent slot)
+              t.member_slots;
             t.phase_silent <- silent;
             let sends =
-              match Tally.max_by_count tally with
+              match Value_tally.max_by_count tally with
               | Some (x, count)
                 when Threshold.ge_two_thirds ~count ~of_:t.n_v ->
                   t.sent_prefer <- Some x;
@@ -257,7 +271,7 @@ module Make (V : Value.S) = struct
                 inbox
             in
             let sends =
-              match Tally.max_by_count tally with
+              match Value_tally.max_by_count tally with
               | Some (x, count) when Threshold.ge_third ~count ~of_:t.n_v ->
                   t.x_v <- x;
                   if Threshold.ge_two_thirds ~count ~of_:t.n_v then begin
@@ -296,25 +310,26 @@ module Make (V : Value.S) = struct
                from position 4's inbox; the coordinator's opinion arrives
                now. *)
             let tally =
-              let tly =
-                Tally.create_dense ~compare:V.compare ~interner:t.intr ()
-              in
+              let tly = Value_tally.create ~index:t.index () in
               List.iter
-                (fun (src, x) -> Tally.add tly ~sender:src x)
+                (fun (src, x) -> Value_tally.add tly ~sender:src x)
                 t.strong_stash;
               (* Substitute my own strongprefer for phase-silent members. *)
               (match t.sent_strong with
               | None -> ()
               | Some x ->
-                  let spoke = Bitset.create ~hint:t.n_v () in
+                  let spoke = Interner.sender_set t.index in
                   List.iter
                     (fun (src, _) ->
-                      Bitset.add spoke (Interner.intern t.intr src))
+                      Bitset.add spoke (Interner.slot t.index src))
                     t.strong_stash;
-                  for ix = 0 to t.n_v - 1 do
-                    if Bitset.mem t.phase_silent ix && not (Bitset.mem spoke ix)
-                    then Tally.add tly ~sender:(Interner.extern t.intr ix) x
-                  done);
+                  Array.iter
+                    (fun slot ->
+                      if
+                        Bitset.mem t.phase_silent slot
+                        && not (Bitset.mem spoke slot)
+                      then Value_tally.add_slot tly ~slot x)
+                    t.member_slots);
               tly
             in
             let coordinator_opinion =
@@ -328,7 +343,7 @@ module Make (V : Value.S) = struct
                       | _ -> acc)
                     None inbox
             in
-            let best = Tally.max_by_count tally in
+            let best = Value_tally.max_by_count tally in
             (match best with
             | Some (x, count) when Threshold.ge_third ~count ~of_:t.n_v ->
                 ignore x

@@ -54,7 +54,9 @@ module Make (V : Value.S) : sig
 
   type t
 
-  val create : self:Node_id.t -> input:V.t -> t
+  val create : self:Node_id.t -> index:Interner.t -> input:V.t -> t
+  (** [index] is the run's sender index; member and sender sets are
+      bitsets over it. *)
 
   val step :
     t ->

@@ -14,7 +14,7 @@ module Make (V : Value.S) = struct
   let compare_message = Core.compare_message
   let equal_message = Core.equal_message
   let encoded_bits = Core.encoded_bits
-  let init ~self ~round:_ inputs = Core.create ~self ~inputs ()
+  let init ~self ~round:_ ~index inputs = Core.create ~self ~index ~inputs ()
 
   let step ~self:_ ~round:_ ~stim:_ st ~inbox =
     let sends, status = Core.step st ~inbox in

@@ -75,8 +75,15 @@ module Make (V : Value.S) = struct
       (Node_id.t * [ `Strong of opinion | `Marker ]) list;
   }
 
+  module Opinion_tally = Tally.Make (struct
+    type t = opinion
+
+    let compare = compare_opinion
+  end)
+
   type t = {
     self : Node_id.t;
+    index : Interner.t;  (** the run's sender index, shared *)
     restrict : Node_id.Set.t option;
     rotor : Rotor_core.t;
     mutable local_round : int;
@@ -100,14 +107,15 @@ module Make (V : Value.S) = struct
       strong_stash = [];
     }
 
-  let create ?restrict ~self ~inputs () =
+  let create ?restrict ~self ~index ~inputs () =
     let ids = List.map fst inputs in
     if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
       invalid_arg "Parallel_consensus_core: duplicate instance identifiers";
     {
       self;
+      index;
       restrict;
-      rotor = Rotor_core.create ();
+      rotor = Rotor_core.create ~index ();
       local_round = 0;
       heard_from = Node_id.Set.empty;
       members = Node_id.Set.empty;
@@ -152,12 +160,12 @@ module Make (V : Value.S) = struct
      pairs actually received, [markers] the senders of the slot's no-op
      marker. Silent members are filled per the phase rule. *)
   let slot_tally t ~first_phase ~my_send ~sent ~markers =
-    let tally = Tally.create ~compare:compare_opinion () in
+    let tally = Opinion_tally.create ~index:t.index () in
     let spoke = ref Node_id.Set.empty in
     List.iter
       (fun (src, o) ->
         spoke := Node_id.Set.add src !spoke;
-        Tally.add tally ~sender:src o)
+        Opinion_tally.add tally ~sender:src o)
       sent;
     List.iter (fun src -> spoke := Node_id.Set.add src !spoke) markers;
     let fill = if first_phase then Some None else my_send in
@@ -165,7 +173,7 @@ module Make (V : Value.S) = struct
     | None -> ()
     | Some o ->
         Node_id.Set.iter
-          (fun m -> Tally.add tally ~sender:m o)
+          (fun m -> Opinion_tally.add tally ~sender:m o)
           (Node_id.Set.diff t.members !spoke));
     tally
 
@@ -278,7 +286,7 @@ module Make (V : Value.S) = struct
                     slot_tally t ~first_phase ~my_send:i.sent_input ~sent
                       ~markers:[]
                   in
-                  match Tally.max_by_count tally with
+                  match Opinion_tally.max_by_count tally with
                   | Some (o, count)
                     when Threshold.ge_two_thirds ~count ~of_:t.n_v ->
                       i.sent_prefer <- Some o;
@@ -313,7 +321,7 @@ module Make (V : Value.S) = struct
                     slot_tally t ~first_phase ~my_send:i.sent_prefer ~sent
                       ~markers
                   in
-                  match Tally.max_by_count tally with
+                  match Opinion_tally.max_by_count tally with
                   | Some (o, count) when Threshold.ge_third ~count ~of_:t.n_v
                     ->
                       i.x <- o;
@@ -405,7 +413,7 @@ module Make (V : Value.S) = struct
                           | _ -> acc)
                         None inbox
                 in
-                let best = Tally.max_by_count tally in
+                let best = Opinion_tally.max_by_count tally in
                 (match best with
                 | Some (_, count) when Threshold.ge_third ~count ~of_:t.n_v ->
                     ()

@@ -74,6 +74,7 @@ module Make (V : Value.S) : sig
   val create :
     ?restrict:Node_id.Set.t ->
     self:Node_id.t ->
+    index:Interner.t ->
     inputs:(int * V.t) list ->
     unit ->
     t

@@ -25,8 +25,9 @@ module Make (V : Value.S) = struct
   module Pair_map = Map.Make (Pair)
 
   type state = {
+    index : Interner.t;  (** the run's sender index, shared *)
     my_payload : V.t option;
-    heard_from : Interner.t;  (** senders seen so far; [size] = n_v *)
+    heard_from : Bitset.t;  (** slots of the senders seen so far; count = n_v *)
     mutable accepted : accepted list;  (** newest first *)
     mutable accepted_set : int Pair_map.t;  (** pair -> accept round *)
     mutable local_round : int;  (** rounds since this node joined, from 1 *)
@@ -34,17 +35,20 @@ module Make (V : Value.S) = struct
 
   let name = "reliable-broadcast"
 
-  let copy_state st = { st with heard_from = Interner.copy st.heard_from }
+  let n_v st = Bitset.count st.heard_from
+  let copy_state st = { st with heard_from = Bitset.copy st.heard_from }
 
-  (* Canonical id-space fingerprint. [heard_from] is a set (only [size] and
-     membership feed the dynamics), so it is externed and sorted; the
+  (* Canonical id-space fingerprint. [heard_from] is a set (only its count
+     and membership feed the dynamics), so it is externed and sorted; the
      [accepted] list is sorted by pair because its order only affects the
      order of entries inside the output list, never a tally or threshold —
      equal keys therefore mean equal behavior on equal future inboxes. *)
   let state_key st =
-    let heard = ref [] in
-    Interner.iter st.heard_from (fun _ id -> heard := id :: !heard);
-    let heard = List.sort Node_id.compare !heard in
+    let heard =
+      Bitset.fold st.heard_from ~init:[] ~f:(fun acc s ->
+          Interner.extern st.index s :: acc)
+      |> List.sort Node_id.compare
+    in
     let acc =
       List.sort
         (fun a b -> Pair.compare (a.payload, a.sender) (b.payload, b.sender))
@@ -63,10 +67,11 @@ module Make (V : Value.S) = struct
           b acc)
       st
 
-  let init ~self:_ ~round:_ input =
+  let init ~self:_ ~round:_ ~index input =
     {
+      index;
       my_payload = input;
-      heard_from = Interner.create ();
+      heard_from = Interner.sender_set index;
       accepted = [];
       accepted_set = Pair_map.empty;
       local_round = 0;
@@ -91,17 +96,29 @@ module Make (V : Value.S) = struct
   let equal_message a b = compare_message a b = 0
   let encoded_bits = Protocol.structural_bits
 
+  (* Keyed by the echo message itself: on [Echo]s [compare_message] is
+     [Pair.compare], and counting the received value allocates nothing. *)
+  module Echo_tally = Tally.Make (struct
+    type t = message
+
+    let compare = compare_message
+  end)
+
+  let note_sender st src =
+    let s = Interner.slot st.index src in
+    Bitset.add st.heard_from s;
+    s
+
   let note_senders st inbox =
-    List.iter (fun (src, _) -> ignore (Interner.intern st.heard_from src)) inbox
+    List.iter (fun (src, _) -> ignore (note_sender st src)) inbox
 
   let step ~self:_ ~round ~stim:_ st ~inbox =
     st.local_round <- st.local_round + 1;
-    note_senders st inbox;
-    let n_v = Interner.size st.heard_from in
     match st.local_round with
     | 1 ->
         (* Round 1: designated senders broadcast their payload, everyone
            else announces presence so that n_v >= g at every node. *)
+        note_senders st inbox;
         let send =
           match st.my_payload with
           | Some m -> Payload m
@@ -110,6 +127,7 @@ module Make (V : Value.S) = struct
         (st, [ (Envelope.Broadcast, send) ], Protocol.Continue)
     | 2 ->
         (* Round 2: echo payloads received directly from their sender. *)
+        note_senders st inbox;
         let sends =
           List.filter_map
             (fun (src, msg) ->
@@ -120,35 +138,38 @@ module Make (V : Value.S) = struct
         in
         (st, sends, Protocol.Continue)
     | _ ->
-        (* Rounds >= 3: per-round echo tallies against n_v thresholds. *)
-        let tally =
-          Tally.create_dense ~compare:Pair.compare ~interner:st.heard_from ()
-        in
+        (* Rounds >= 3: per-round echo tallies against n_v thresholds,
+           n_v counting this round's senders too. *)
+        let tally = Echo_tally.create ~index:st.index () in
         List.iter
           (fun (src, msg) ->
+            let slot = note_sender st src in
             match msg with
-            | Echo (m, s) -> Tally.add tally ~sender:src (m, s)
+            | Echo _ -> Echo_tally.add_slot tally ~slot msg
             | Payload _ | Present -> ())
           inbox;
+        let n_v = Bitset.count st.heard_from in
         let sends = ref [] in
         let newly_accepted = ref false in
         List.iter
-          (fun pair ->
-            let already = Pair_map.mem pair st.accepted_set in
-            let count = Tally.count tally pair in
-            if (not already) && Threshold.ge_third ~count ~of_:n_v then begin
-              let m, s = pair in
-              sends := (Envelope.Broadcast, Echo (m, s)) :: !sends
-            end;
-            if (not already) && Threshold.ge_two_thirds ~count ~of_:n_v then begin
-              let m, s = pair in
-              st.accepted_set <- Pair_map.add pair round st.accepted_set;
-              st.accepted <-
-                { payload = m; sender = s; accepted_round = round }
-                :: st.accepted;
-              newly_accepted := true
-            end)
-          (Tally.contents tally);
+          (fun echo ->
+            match echo with
+            | Payload _ | Present -> ()
+            | Echo (m, s) ->
+                let pair = (m, s) in
+                let already = Pair_map.mem pair st.accepted_set in
+                let count = Echo_tally.count tally echo in
+                if (not already) && Threshold.ge_third ~count ~of_:n_v then
+                  sends := (Envelope.Broadcast, echo) :: !sends;
+                if (not already) && Threshold.ge_two_thirds ~count ~of_:n_v
+                then begin
+                  st.accepted_set <- Pair_map.add pair round st.accepted_set;
+                  st.accepted <-
+                    { payload = m; sender = s; accepted_round = round }
+                    :: st.accepted;
+                  newly_accepted := true
+                end)
+          (Echo_tally.contents tally);
         let status =
           if !newly_accepted then Protocol.Deliver (List.rev st.accepted)
           else Protocol.Continue

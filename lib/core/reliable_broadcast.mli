@@ -44,6 +44,9 @@ module Make (V : Value.S) : sig
   val view : message -> message_view
   val inject : message_view -> message
 
+  val n_v : state -> int
+  (** Distinct senders heard from so far, this round's included. *)
+
   val copy_state : state -> state
   (** Independent snapshot; stepping the copy never affects the original.
       Used by the bounded checker to branch a configuration. *)

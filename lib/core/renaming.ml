@@ -8,8 +8,12 @@ type message = message_view
 type input = unit
 type stimulus = Protocol.No_stimulus.t
 
+module Id_tally = Tally.Make (Node_id)
+module Int_tally = Tally.Make (Int)
+
 type state = {
   self : Node_id.t;
+  index : Interner.t;  (** the run's sender index, shared *)
   mutable local_round : int;
   mutable heard_from : Node_id.Set.t;
   mutable s : Node_id.Set.t;  (** the growing set of announced identifiers *)
@@ -19,9 +23,10 @@ type state = {
 
 let name = "renaming"
 
-let init ~self ~round:_ () =
+let init ~self ~round:_ ~index () =
   {
     self;
+    index;
     local_round = 0;
     heard_from = Node_id.Set.empty;
     s = Node_id.Set.empty;
@@ -62,13 +67,13 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
       in
       (st, sends, Protocol.Continue)
   | r ->
-      let echo_tally = Tally.create ~compare:Node_id.compare () in
-      let term_tally = Tally.create ~compare:Int.compare () in
+      let echo_tally = Id_tally.create ~index:st.index () in
+      let term_tally = Int_tally.create ~index:st.index () in
       List.iter
         (fun (src, msg) ->
           match msg with
-          | Echo p -> Tally.add echo_tally ~sender:src p
-          | Terminate k -> Tally.add term_tally ~sender:src k
+          | Echo p -> Id_tally.add echo_tally ~sender:src p
+          | Terminate k -> Int_tally.add term_tally ~sender:src k
           | Init -> ())
         inbox;
       let m = ref [] in
@@ -77,10 +82,10 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
       List.iter
         (fun p ->
           if fresh p then m := Echo p :: !m)
-        (Tally.meeting echo_tally ~threshold:(fun count ->
+        (Id_tally.meeting echo_tally ~threshold:(fun count ->
              Threshold.ge_third ~count ~of_:n_v));
       let adds =
-        Tally.meeting echo_tally ~threshold:(fun count ->
+        Id_tally.meeting echo_tally ~threshold:(fun count ->
             Threshold.ge_two_thirds ~count ~of_:n_v)
         |> List.filter fresh
       in
@@ -103,12 +108,12 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
             st.relayed_terminates <- Int_set.add k st.relayed_terminates;
             m := Terminate k :: !m
           end)
-        (Tally.meeting term_tally ~threshold:(fun count ->
+        (Int_tally.meeting term_tally ~threshold:(fun count ->
              Threshold.ge_third ~count ~of_:n_v));
       let sends = List.map (fun msg -> (Envelope.Broadcast, msg)) !m in
       (* Quorum of terminate votes: output the ranks. *)
       let decided =
-        Tally.meeting term_tally ~threshold:(fun count ->
+        Int_tally.meeting term_tally ~threshold:(fun count ->
             Threshold.ge_two_thirds ~count ~of_:n_v)
         <> []
       in

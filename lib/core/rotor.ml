@@ -30,10 +30,10 @@ module Make (V : Value.S) = struct
 
   let name = "rotor-coordinator"
 
-  let init ~self:_ ~round:_ opinion =
+  let init ~self:_ ~round:_ ~index opinion =
     {
       opinion;
-      core = Rotor_core.create ();
+      core = Rotor_core.create ~index ();
       heard_from = Node_id.Set.empty;
       local_round = 0;
       prev_selected = None;

@@ -1,21 +1,16 @@
 open Ubpa_util
+module Id_tally = Tally.Make (Node_id)
 
 type t = {
+  index : Interner.t;  (** the run's sender index, shared *)
   mutable c : Node_id.t list;  (** candidate coordinators, ascending *)
   mutable s : Node_id.Set.t;  (** already-selected coordinators *)
   mutable r : int;  (** loop index, starts at 0 *)
   mutable history : (int * Node_id.t) list;  (** newest first *)
-  echoers : Interner.t;  (** dense indices for echo senders *)
 }
 
-let create () =
-  {
-    c = [];
-    s = Node_id.Set.empty;
-    r = 0;
-    history = [];
-    echoers = Interner.create ();
-  }
+let create ~index () =
+  { index; c = []; s = Node_id.Set.empty; r = 0; history = [] }
 
 type step_result = {
   selected : Node_id.t option;
@@ -25,20 +20,18 @@ type step_result = {
 }
 
 let rotor_round t ~self ~n_v ~echoes =
-  let tally =
-    Tally.create_dense ~compare:Node_id.compare ~interner:t.echoers ()
-  in
-  List.iter (fun (sender, p) -> Tally.add tally ~sender p) echoes;
+  let tally = Id_tally.create ~index:t.index () in
+  List.iter (fun (sender, p) -> Id_tally.add tally ~sender p) echoes;
   let fresh p = not (List.exists (Node_id.equal p) t.c) in
   (* B_v gathers re-echoes for candidates past n_v/3 (reliable-broadcast
      relay step); candidates past 2n_v/3 enter C_v before selection. *)
   let relay_echoes =
-    Tally.meeting tally ~threshold:(fun count ->
+    Id_tally.meeting tally ~threshold:(fun count ->
         Threshold.ge_third ~count ~of_:n_v)
     |> List.filter fresh
   in
   let adds =
-    Tally.meeting tally ~threshold:(fun count ->
+    Id_tally.meeting tally ~threshold:(fun count ->
         Threshold.ge_two_thirds ~count ~of_:n_v)
     |> List.filter fresh
   in
@@ -77,13 +70,14 @@ let rotor_round t ~self ~n_v ~echoes =
 let candidates t = t.c
 let selections t = List.rev t.history
 
-let copy t =
-  { t with echoers = Interner.copy t.echoers }
+(* The mutable fields hold immutable values, so a fresh record is an
+   independent copy. *)
+let copy t = { t with r = t.r }
 
 (* Canonical description of the parts of the rotor that influence future
    rounds: C_v (already ascending), S_v (a set), and the loop index.
-   [history] only feeds introspection and [echoers] is an index table, so
-   neither belongs in the fingerprint. *)
+   [history] only feeds introspection and [index] is the run's shared
+   table, so neither belongs in the fingerprint. *)
 let fingerprint b t =
   Key.list Key.id b t.c;
   Key.list Key.id b (Node_id.Set.elements t.s);

@@ -12,7 +12,9 @@ open Ubpa_util
 
 type t
 
-val create : unit -> t
+val create : index:Interner.t -> unit -> t
+(** Fresh rotor state. Echo senders are counted as bitsets over [index],
+    the run's sender index. *)
 
 type step_result = {
   selected : Node_id.t option;

@@ -13,6 +13,7 @@ module Make (V : Value.S) = struct
 
   type state = {
     self : Node_id.t;
+    index : Interner.t;  (** the run's sender index, shared *)
     sender : Node_id.t;
     payload : V.t option;
     mutable local_round : int;
@@ -21,8 +22,8 @@ module Make (V : Value.S) = struct
 
   let name = "terminating-reliable-broadcast"
 
-  let init ~self ~round:_ ({ sender; payload } : input) =
-    { self; sender; payload; local_round = 0; core = None }
+  let init ~self ~round:_ ~index ({ sender; payload } : input) =
+    { self; index; sender; payload; local_round = 0; core = None }
 
   let pp_message ppf = function
     | Trb_payload m -> Fmt.pf ppf "payload(%a)" V.pp m
@@ -67,7 +68,9 @@ module Make (V : Value.S) = struct
                     | _ -> acc)
                   None inbox
               in
-              let c = Core.create ~self:st.self ~input:opinion in
+              let c =
+                Core.create ~self:st.self ~index:st.index ~input:opinion
+              in
               st.core <- Some c;
               c
         in

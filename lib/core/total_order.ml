@@ -42,6 +42,7 @@ module Make (V : Value.S) = struct
 
   type state = {
     self : Node_id.t;
+    index : Interner.t;  (** the run's sender index, shared *)
     mutable mode : mode;
     mutable announced : bool;  (** broadcast [present] already *)
     mutable r : int;  (** logical round *)
@@ -54,9 +55,10 @@ module Make (V : Value.S) = struct
 
   let name = "total-order"
 
-  let init ~self ~round:_ role =
+  let init ~self ~round:_ ~index role =
     {
       self;
+      index;
       mode = (match role with Genesis -> Active | Joiner -> Handshake_sent);
       announced = false;
       r = (match role with Genesis -> 0 | Joiner -> min_int);
@@ -202,7 +204,10 @@ module Make (V : Value.S) = struct
             st.mode <- Active);
         if st.mode = Active then begin
           (* First active round: start an (empty-input) group for it. *)
-          let pc = Pc.create ~restrict:st.s ~self:st.self ~inputs:[] () in
+          let pc =
+            Pc.create ~restrict:st.s ~self:st.self ~index:st.index ~inputs:[]
+              ()
+          in
           st.groups <-
             { g_round = st.r; snapshot = st.s; pc = Some pc; results = []; frozen = false }
             :: st.groups;
@@ -276,7 +281,8 @@ module Make (V : Value.S) = struct
         (* Start this round's group (only while an active participant). *)
         if st.mode = Active then begin
           let pc =
-            Pc.create ~restrict:st.s ~self:st.self ~inputs:event_inputs ()
+            Pc.create ~restrict:st.s ~self:st.self ~index:st.index
+              ~inputs:event_inputs ()
           in
           st.groups <-
             {

@@ -79,11 +79,11 @@ module Make (P : Protocol.S) = struct
 
   let node_loop (type hub endpoint)
       (module F : Transport_faulty.S with type hub = hub and type endpoint = endpoint)
-      ~(slot : slot) ~(ids : Node_id.t array) ~plan ~(sync : Sync.t)
+      ~(slot : slot) ~(ids : Node_id.t array) ~index ~plan ~(sync : Sync.t)
       ~(ep : endpoint) ~(bells : Runtime_backend.doorbell array) ~me
       ~max_rounds =
     let self = slot.sl_id in
-    let state = ref (P.init ~self ~round:1 slot.sl_input) in
+    let state = ref (P.init ~self ~round:1 ~index slot.sl_input) in
     let inbox = ref [] in
     let r = ref 1 in
     let running = ref true in
@@ -238,6 +238,9 @@ module Make (P : Protocol.S) = struct
     in
     let ids = Array.of_list (List.map (fun s -> s.sl_id) slots) in
     let id_list = Array.to_list ids in
+    (* The run's sender index, complete before any node thread starts and
+       only read after that, so the threads share it. *)
+    let index = Interner.of_ids id_list in
     let hub = F.create ~ids:id_list in
     (* One doorbell per node, indexed like [ids] and [slots]. *)
     let bells = Array.map (fun _ -> Runtime_backend.doorbell ()) ids in
@@ -254,8 +257,8 @@ module Make (P : Protocol.S) = struct
         (fun (me, slot, ep, sync) ->
           Runtime_backend.spawn (fun () ->
               try
-                node_loop (module F) ~slot ~ids ~plan ~sync ~ep ~bells ~me
-                  ~max_rounds
+                node_loop (module F) ~slot ~ids ~index ~plan ~sync ~ep ~bells
+                  ~me ~max_rounds
               with e ->
                 slot.sl_error <-
                   Some

@@ -25,13 +25,14 @@ module Make (P : Protocol.S) = struct
   }
 
   let create ?(round_duration = 1.0) ~delay ~nodes () =
+    let index = Interner.of_ids (List.map fst nodes) in
     let map =
       List.fold_left
         (fun acc (id, input) ->
           Node_id.Map.add id
             {
               id;
-              state = P.init ~self:id ~round:0 input;
+              state = P.init ~self:id ~round:0 ~index input;
               inbox = [];
               local_round = 0;
               halted = false;

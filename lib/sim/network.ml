@@ -35,6 +35,10 @@ module Make (P : Protocol.S) = struct
     wire_accounting : bool;
     arena : P.message Delivery.arena_state;
         (* cross-round arena state, fed every round when delivery = Arena *)
+    index : Interner.t;
+        (* The run's sender index, handed to every protocol state. Each
+           node is registered before the round that delivers its first
+           message: at [create], or when its join is applied. *)
     rng : Rng.t;
     faults : Ubpa_faults.plan;
     frng : Rng.t;
@@ -65,12 +69,16 @@ module Make (P : Protocol.S) = struct
       ?(wire_accounting = true) ?(seed = 0xbadc0ffeeL)
       ?(faults = Ubpa_faults.empty) ?(trace = Trace.disabled) ?classify
       ?(stimulus = no_stimulus) ~correct ~byzantine () =
+    let ids = List.map fst correct @ List.map fst byzantine in
+    if List.length (Node_id.sorted ids) <> List.length ids then
+      invalid_arg "Network.create: duplicate node identifiers";
     let t =
       {
         rushing;
         delivery;
         wire_accounting;
         arena = Delivery.arena_create ();
+        index = Interner.of_ids ids;
         rng = Rng.create seed;
         faults;
         frng = Rng.create (Int64.logxor seed 0x6661756c745eedL);
@@ -88,9 +96,6 @@ module Make (P : Protocol.S) = struct
         dup_next = [];
       }
     in
-    let ids = List.map fst correct @ List.map fst byzantine in
-    if List.length (Node_id.sorted ids) <> List.length ids then
-      invalid_arg "Network.create: duplicate node identifiers";
     t.queued_joins <-
       List.rev_map (fun (id, input) -> Join_correct (id, input)) correct
       @ List.rev_map (fun (id, s) -> Join_byzantine (id, s)) byzantine;
@@ -113,12 +118,13 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (correct)";
+            ignore (Interner.intern t.index id);
             t.correct <-
               Node_id.Map.add id
                 {
                   c_id = id;
                   c_joined_at = t.round;
-                  c_state = P.init ~self:id ~round:t.round input;
+                  c_state = P.init ~self:id ~round:t.round ~index:t.index input;
                   c_first_output_round = None;
                   c_last_output = None;
                   c_halted_at = None;
@@ -130,6 +136,7 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (byzantine %s)" (Strategy.name strat);
+            ignore (Interner.intern t.index id);
             let act = Strategy.instantiate strat (Rng.split t.rng) id in
             t.byzantine <- Node_id.Map.add id { b_id = id; b_act = act } t.byzantine)
       (List.rev t.queued_joins);

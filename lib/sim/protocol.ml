@@ -32,9 +32,15 @@ module type S = sig
 
   val name : string
 
-  val init : self:Node_id.t -> round:int -> input -> state
+  val init : self:Node_id.t -> round:int -> index:Interner.t -> input -> state
   (** Called when the node enters the network; its first [step] happens in
-      the same [round] with an empty inbox. *)
+      the same [round] with an empty inbox. [index] is the run's sender
+      index: the engine has registered every node whose messages can
+      reach this one before they arrive, so the state may keep its sender
+      sets as {!Ubpa_util.Bitset}s over {!Ubpa_util.Interner.slot}. The
+      index is shared by every node of the run and read-only to
+      protocols; it changes how sets are stored, never what a node knows
+      (decisions still see only n_v and membership). *)
 
   val step :
     self:Node_id.t ->

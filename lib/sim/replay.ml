@@ -67,12 +67,13 @@ module Make (P : Protocol.S) = struct
         else sub_inbox recd rb
 
   let replay ?(delivered = false) (sc : schedule) : outcome =
+    let index = Interner.of_ids (List.map fst sc.sc_nodes) in
     let nodes =
       List.map
         (fun (id, input) ->
           {
             rn_id = id;
-            rn_state = P.init ~self:id ~round:1 input;
+            rn_state = P.init ~self:id ~round:1 ~index input;
             rn_first_output = None;
             rn_last_output = None;
             rn_halted_at = None;

@@ -31,7 +31,11 @@ let clear t =
 
 let fold t ~init ~f =
   let acc = ref init in
-  for ix = 0 to (8 * Bytes.length t.bits) - 1 do
-    if mem t ix then acc := f !acc ix
+  for byte = 0 to Bytes.length t.bits - 1 do
+    let c = Char.code (Bytes.unsafe_get t.bits byte) in
+    if c <> 0 then
+      for bit = 0 to 7 do
+        if c land (1 lsl bit) <> 0 then acc := f !acc ((byte lsl 3) lor bit)
+      done
   done;
   !acc

@@ -1,14 +1,16 @@
 (** Growable bitmap over small non-negative integers.
 
-    Companion to {!Interner}: once node identifiers are interned to dense
-    indices, per-round sender sets become byte-packed bitmaps with O(1)
-    membership and insert, replacing [Set.Make] balanced trees on the
-    per-message hot paths. *)
+    Companion to {!Interner}: protocol sender sets (who has been heard
+    from, who echoed a content, who spoke this round) are bitsets over
+    the run's sender index, one bit per registered node. The arena
+    delivery core uses them for its per-round sender marks. *)
 
 type t
 
 val create : ?hint:int -> unit -> t
-(** Empty set; [hint] is the expected index bound (grows on demand). *)
+(** Empty set; [hint] is the expected index bound (grows on demand).
+    Protocols get theirs from {!Interner.sender_set}, sized for the
+    run's sender index. *)
 
 val mem : t -> int -> bool
 (** [mem t ix] — false for any index never added, however large. *)
@@ -18,7 +20,7 @@ val add : t -> int -> unit
     [Invalid_argument] on negative indices. *)
 
 val count : t -> int
-(** Number of distinct indices added. *)
+(** Number of distinct indices added. O(1). *)
 
 val copy : t -> t
 (** Independent snapshot of the set. *)

@@ -1,68 +1,54 @@
-type senders =
-  | Sparse of Node_id.Set.t ref
-  | Dense of { intr : Interner.t; seen : Bitset.t }
+module Make (K : Map.OrderedType) = struct
+  module M = Map.Make (K)
 
-type ('k, 'v) t = {
-  compare : 'k -> 'k -> int;
-  interner : Interner.t option;
-  mutable entries : ('k * senders) list;
-}
+  type key = K.t
+  type entry = { key : K.t; senders : Bitset.t }
 
-let create ~compare () = { compare; interner = None; entries = [] }
+  type t = {
+    index : Interner.t;
+    mutable by_key : entry M.t;
+    mutable recent : entry list;  (** newest content first *)
+  }
 
-let create_dense ~compare ~interner () =
-  { compare; interner = Some interner; entries = [] }
+  let create ~index () = { index; by_key = M.empty; recent = [] }
 
-let fresh_senders t =
-  match t.interner with
-  | None -> Sparse (ref Node_id.Set.empty)
-  | Some intr -> Dense { intr; seen = Bitset.create ~hint:(Interner.size intr) () }
+  let add_slot t ~slot k =
+    match M.find k t.by_key with
+    | e -> Bitset.add e.senders slot
+    | exception Not_found ->
+        let e = { key = k; senders = Interner.sender_set t.index } in
+        Bitset.add e.senders slot;
+        t.by_key <- M.add k e t.by_key;
+        t.recent <- e :: t.recent
 
-let record ss sender =
-  match ss with
-  | Sparse s -> s := Node_id.Set.add sender !s
-  | Dense d -> Bitset.add d.seen (Interner.intern d.intr sender)
+  let add t ~sender k = add_slot t ~slot:(Interner.slot t.index sender) k
 
-let find t k = List.find_opt (fun (k', _) -> t.compare k k' = 0) t.entries
+  let count t k =
+    match M.find k t.by_key with
+    | e -> Bitset.count e.senders
+    | exception Not_found -> 0
 
-let add t ~sender k =
-  match find t k with
-  | Some (_, ss) -> record ss sender
-  | None ->
-      let ss = fresh_senders t in
-      record ss sender;
-      t.entries <- (k, ss) :: t.entries
+  let senders t k =
+    match M.find k t.by_key with
+    | exception Not_found -> []
+    | e ->
+        Bitset.fold e.senders ~init:[] ~f:(fun acc s ->
+            Interner.extern t.index s :: acc)
+        |> List.sort Node_id.compare
 
-let cardinal = function
-  | Sparse s -> Node_id.Set.cardinal !s
-  | Dense d -> Bitset.count d.seen
+  let contents t = List.map (fun e -> e.key) t.recent
 
-let count t k = match find t k with Some (_, ss) -> cardinal ss | None -> 0
+  let max_by_count t =
+    let best acc e =
+      let c = Bitset.count e.senders in
+      match acc with
+      | Some (k', c') when c < c' || (c = c' && K.compare e.key k' >= 0) -> acc
+      | _ -> Some (e.key, c)
+    in
+    List.fold_left best None t.recent
 
-let senders t k =
-  match find t k with
-  | None -> []
-  | Some (_, Sparse s) -> Node_id.Set.elements !s
-  | Some (_, Dense d) ->
-      let out = ref [] in
-      for ix = Interner.size d.intr - 1 downto 0 do
-        if Bitset.mem d.seen ix then out := Interner.extern d.intr ix :: !out
-      done;
-      List.sort Node_id.compare !out
-
-let contents t = List.map fst t.entries
-
-let max_by_count t =
-  let best acc (k, ss) =
-    let c = cardinal ss in
-    match acc with
-    | None -> Some (k, c)
-    | Some (k', c') ->
-        if c > c' || (c = c' && t.compare k k' < 0) then Some (k, c) else acc
-  in
-  List.fold_left best None t.entries
-
-let meeting t ~threshold =
-  List.filter_map
-    (fun (k, ss) -> if threshold (cardinal ss) then Some k else None)
-    t.entries
+  let meeting t ~threshold =
+    List.filter_map
+      (fun e -> if threshold (Bitset.count e.senders) then Some e.key else None)
+      t.recent
+end

@@ -1,38 +1,46 @@
 (** Per-round tallies of who sent what.
 
     Algorithms in the id-only model repeatedly ask "how many distinct nodes
-    sent me message [m] this round?". A tally ingests the round's inbox and
+    sent me content [k] this round?". A tally ingests the round's inbox and
     answers per-content counts while suppressing duplicate (sender, content)
-    pairs, as the model prescribes. *)
+    pairs, as the model prescribes.
 
-type ('k, 'v) t
-(** A tally keyed by message content ['k]; remembers the set of senders. *)
+    [Make (K)] keys contents with a [Map] over [K.compare], so finding a
+    content costs O(log contents) compares and a repeat [add] allocates
+    nothing. Each content's senders are a {!Bitset} over the run's sender
+    index ({!Interner}), sized from the index once. *)
 
-val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
+module Make (K : Map.OrderedType) : sig
+  type key = K.t
+  type t
 
-val create_dense :
-  compare:('k -> 'k -> int) -> interner:Interner.t -> unit -> ('k, 'v) t
-(** Like {!create}, but sender sets are bitmaps over [interner]'s dense
-    indices instead of balanced trees — O(1) insert and duplicate check.
-    Observable behaviour is identical to a sparse tally; senders met after
-    the tally was created are interned on the fly. *)
+  val create : index:Interner.t -> unit -> t
+  (** Empty tally whose sender sets are bitsets over [index]. *)
 
-val add : ('k, 'v) t -> sender:Node_id.t -> 'k -> unit
-(** Record that [sender] sent content [k]. Duplicate (sender, content)
-    pairs are ignored. *)
+  val add : t -> sender:Node_id.t -> key -> unit
+  (** Record that [sender] sent content [k]. Duplicate (sender, content)
+      pairs are ignored. Raises [Invalid_argument] if [sender] is not
+      registered in the index. *)
 
-val count : ('k, 'v) t -> 'k -> int
-(** Number of distinct senders that sent [k]. *)
+  val add_slot : t -> slot:int -> key -> unit
+  (** {!add} for a sender already looked up in the index. *)
 
-val senders : ('k, 'v) t -> 'k -> Node_id.t list
-(** The distinct senders of [k], unordered. *)
+  val count : t -> key -> int
+  (** Number of distinct senders that sent [k]. *)
 
-val contents : ('k, 'v) t -> 'k list
-(** All contents seen, each once. *)
+  val senders : t -> key -> Node_id.t list
+  (** The distinct senders of [k], ascending. *)
 
-val max_by_count : ('k, 'v) t -> ('k * int) option
-(** Content with the highest distinct-sender count (ties broken by the
-    content ordering, smallest first), or [None] if the tally is empty. *)
+  val contents : t -> key list
+  (** All contents seen, each once, the most recently first-seen first.
+      Protocols send in this order, so the order shows in the delivery
+      merge. *)
 
-val meeting : ('k, 'v) t -> threshold:(int -> bool) -> 'k list
-(** Contents whose distinct-sender count satisfies [threshold]. *)
+  val max_by_count : t -> (key * int) option
+  (** Content with the highest distinct-sender count (ties broken by
+      [K.compare], smallest first), or [None] if the tally is empty. *)
+
+  val meeting : t -> threshold:(int -> bool) -> key list
+  (** Contents whose distinct-sender count satisfies [threshold], in
+      {!contents} order. *)
+end

@@ -111,7 +111,9 @@ let test_schedule_unit () =
   and c = Node_id.of_int 30
   and d = Node_id.of_int 40 in
   let everyone msg_of = List.map (fun s -> (s, msg_of s)) [ a; b; c; d ] in
-  let st = B.init ~self:a ~round:0 true in
+  let st =
+    B.init ~self:a ~round:0 ~index:(Interner.of_ids [ a; b; c; d ]) true
+  in
   (* Round 1: init. *)
   let _, sends, _ = B.step ~self:a ~round:1 ~stim:[] st ~inbox:[] in
   Helpers.check_true "init" (sends = [ (Envelope.Broadcast, B.Init) ]);

@@ -138,7 +138,8 @@ let test_rb_key_order_free () =
   in
   let drive =
     drive
-      ~init:(fun () -> P.init ~self:(List.hd ids) ~round:1 None)
+      ~init:(fun () ->
+        P.init ~self:(List.hd ids) ~round:1 ~index:(Interner.of_ids ids) None)
       ~step:(fun ~round st ~inbox ->
         P.step ~self:(List.hd ids) ~round ~stim:[] st ~inbox)
       ~key:P.state_key
@@ -173,7 +174,7 @@ let test_consensus_key_order_free () =
   in
   let key = C.state_key in
   let step ~round st ~inbox = C.step ~self ~round ~stim:[] st ~inbox in
-  let init () = C.init ~self ~round:1 1 in
+  let init () = C.init ~self ~round:1 ~index:(Interner.of_ids ids) 1 in
   List.iteri
     (fun i _ ->
       let prefix = List.filteri (fun j _ -> j <= i) rounds in

@@ -11,13 +11,17 @@ let b = id 200
 let c = id 300
 let d = id 400
 
+(* The engine registers every sender; late joiners included. *)
+let strangers = List.init 5 (fun i -> id (900 + i))
+let index = Interner.of_ids ([ a; b; c; d ] @ strangers)
+
 (* ----- Rotor_core ----- *)
 
 let echoes_from senders candidate =
   List.map (fun s -> (s, candidate)) senders
 
 let test_rotor_core_thresholds () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~index () in
   (* 1 echo out of n_v = 4: below n_v/3 -> neither relayed nor added. *)
   let res =
     Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(echoes_from [ b ] (id 7))
@@ -40,7 +44,7 @@ let test_rotor_core_thresholds () =
   check_true "selected" (res.selected = Some (id 7))
 
 let test_rotor_core_duplicate_echo_senders () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~index () in
   (* The same sender echoing thrice counts once. *)
   let res =
     Rotor_core.rotor_round r ~self:a ~n_v:4
@@ -50,7 +54,7 @@ let test_rotor_core_duplicate_echo_senders () =
   check_true "not relayed either" (res.relay_echoes = [])
 
 let test_rotor_core_round_robin_and_wrap () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
   (* Round 0: all three candidates arrive at once. *)
   let res0 =
@@ -67,7 +71,7 @@ let test_rotor_core_round_robin_and_wrap () =
   check_true "wrap terminates" res3.finished
 
 let test_rotor_core_shift_repeats_instead_of_breaking () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
   let res0 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(all (id 20)) in
   check_true "first selection" (res0.selected = Some (id 20));
@@ -85,7 +89,7 @@ let test_rotor_core_shift_repeats_instead_of_breaking () =
   check_true "wrap break" res3.finished
 
 let test_rotor_core_i_am_coordinator () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
   let res = Rotor_core.rotor_round r ~self:(id 10) ~n_v:4 ~echoes:(all (id 10)) in
   check_true "self selected" res.i_am_coordinator
@@ -97,7 +101,7 @@ module C = Consensus_core.Make (Value.Int)
 let members_inbox msg_of = List.map (fun s -> (s, msg_of s)) [ a; b; c; d ]
 
 let test_consensus_core_schedule () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~index ~input:1 in
   (* Round 1: init broadcast. *)
   let sends, st = C.step core ~inbox:[] in
   check_true "round1 init" (sends = [ (Ubpa_sim.Envelope.Broadcast, C.Init) ]);
@@ -130,13 +134,13 @@ let test_consensus_core_schedule () =
   check_true "decided 1" (st = C.Decided 1)
 
 let test_consensus_core_discards_non_members () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~index ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
   (* Round 4: members vote 1; five strangers flood 0. Strangers must be
      discarded, so the node prefers 1. *)
-  let strangers = List.init 5 (fun i -> (id (900 + i), C.Input 0)) in
+  let strangers = List.map (fun s -> (s, C.Input 0)) strangers in
   let sends, _ =
     C.step core
       ~inbox:(members_inbox (fun _ -> C.Input 1) @ strangers)
@@ -145,7 +149,7 @@ let test_consensus_core_discards_non_members () =
     (List.mem (Ubpa_sim.Envelope.Broadcast, C.Prefer 1) sends)
 
 let test_consensus_core_substitution_for_silent_member () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~index ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
@@ -169,7 +173,7 @@ let test_consensus_core_substitution_for_silent_member () =
   check_true "decided with a silent member" (st = C.Decided 1)
 
 let test_consensus_core_no_substitution_for_active_member () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~index ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
@@ -206,7 +210,7 @@ let bootstrap core =
   ()
 
 let test_pc_core_own_instance_flow () =
-  let core = Pc.create ~self:a ~inputs:[ (1, 5) ] () in
+  let core = Pc.create ~self:a ~index ~inputs:[ (1, 5) ] () in
   let _ = Pc.step core ~inbox:[] in
   let _ = Pc.step core ~inbox:(pc_members_inbox (fun _ -> Pc.Init)) in
   (* Round 3 = phase 1 position 1: broadcast the input pair. *)
@@ -238,7 +242,7 @@ let test_pc_core_own_instance_flow () =
   check_true "done with (1,5)" (st = Pc.Done [ (1, 5) ])
 
 let test_pc_core_ghost_instance_bot_suppression () =
-  let core = Pc.create ~self:a ~inputs:[] () in
+  let core = Pc.create ~self:a ~index ~inputs:[] () in
   bootstrap core;
   (* Position 2 of phase 1: a ghost instance arrives via a single input.
      The node discovers it and — filling ⊥ for the three silent members —
@@ -265,7 +269,7 @@ let test_pc_core_ghost_instance_bot_suppression () =
   check_true "instance decided bottom" (Pc.decided core = [ (9, None) ])
 
 let test_pc_core_late_instance_ignored () =
-  let core = Pc.create ~self:a ~inputs:[] () in
+  let core = Pc.create ~self:a ~index ~inputs:[] () in
   bootstrap core;
   (* Finish phase 1 with no instances. *)
   let _ = Pc.step core ~inbox:[] in
@@ -281,7 +285,7 @@ let test_pc_core_restrict_filters_senders () =
   let core =
     Pc.create
       ~restrict:(Node_id.Set.of_list [ a; b ])
-      ~self:a ~inputs:[ (1, 5) ] ()
+      ~self:a ~index ~inputs:[ (1, 5) ] ()
   in
   let _ = Pc.step core ~inbox:[] in
   let _ = Pc.step core ~inbox:(pc_members_inbox (fun _ -> Pc.Init)) in
@@ -292,7 +296,7 @@ let test_pc_core_restrict_filters_senders () =
 let test_pc_core_duplicate_input_ids_rejected () =
   check_true "raises"
     (try
-       ignore (Pc.create ~self:a ~inputs:[ (1, 5); (1, 6) ] ());
+       ignore (Pc.create ~self:a ~index ~inputs:[ (1, 5); (1, 6) ] ());
        false
      with Invalid_argument _ -> true)
 

@@ -209,40 +209,45 @@ let test_arena_basics () =
     (Invalid_argument "Arena.get: index 0 out of 0..-1") (fun () ->
       ignore (Arena.get a 0))
 
-(* ----- dense Tally vs sparse Tally ----- *)
+(* ----- keyed Tally vs the list-scan reference ----- *)
 
-let prop_tally_dense_equals_sparse =
-  QCheck2.Test.make ~count:100
-    ~name:"dense tally observationally equals sparse tally"
+module Int_tally = Tally.Make (Int)
+
+(* Random (sender, content) streams with repeats, over a sender pool whose
+   ids are scattered and registered in a shuffled order, so slot order,
+   id order and arrival order all differ. Every observation is compared
+   in order, not sorted. *)
+let prop_tally_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"keyed tally matches the list-scan reference, order included"
     QCheck2.Gen.(
-      list_size (int_range 0 80) (pair (int_bound 15) (int_bound 5)))
-    (fun events ->
-      let ids = Node_id.scatter ~seed:55L 16 in
+      pair int64
+        (list_size (int_range 0 80) (pair (int_bound 15) (int_bound 7))))
+    (fun (seed, events) ->
+      let ids = Node_id.scatter ~seed 16 in
+      let index = Interner.of_ids (Rng.shuffle (Rng.create seed) ids) in
       let id_of i = List.nth ids i in
-      let sparse = Tally.create ~compare:Int.compare () in
-      let intr = Interner.create () in
-      let dense = Tally.create_dense ~compare:Int.compare ~interner:intr () in
+      let keyed = Int_tally.create ~index () in
+      let spec = Tally_reference.create ~compare:Int.compare in
       List.iter
         (fun (sender_ix, content) ->
-          Tally.add sparse ~sender:(id_of sender_ix) content;
-          Tally.add dense ~sender:(id_of sender_ix) content)
+          Int_tally.add keyed ~sender:(id_of sender_ix) content;
+          Tally_reference.add spec ~sender:(id_of sender_ix) content)
         events;
-      let contents = List.sort compare (Tally.contents sparse) in
-      let sorted_senders t k =
-        List.sort Node_id.compare (Tally.senders t k)
-      in
-      List.sort compare (Tally.contents dense) = contents
+      let contents = Tally_reference.contents spec in
+      Int_tally.contents keyed = contents
       && List.for_all
            (fun k ->
-             Tally.count sparse k = Tally.count dense k
-             && sorted_senders sparse k = sorted_senders dense k)
-           contents
-      && Tally.max_by_count sparse = Tally.max_by_count dense
+             Int_tally.count keyed k = Tally_reference.count spec k
+             && Int_tally.senders keyed k = Tally_reference.senders spec k)
+           (-1 :: contents)
+      && Int_tally.max_by_count keyed = Tally_reference.max_by_count spec
       && List.for_all
            (fun thr ->
-             List.sort compare (Tally.meeting sparse ~threshold:(fun c -> c >= thr))
-             = List.sort compare (Tally.meeting dense ~threshold:(fun c -> c >= thr)))
-           [ 1; 2; 4 ])
+             let threshold c = c >= thr in
+             Int_tally.meeting keyed ~threshold
+             = Tally_reference.meeting spec ~threshold)
+           [ 1; 2; 3; 5 ])
 
 let suite =
   ( "pool+dense-index",
@@ -259,5 +264,5 @@ let suite =
       quick "Bitset.clear keeps capacity" test_bitset_clear;
       quick "Arena push/get/clear/reset" test_arena_basics;
     ]
-    @ qcheck_cases [ prop_pool_matches_list_map; prop_tally_dense_equals_sparse ]
+    @ qcheck_cases [ prop_pool_matches_list_map; prop_tally_matches_reference ]
   )

@@ -669,6 +669,69 @@ let test_faulty_same_seed_deterministic () =
       (ia.Ubpa_runtime.Transport_faulty.inj_lost > 0)
   end
 
+(* The chaos-smoke RB cell ([ubpa run --runtime socket --protocol rb -n 5
+   --faults "delay:1@1..4=0.5x1,dup=0.05"], seed 1). RB tallies echoes
+   per round, so the delay victim's late echoes cost it the round-3
+   quorum for good, while every node outside the plan accepts. The
+   degradation gate excuses only the crash ledger, so it still judges the
+   victim and reports survivors-decide FAIL for this cell. *)
+let rb_delay_cell ~max_rounds =
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
+  let plan = plan_exn ~ids "delay:1@1..4=0.5x1,dup=0.05" in
+  let correct =
+    List.mapi (fun i id -> (id, if i = 0 then Some "m1" else None)) ids
+  in
+  let consistent a b =
+    List.for_all
+      (fun (x : Ubpa_scenarios.Scenarios.Rb.P.accepted) ->
+        List.for_all
+          (fun (y : Ubpa_scenarios.Scenarios.Rb.P.accepted) ->
+            (not (Node_id.equal x.sender y.sender))
+            || String.equal x.payload y.payload)
+          b)
+      a
+  in
+  match
+    Er.run_with_faults ~equal_output:consistent ~transport:`Socket
+      ~max_rounds ~faults:plan ~seed:1L ~correct ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok fv ->
+      let victims = Ubpa_faults.victims plan in
+      let undecided_outside_plan =
+        List.filter
+          (fun (n : Er.RT.node_summary) ->
+            n.ns_output = None
+            && not (List.exists (Node_id.equal n.ns_id) victims))
+          fv.Er.f_run.Er.RT.r_nodes
+      in
+      (victims, undecided_outside_plan, fv)
+
+let er_check_ok (fv : Er.fault_verdict) name =
+  List.exists
+    (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
+    fv.Er.f_checks
+
+let test_rb_delay_cell_victim_only () =
+  if Er.RT.available then begin
+    let victims, undecided, fv = rb_delay_cell ~max_rounds:6 in
+    check_int "one plan victim" 1 (List.length victims);
+    check_int "every node outside the plan accepts" 0 (List.length undecided);
+    check_true "safety stays green"
+      (er_check_ok fv "monitors"
+      && er_check_ok fv "survivor-agreement"
+      && er_check_ok fv "oracle-replay"
+      && er_check_ok fv "crash-view")
+  end
+
+let test_rb_delay_cell_short_run_fails () =
+  if Er.RT.available then begin
+    let _, undecided, fv = rb_delay_cell ~max_rounds:2 in
+    check_int "no node outside the plan accepts by round 2" 4
+      (List.length undecided);
+    check_false "survivors-decide fails" (er_check_ok fv "survivors-decide")
+  end
+
 let test_faulty_beyond_budget_violates () =
   (* Total receive-omission isolates one node: survivors stay safe and
      decide, the victim starves — a liveness violation the gate must
@@ -758,5 +821,9 @@ let suite =
       quick "faulty crash degrades gracefully" test_faulty_crash_degrades;
       quick "faulty runs are seed-deterministic" test_faulty_same_seed_deterministic;
       quick "beyond-budget isolation violates" test_faulty_beyond_budget_violates;
+      quick "rb delay cell: only the plan victim misses"
+        test_rb_delay_cell_victim_only;
+      quick "rb delay cell cut at round 2 fails"
+        test_rb_delay_cell_short_run_fails;
       quick "committed RT2 trace is reproducible" test_committed_rt2_trace_golden;
     ] )

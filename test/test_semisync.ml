@@ -86,7 +86,7 @@ module Probe = struct
   type state = { mutable log : (int * Ubpa_util.Node_id.t * int) list; mutable r : int }
 
   let name = "probe"
-  let init ~self:_ ~round:_ () = { log = []; r = 0 }
+  let init ~self:_ ~round:_ ~index:_ () = { log = []; r = 0 }
   let pp_message ppf (Ping r) = Fmt.pf ppf "ping(%d)" r
 
   include Protocol.Structural (struct

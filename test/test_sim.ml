@@ -18,7 +18,7 @@ module Probe = struct
   }
 
   let name = "probe"
-  let init ~self:_ ~round:_ ({ lifetime } : input) =
+  let init ~self:_ ~round:_ ~index:_ ({ lifetime } : input) =
     { lifetime; log = []; steps = 0 }
   let pp_message ppf (Ping r) = Fmt.pf ppf "ping(%d)" r
 

@@ -78,35 +78,60 @@ let test_rng_shuffle_permutation () =
   let s = Rng.shuffle rng l in
   check_true "permutation" (List.sort compare s = l)
 
+module Str_tally = Tally.Make (String)
+
+let tally_index = Interner.of_ids (List.init 6 Node_id.of_int)
+
 let test_tally_dedup () =
-  let t = Tally.create ~compare:String.compare () in
+  let t = Str_tally.create ~index:tally_index () in
   let a = Node_id.of_int 1 and b = Node_id.of_int 2 in
-  Tally.add t ~sender:a "x";
-  Tally.add t ~sender:a "x";
-  Tally.add t ~sender:b "x";
-  check_int "same sender counted once" 2 (Tally.count t "x");
-  check_int "absent content" 0 (Tally.count t "y")
+  Str_tally.add t ~sender:a "x";
+  Str_tally.add t ~sender:a "x";
+  Str_tally.add t ~sender:b "x";
+  check_int "same sender counted once" 2 (Str_tally.count t "x");
+  check_int "absent content" 0 (Str_tally.count t "y")
+
+let test_tally_repeat_add_allocates_nothing () =
+  let t = Str_tally.create ~index:tally_index () in
+  let a = Node_id.of_int 1 and b = Node_id.of_int 2 in
+  Str_tally.add t ~sender:a "x";
+  Str_tally.add t ~sender:b "y";
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let idle = words ignore in
+  let adds =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          Str_tally.add t ~sender:a "x";
+          Str_tally.add t ~sender:b "x"
+        done)
+  in
+  Alcotest.(check (float 0.)) "no minor words beyond the probe's own" idle adds;
+  check_int "both senders counted" 2 (Str_tally.count t "x")
 
 let test_tally_max_and_meeting () =
-  let t = Tally.create ~compare:String.compare () in
+  let t = Str_tally.create ~index:tally_index () in
   List.iteri
-    (fun i v -> Tally.add t ~sender:(Node_id.of_int i) v)
+    (fun i v -> Str_tally.add t ~sender:(Node_id.of_int i) v)
     [ "a"; "a"; "a"; "b"; "b"; "c" ];
-  (match Tally.max_by_count t with
+  (match Str_tally.max_by_count t with
   | Some ("a", 3) -> ()
   | other ->
       Alcotest.failf "expected (a,3), got %s"
         (match other with
         | Some (k, c) -> Printf.sprintf "(%s,%d)" k c
         | None -> "none"));
-  let meets = Tally.meeting t ~threshold:(fun c -> c >= 2) in
+  let meets = Str_tally.meeting t ~threshold:(fun c -> c >= 2) in
   check_true "a and b meet" (List.sort compare meets = [ "a"; "b" ])
 
 let test_tally_tie_break () =
-  let t = Tally.create ~compare:String.compare () in
-  Tally.add t ~sender:(Node_id.of_int 1) "z";
-  Tally.add t ~sender:(Node_id.of_int 2) "a";
-  match Tally.max_by_count t with
+  let t = Str_tally.create ~index:tally_index () in
+  Str_tally.add t ~sender:(Node_id.of_int 1) "z";
+  Str_tally.add t ~sender:(Node_id.of_int 2) "a";
+  match Str_tally.max_by_count t with
   | Some ("a", 1) -> ()
   | _ -> Alcotest.fail "tie must break toward the smaller content"
 
@@ -226,6 +251,8 @@ let suite =
       quick "tally: duplicate senders collapse" test_tally_dedup;
       quick "tally: max_by_count and meeting" test_tally_max_and_meeting;
       quick "tally: deterministic tie-break" test_tally_tie_break;
+      quick "tally: a repeat add allocates nothing"
+        test_tally_repeat_add_allocates_nothing;
       quick "stats: summaries" test_stats;
       quick "stats: histogram" test_histogram;
       quick "table: render and csv" test_table;
