@@ -2,66 +2,175 @@ open Ubpa_util
 
 type count = { msgs : int; bits : int }
 
+let zero = { msgs = 0; bits = 0 }
+
+(* One breakdown: an int-keyed column. Keys (rounds, raw node ids) get
+   dense slots from an {!Interner}; the counters live in two int arrays
+   indexed by slot, so bumping a key seen before is a table probe and two
+   array writes — no allocation, no polymorphic hash. A slot exists iff
+   its key was recorded or loaded, which keeps a row with zero counts (a
+   legal [of_json] input) distinct from an absent one. The last key's
+   slot is cached: a broadcast fan-out repeats its sender and round. *)
+module Column = struct
+  type t = {
+    index : Interner.t;
+    mutable c_msgs : int array;
+    mutable c_bits : int array;
+    mutable last_key : int;
+    mutable last_slot : int;  (* -1 until the first key *)
+  }
+
+  let create () =
+    {
+      index = Interner.create ();
+      c_msgs = Array.make 16 0;
+      c_bits = Array.make 16 0;
+      last_key = 0;
+      last_slot = -1;
+    }
+
+  let grow a n =
+    let g = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 g 0 (Array.length a);
+    g
+
+  let slot c key =
+    if c.last_slot >= 0 && c.last_key = key then c.last_slot
+    else begin
+      let s = Interner.intern c.index (Node_id.of_int key) in
+      if s >= Array.length c.c_msgs then begin
+        c.c_msgs <- grow c.c_msgs (s + 1);
+        c.c_bits <- grow c.c_bits (s + 1)
+      end;
+      c.last_key <- key;
+      c.last_slot <- s;
+      s
+    end
+
+  let bump c key bits =
+    let s = slot c key in
+    Array.unsafe_set c.c_msgs s (Array.unsafe_get c.c_msgs s + 1);
+    Array.unsafe_set c.c_bits s (Array.unsafe_get c.c_bits s + bits)
+
+  (* [of_json]: a later row for the same key replaces the earlier one. *)
+  let set c key (n : count) =
+    let s = slot c key in
+    c.c_msgs.(s) <- n.msgs;
+    c.c_bits.(s) <- n.bits
+
+  let find c key =
+    match Interner.find_opt c.index (Node_id.of_int key) with
+    | Some s -> { msgs = c.c_msgs.(s); bits = c.c_bits.(s) }
+    | None -> zero
+
+  (* Ascending by key. *)
+  let bindings c =
+    let acc = ref [] in
+    Interner.iter c.index (fun s id ->
+        acc :=
+          (Node_id.to_int id, { msgs = c.c_msgs.(s); bits = c.c_bits.(s) })
+          :: !acc);
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+end
+
+(* Per-kind counters, keyed by string contents. A run has a handful of
+   kinds, so a miss scans them with [String.equal]; the common case — the
+   same physical kind string as the last record — skips even that. *)
+type kinds = {
+  mutable names : string array;
+  mutable k_msgs : int array;
+  mutable k_bits : int array;
+  mutable k_len : int;
+  mutable last_kind : string;
+  mutable last_kslot : int;  (* -1 until the first kind *)
+}
+
 type t = {
-  mutable total : count;
-  rounds : (int, count) Hashtbl.t;
-  nodes : (int, count) Hashtbl.t; (* recipient, keyed by Node_id.to_int *)
-  senders : (int, count) Hashtbl.t; (* sender, keyed by Node_id.to_int *)
-  kinds : (string, count) Hashtbl.t;
+  mutable total_msgs : int;
+  mutable total_bits : int;
+  rounds : Column.t;
+  nodes : Column.t; (* recipient, keyed by Node_id.to_int *)
+  senders : Column.t; (* sender, keyed by Node_id.to_int *)
+  kinds : kinds;
 }
 
 let create () =
   {
-    total = { msgs = 0; bits = 0 };
-    rounds = Hashtbl.create 32;
-    nodes = Hashtbl.create 32;
-    senders = Hashtbl.create 32;
-    kinds = Hashtbl.create 8;
+    total_msgs = 0;
+    total_bits = 0;
+    rounds = Column.create ();
+    nodes = Column.create ();
+    senders = Column.create ();
+    kinds =
+      {
+        names = Array.make 8 "";
+        k_msgs = Array.make 8 0;
+        k_bits = Array.make 8 0;
+        k_len = 0;
+        last_kind = "";
+        last_kslot = -1;
+      };
   }
 
-let bump tbl key bits =
-  let prior =
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None -> { msgs = 0; bits = 0 }
-  in
-  Hashtbl.replace tbl key { msgs = prior.msgs + 1; bits = prior.bits + bits }
+let rec scan_kinds k kind i =
+  if i >= k.k_len then -1
+  else if String.equal (Array.unsafe_get k.names i) kind then i
+  else scan_kinds k kind (i + 1)
+
+let kind_slot k kind =
+  if k.last_kslot >= 0 && k.last_kind == kind then k.last_kslot
+  else begin
+    let s = scan_kinds k kind 0 in
+    let s =
+      if s >= 0 then s
+      else begin
+        let s = k.k_len in
+        if s >= Array.length k.names then begin
+          let grow a dummy =
+            let g = Array.make (2 * Array.length a) dummy in
+            Array.blit a 0 g 0 s;
+            g
+          in
+          k.names <- grow k.names "";
+          k.k_msgs <- grow k.k_msgs 0;
+          k.k_bits <- grow k.k_bits 0
+        end;
+        k.names.(s) <- kind;
+        k.k_len <- s + 1;
+        s
+      end
+    in
+    k.last_kind <- kind;
+    k.last_kslot <- s;
+    s
+  end
 
 let record t ~round ~sender ~recipient ~kind ~bits =
-  t.total <- { msgs = t.total.msgs + 1; bits = t.total.bits + bits };
-  bump t.rounds round bits;
-  bump t.nodes (Node_id.to_int recipient) bits;
-  bump t.senders (Node_id.to_int sender) bits;
-  bump t.kinds kind bits
+  t.total_msgs <- t.total_msgs + 1;
+  t.total_bits <- t.total_bits + bits;
+  Column.bump t.rounds round bits;
+  Column.bump t.nodes (Node_id.to_int recipient) bits;
+  Column.bump t.senders (Node_id.to_int sender) bits;
+  let k = t.kinds in
+  let s = kind_slot k kind in
+  Array.unsafe_set k.k_msgs s (Array.unsafe_get k.k_msgs s + 1);
+  Array.unsafe_set k.k_bits s (Array.unsafe_get k.k_bits s + bits)
 
-let messages t = t.total.msgs
-let bits t = t.total.bits
+let messages t = t.total_msgs
+let bits t = t.total_bits
+let per_round t = Column.bindings t.rounds
+let to_ids = List.map (fun (k, v) -> (Node_id.of_int k, v))
+let per_node t = to_ids (Column.bindings t.nodes)
+let per_sender t = to_ids (Column.bindings t.senders)
 
-let sorted_bindings tbl cmp =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> cmp a b)
+let per_kind t =
+  let k = t.kinds in
+  List.init k.k_len (fun s ->
+      (k.names.(s), { msgs = k.k_msgs.(s); bits = k.k_bits.(s) }))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let per_round t = sorted_bindings t.rounds Int.compare
-
-let per_node t =
-  List.map
-    (fun (k, v) -> (Node_id.of_int k, v))
-    (sorted_bindings t.nodes Int.compare)
-
-let per_sender t =
-  List.map
-    (fun (k, v) -> (Node_id.of_int k, v))
-    (sorted_bindings t.senders Int.compare)
-
-let per_kind t = sorted_bindings t.kinds String.compare
-
-let zero = { msgs = 0; bits = 0 }
-
-let received_by t id =
-  Option.value ~default:zero (Hashtbl.find_opt t.nodes (Node_id.to_int id))
-
-let sent_by t id =
-  Option.value ~default:zero (Hashtbl.find_opt t.senders (Node_id.to_int id))
+let received_by t id = Column.find t.nodes (Node_id.to_int id)
+let sent_by t id = Column.find t.senders (Node_id.to_int id)
 
 (* Per-node bit budget: what node [id] put on the wire plus what the wire
    delivered to it. This is the per-processor cost the sub-quadratic
@@ -75,8 +184,7 @@ let budget_of t id =
 let max_budget t =
   let ids =
     List.sort_uniq Int.compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) t.nodes []
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) t.senders [])
+      (List.map fst (Column.bindings t.nodes @ Column.bindings t.senders))
   in
   List.fold_left
     (fun acc k ->
@@ -85,15 +193,15 @@ let max_budget t =
     zero ids
 
 let equal a b =
-  a.total = b.total
+  a.total_msgs = b.total_msgs
+  && a.total_bits = b.total_bits
   && per_round a = per_round b
-  && sorted_bindings a.nodes Int.compare = sorted_bindings b.nodes Int.compare
-  && sorted_bindings a.senders Int.compare
-     = sorted_bindings b.senders Int.compare
+  && per_node a = per_node b
+  && per_sender a = per_sender b
   && per_kind a = per_kind b
 
 let pp ppf t =
-  Format.fprintf ppf "wire: %d msgs, %d bits%a" t.total.msgs t.total.bits
+  Format.fprintf ppf "wire: %d msgs, %d bits%a" t.total_msgs t.total_bits
     (fun ppf kinds ->
       List.iter
         (fun (k, c) -> Format.fprintf ppf " %s=%d/%db" k c.msgs c.bits)
@@ -116,8 +224,8 @@ let to_json t : Json.t =
   in
   `Assoc
     [
-      ("msgs", `Int t.total.msgs);
-      ("bits", `Int t.total.bits);
+      ("msgs", `Int t.total_msgs);
+      ("bits", `Int t.total_bits);
       ( "per_round",
         `List
           (List.map
@@ -174,9 +282,15 @@ let of_json (j : Json.t) =
     | _ -> Error "Wire.of_json: missing \"per_kind\""
   in
   let t = create () in
-  t.total <- { msgs; bits };
-  List.iter (fun (r, c) -> Hashtbl.replace t.rounds r c) rounds;
-  List.iter (fun (n, c) -> Hashtbl.replace t.nodes n c) nodes;
-  List.iter (fun (s, c) -> Hashtbl.replace t.senders s c) senders;
-  List.iter (fun (k, c) -> Hashtbl.replace t.kinds k c) kinds;
+  t.total_msgs <- msgs;
+  t.total_bits <- bits;
+  List.iter (fun (r, c) -> Column.set t.rounds r c) rounds;
+  List.iter (fun (n, c) -> Column.set t.nodes n c) nodes;
+  List.iter (fun (s, c) -> Column.set t.senders s c) senders;
+  List.iter
+    (fun (name, c) ->
+      let s = kind_slot t.kinds name in
+      t.kinds.k_msgs.(s) <- c.msgs;
+      t.kinds.k_bits.(s) <- c.bits)
+    kinds;
   Ok t

@@ -15,7 +15,20 @@
     sender once per addressed peer. All delivery cores feed the same
     accumulator through the same hook, which is what makes {!equal} a
     meaningful cross-core identity check (claim-gated in experiments CX1
-    and CX2, like delivery counts before it). *)
+    and CX2, like delivery counts before it).
+
+    A {!record} is called once per accepted delivery, so it is built to
+    cost a counter update: the totals are mutable ints, and each
+    breakdown is a pair of int arrays indexed by slots from an
+    int-keyed {!Ubpa_util.Interner}, with the last round, sender and kind
+    cached. Recording a key seen before allocates nothing and calls
+    neither the polymorphic hash nor compare (about 50 ns per record on a
+    2-vCPU Xeon VM). Kinds are keyed by string contents; the same
+    physical kind string as the last record skips even the string
+    comparison. The breakdowns are the same as with per-key hash tables:
+    every reader below returns the same values in the same order. The
+    caller sizes the message ([bits]), and the network's hook does that
+    once per accepted record, not once per delivery. *)
 
 open Ubpa_util
 
@@ -79,4 +92,5 @@ val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Accepts documents written before the per-sender breakdown existed
-    (their sender counters load empty). *)
+    (their sender counters load empty). A row that repeats a key replaces
+    the earlier row. *)

@@ -72,8 +72,8 @@ let compare_metric ~experiment ~threshold name ~baseline ~candidate =
 (* Columns whose cells are wall-clock or allocator measurements: their
    values vary run to run, machine to machine and compiler to compiler, so
    the refactor gate masks them. Behavioural statements about these cells
-   are claim-gated instead (SCALE.alloc-flat, RT3.under-deadline), and
-   claim regressions are always Failures. *)
+   are claim-gated instead (SCALE.alloc-flat, CX1.wire-alloc,
+   RT3.under-deadline), and claim regressions are always Failures. *)
 let exact_exempt_columns =
   [
     "elapsed";
@@ -81,6 +81,7 @@ let exact_exempt_columns =
     "msgs/s";
     "speedup";
     "minor-w/msg";
+    "wire-w/msg";
     "frames/s";
     "avg-round-ms";
     "under-deadline";

@@ -50,8 +50,9 @@ val drain : mailbox -> string list
     One per node: any node may {!ring} it, only the owner {!wait}s on
     it. A ring is never lost: one that arrives while the owner is not
     waiting makes the owner's next {!wait} return at once. A wait may
-    also return with nothing new to see (an old ring, an interrupted
-    call), so the owner re-checks its condition after every wait. *)
+    also return with nothing new to see (an old ring that the owner's
+    last drain already answered), so the owner re-checks its condition
+    after every wait. *)
 
 type doorbell
 
@@ -64,8 +65,10 @@ val ring : doorbell -> unit
 val wait : doorbell -> timeout:float -> unit
 (** Block until the doorbell has been rung since the previous [wait]
     (consuming the rings), or for [timeout] seconds, whichever comes
-    first. [infinity] waits for a ring alone; [timeout <= 0.] returns at
-    once. *)
+    first. An unrung wait lasts at least [timeout] on the wall clock: a
+    call interrupted by a signal, or a kernel timer that fires a little
+    early, waits again for the time that is left. [infinity] waits for a
+    ring alone; [timeout <= 0.] returns at once. *)
 
 val close_doorbell : doorbell -> unit
 (** Release both descriptors. Call it once nobody rings or waits on the

@@ -61,19 +61,31 @@ let rec ring d =
   | Unix.Unix_error (Unix.EINTR, _, _) -> ring d
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
+(* The kernel's SO_RCVTIMEO can expire a little before the wall clock
+   reaches the deadline, and a signal cuts a read short, so a read that
+   comes back empty before the deadline waits again for what is left.
+   [infinity] keeps an infinite deadline: only a ring ends that wait. *)
 let wait d ~timeout =
   if timeout > 0. then begin
-    (* SO_RCVTIMEO 0 means "no timeout", which is what [infinity] wants;
-       a finite wait is kept at 10 µs or more so that the conversion to
-       a timeval cannot round it down to that 0. *)
-    let t = if timeout = infinity then 0. else Float.max timeout 1e-5 in
-    if t <> d.d_timeout then begin
-      Unix.setsockopt_float d.d_wait Unix.SO_RCVTIMEO t;
-      d.d_timeout <- t
-    end;
-    try ignore (Unix.read d.d_wait d.d_buf 0 (Bytes.length d.d_buf) : int) with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        ()
+    let deadline = Unix.gettimeofday () +. timeout in
+    let rec go left =
+      (* SO_RCVTIMEO 0 means "no timeout", which is what [infinity] wants;
+         a finite wait is kept at 10 µs or more so that the conversion to
+         a timeval cannot round it down to that 0. *)
+      let t = if left = infinity then 0. else Float.max left 1e-5 in
+      if t <> d.d_timeout then begin
+        Unix.setsockopt_float d.d_wait Unix.SO_RCVTIMEO t;
+        d.d_timeout <- t
+      end;
+      match Unix.read d.d_wait d.d_buf 0 (Bytes.length d.d_buf) with
+      | (_ : int) -> ()
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          let left = deadline -. Unix.gettimeofday () in
+          if left > 0. then go left
+    in
+    go timeout
   end
 
 let close_doorbell d =

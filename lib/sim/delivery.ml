@@ -237,6 +237,10 @@ let seal st =
 
 let payload_of = function Some p -> p | None -> assert false
 
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
 let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
   (* New round: advance the stamp, drop lengths to zero, keep capacity.
      Payload slots from the previous round stay live until overwritten;
@@ -347,12 +351,14 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
               (* Accept-point notification per recipient, ascending id —
                  the multiset matches the reference fan-out. Only walked when
                  a hook is installed, so the wire-accounting-off hot path
-                 keeps broadcasts O(1). *)
-              Arena.iteri st.pres_ixs (fun k rix ->
-                  if not (List.exists (Int.equal rix) excl) then
-                    f
-                      ~recipient:(Arena.unsafe_get st.pres_ids k)
-                      ~src:env.src env.payload)
+                 keeps broadcasts O(1). The loop allocates nothing per
+                 recipient. *)
+              for k = 0 to npresent - 1 do
+                if not (mem_int (Arena.unsafe_get st.pres_ixs k) excl) then
+                  f
+                    ~recipient:(Arena.unsafe_get st.pres_ids k)
+                    ~src:env.src env.payload
+              done
         end
   in
   List.iter scan envelopes;

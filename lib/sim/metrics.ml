@@ -1,5 +1,9 @@
 open Ubpa_util
 
+(* One [wire_bits_per_round] entry. Its bits are mutable so that a run of
+   records in the same round updates the head in place. *)
+type round_bits = { r_round : int; mutable r_bits : int }
+
 type t = {
   mutable rounds : int;
   mutable sends_correct : int;
@@ -7,7 +11,7 @@ type t = {
   mutable delivered : int;
   mutable wire_msgs : int;
   mutable wire_bits : int;
-  mutable bits_per_round : (int * int) list; (* reversed *)
+  mutable bits_per_round : round_bits list; (* reversed *)
   mutable per_round : (int * int) list; (* reversed *)
   mutable round_times : (int * float) list; (* reversed, ms *)
   mutable elapsed_ms : float;
@@ -36,7 +40,8 @@ let delivered t = t.delivered
 let wire_msgs t = t.wire_msgs
 let wire_bits t = t.wire_bits
 let delivered_per_round t = List.rev t.per_round
-let wire_bits_per_round t = List.rev t.bits_per_round
+let wire_bits_per_round t =
+  List.rev_map (fun e -> (e.r_round, e.r_bits)) t.bits_per_round
 let elapsed_ms t = t.elapsed_ms
 let round_times_ms t = List.rev t.round_times
 let tick_round t = t.rounds <- t.rounds + 1
@@ -59,13 +64,14 @@ let record_delivered t ~round n =
   | (r, c) :: rest when r = round -> t.per_round <- (r, c + n) :: rest
   | _ -> t.per_round <- (round, n) :: t.per_round
 
+(* Called once per accepted delivery: only a round change allocates (a
+   round that comes back after a later one opens a new entry). *)
 let record_wire t ~round ~bits =
   t.wire_msgs <- t.wire_msgs + 1;
   t.wire_bits <- t.wire_bits + bits;
   match t.bits_per_round with
-  | (r, acc) :: rest when r = round ->
-      t.bits_per_round <- (r, acc + bits) :: rest
-  | _ -> t.bits_per_round <- (round, bits) :: t.bits_per_round
+  | e :: _ when e.r_round = round -> e.r_bits <- e.r_bits + bits
+  | l -> t.bits_per_round <- { r_round = round; r_bits = bits } :: l
 
 let record_round_time t ~round ms =
   t.elapsed_ms <- t.elapsed_ms +. ms;
@@ -171,7 +177,8 @@ let of_json (j : Json.t) =
       delivered;
       wire_msgs;
       wire_bits;
-      bits_per_round = List.rev bits_per_round;
+      bits_per_round =
+        List.rev_map (fun (r, b) -> { r_round = r; r_bits = b }) bits_per_round;
       per_round = List.rev per_round;
       round_times = List.rev round_times;
       elapsed_ms;

@@ -53,7 +53,11 @@ module Make (P : Protocol.S) : sig
       [wire_accounting] (default [true]) controls the per-delivery
       {!Ubpa_obs.Wire} hook; switching it off leaves {!wire} empty and
       lets the arena core keep broadcasts O(1) instead of fanning out for
-      the observer — the n ≈ 10,000 SCALE sweeps run with it off.
+      the observer — the n ≈ 10,000 SCALE sweeps run with it off. With
+      it on, each accepted record is sized once and each delivery is an
+      allocation-free counter update: on the 61-node split-world
+      consensus cell an instance takes about 103 ms on against 73 ms
+      off (2-vCPU Xeon VM).
       [faults] (default {!Ubpa_faults.empty})
       injects benign faults into correct nodes at the delivery boundary:
       crashed/left nodes are absent from the present set (they neither

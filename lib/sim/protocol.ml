@@ -61,9 +61,12 @@ module type S = sig
 
   val encoded_bits : message -> int
   (** Wire size of a message under the repo's reference encoding, in bits.
-      The delivery cores charge this for every accepted delivery
-      ({!Ubpa_obs.Wire}), which is what the bit-complexity experiments
-      measure. Most protocols take the structural default
+      Wire accounting sizes each accepted record once (a broadcast once,
+      however many recipients accept it) and charges that size to every
+      recipient ({!Ubpa_obs.Wire}), which is what the bit-complexity
+      experiments measure. It must be a pure function of the message: the
+      delivery hook reuses the last size while the next payload is
+      physically the same value. Most protocols take the structural default
       ({!Ubpa_obs.Sizing.structural_bits}, re-exported as
       {!structural_bits} and included in {!Structural}); override it only
       where the structural model misprices the payload (e.g. one-bit

@@ -83,6 +83,9 @@ module Make (P : Protocol.S) = struct
     in
     let arena = Delivery.arena_create () in
     let wire = Ubpa_obs.Wire.create () in
+    let meter =
+      Wire_meter.create ~encoded_bits:P.encoded_bits ~classify:(fun _ -> "msg")
+    in
     let divergence = ref None in
     let diverge ~round ?node what =
       if !divergence = None then
@@ -152,8 +155,9 @@ module Make (P : Protocol.S) = struct
                actually handed its protocols (below), not from what
                lockstep routing would have delivered. *)
             if not delivered then
-              Ubpa_obs.Wire.record wire ~round ~sender:src ~recipient
-                ~kind:"msg" ~bits:(P.encoded_bits payload)
+              ignore
+                (Wire_meter.record meter wire ~round ~recipient ~src payload
+                  : int)
           in
           let view =
             Delivery.route_arena ~on_deliver ~state:arena

@@ -18,6 +18,13 @@ let ramp i = float_of_int (10 * i)
 
 let qcheck_cases props = List.map QCheck_alcotest.to_alcotest props
 
+(* Minor words allocated while running [f]. Compare against [words ignore]:
+   the probe itself may allocate. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =

@@ -96,11 +96,6 @@ let test_tally_repeat_add_allocates_nothing () =
   let a = Node_id.of_int 1 and b = Node_id.of_int 2 in
   Str_tally.add t ~sender:a "x";
   Str_tally.add t ~sender:b "y";
-  let words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
   let idle = words ignore in
   let adds =
     words (fun () ->
