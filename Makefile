@@ -38,15 +38,14 @@ bench-json:
 
 # What CI runs: fast sweeps + the self-checking claim gate.
 bench-check:
-	dune exec bench/main.exe -- --fast --no-timing --json results/json-fast/ \
-		--jobs $(JOBS)
+	dune exec bench/main.exe -- --fast --json results/json-fast/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-fast/
 
 # Selected experiments only, with the claim gate:
 # `make bench-only EXP=SCALE,RT3`.
 bench-only:
-	dune exec bench/main.exe -- --only $(EXP) --no-timing \
-		--json results/json-only/ --jobs $(JOBS)
+	dune exec bench/main.exe -- --only $(EXP) --json results/json-only/ \
+		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-only/
 
 # The arena core at scale: the full SCALE sweep — single-sender RB to
@@ -57,8 +56,8 @@ bench-only:
 # peaking at 2.6 GB RSS: the consensus n=301 cell's candidate-echo
 # buffer sets the peak, and the RB n=10,000 cell needs about 75 MB.
 scale:
-	dune exec bench/main.exe -- --only SCALE --no-timing \
-		--json results/json-scale/ --jobs $(JOBS)
+	dune exec bench/main.exe -- --only SCALE --json results/json-scale/ \
+		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-scale/
 
 # Regenerate the committed refactor-gate baseline. PERF is excluded on
@@ -74,18 +73,17 @@ scale:
 # the claims still gate), while timing/alloc cells everywhere are exempt
 # from the exact diff by column name (Diff.exact_exempt_columns).
 bench-baseline:
-	dune exec bench/main.exe -- --fast --no-timing --json bench/baseline/
-	dune exec bench/main.exe -- --only SCALE --no-timing --json bench/baseline/
-	dune exec bench/main.exe -- --only CX2 --no-timing --json bench/baseline/
+	dune exec bench/main.exe -- --fast --json bench/baseline/
+	dune exec bench/main.exe -- --only SCALE --json bench/baseline/
+	dune exec bench/main.exe -- --only CX2 --json bench/baseline/
 	rm -f bench/baseline/BENCH_PERF.json
 
 # The refactor gate CI runs: fast sweeps diffed cell-for-cell against
-# the committed baseline (wall-clock metadata exempt, timing gate off).
+# the committed baseline (wall-clock metadata exempt).
 # The baseline was produced serially, so running the gate with JOBS > 1
 # doubles as the parallel-vs-serial byte-identity check.
 bench-gate:
-	dune exec bench/main.exe -- --fast --no-timing --json results/json-fast/ \
-		--jobs $(JOBS)
+	dune exec bench/main.exe -- --fast --json results/json-fast/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --exact bench/baseline results/json-fast/
 
 # Exhaustive small-model safety checking (MC1): the six calibrated cells
@@ -93,14 +91,14 @@ bench-gate:
 # CI runs this on both compiler legs; `make bench-gate` additionally
 # diffs the artifact byte-for-byte against bench/baseline/BENCH_MC1.json.
 check:
-	dune exec bench/main.exe -- --only MC1 --fast --no-timing \
-		--json results/json-mc/ --jobs $(JOBS)
+	dune exec bench/main.exe -- --only MC1 --fast --json results/json-mc/ \
+		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-mc/
 
 # Deeper, slower sweeps straight through the CLI — not part of any gate.
-# On a 2-vCPU Xeon VM, serial: rb n=5 takes 1 s and consensus n=4 7 s;
-# rb n=4 at 6 rounds needs more than that VM's 7 GB of memory (5 rounds
-# peak at about 3 GB). `make check-full JOBS=0` uses every core for the
+# On a 2-vCPU Xeon VM, serial: rb n=5 takes 0.3 s and consensus n=4 3.2 s;
+# rb n=4 at 6 rounds takes 18 s at a 3.8 GB peak RSS (5 rounds peak at
+# about 0.9 GB). `make check-full JOBS=0` uses every core for the
 # frontier expansion.
 check-full:
 	dune exec bin/ubpa_cli.exe -- check --protocol rb -n 5 -f 1 \
@@ -137,10 +135,11 @@ runtime:
 
 # Fault-injected runtime smoke: seeded wire faults + process crashes on
 # both transports, gated on graceful degradation (delivered-schedule
-# oracle, monitors, survivor agreement), plus one deliberately
-# beyond-budget cell that must produce its violation. Exit codes are the
-# verdict. `make runtime-chaos UBPA_SEED=9` re-rolls every fault stream.
-# See EXPERIMENTS.md (RT2) for the committed-baseline version.
+# oracle, monitors, agreement and decision of the nodes outside the
+# plan), plus one deliberately beyond-budget cell (two of four nodes
+# isolated, more than f = 1) that must produce its violation. Exit codes
+# are the verdict. `make runtime-chaos UBPA_SEED=9` re-rolls every fault
+# stream. See EXPERIMENTS.md (RT2) for the committed-baseline version.
 runtime-chaos:
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus \
 		-n 5 --seed $(UBPA_SEED) --round-ms 60 --faults "crash:1@3,loss=0.05"
@@ -152,7 +151,8 @@ runtime-chaos:
 		--seed $(UBPA_SEED) --max-rounds 6 --round-ms 60 \
 		--faults "delay:1@1..4=0.5x1,dup=0.05"
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus \
-		-n 4 --seed 1 --max-rounds 12 --faults "recv-omit:1@1..12=1.0" \
+		-n 4 --seed 1 --max-rounds 12 \
+		--faults "recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0" \
 		--expect violation
 
 fmt:

@@ -4,9 +4,8 @@
    defines the evaluation suite E1-E12 + A1-A3: one table per claim of the
    paper, regenerated by this executable. `--only E3,SCALE` selects
    experiments,
-   `--fast` shrinks the sweeps, `--no-timing` skips the bechamel section,
-   `--jobs N` runs sweep cells on N worker domains (tables stay
-   byte-identical — see PERF2). *)
+   `--fast` shrinks the sweeps, `--jobs N` runs sweep cells on N worker
+   domains (tables stay byte-identical — see PERF2). *)
 
 open Ubpa_util
 open Ubpa_sim
@@ -15,18 +14,15 @@ open Ubpa_scenarios
 
 let fast = ref false
 let only : string option ref = ref None
-let no_timing = ref false
 let csv_dir : string option ref = ref None
 let json_dir : string option ref = ref None
 
 let jobs : int option ref = ref None
 (* --jobs N; None falls back to UBPA_JOBS, then 1 (see Pool.map) *)
 
-let usage () =
-  print_string
-    "usage: main.exe [options]\n\
+let usage =
+  "usage: main.exe [options]\n\
      \  --fast         shrink every sweep (CI smoke mode)\n\
-     \  --no-timing    skip the bechamel timing section\n\
      \  --only ID[,ID] run selected experiments (e.g. --only E3,SCALE)\n\
      \  --csv DIR      write one CSV per experiment into DIR\n\
      \  --json DIR     write one BENCH_<ID>.json artifact per experiment\n\
@@ -2019,10 +2015,11 @@ let rt1 () =
    do not shrink under --fast): fault-free cells re-run the full RT1
    exact-equivalence gate; within-budget cells (loss, delay, single
    crash) gate on graceful degradation (delivered-schedule oracle,
-   monitors with victims excused, survivor agreement and decision); one
-   deliberately beyond-budget cell (total receive-omission isolates a
-   node) is EXPECTED to violate — its point is the committed,
-   replayable counterexample trace (TRACE_RT2.jsonl). Every fault
+   monitors with every plan victim excused, agreement and decision of
+   the nodes outside the plan); one deliberately beyond-budget cell
+   (total receive-omission isolates two of four nodes, more than f = 1)
+   is EXPECTED to violate — its point is the committed, replayable
+   counterexample trace (TRACE_RT2.jsonl). Every fault
    decision draws from per-directed-edge splitmix64 streams keyed by
    (seed, src, dst, direction), so all cells — including the injected
    counters — are byte-identical across transports, schedulers and
@@ -2265,7 +2262,8 @@ let rt2 () =
     ();
   cons_cell ~fname:"crash-1" ~spec:"crash:1@3" ~n:5 ~round_ms:80.
     ~mode:"degrade" ();
-  cons_cell ~fname:"isolate" ~spec:"recv-omit:1@1..12=1.0" ~n:4 ~max_rounds:12
+  cons_cell ~fname:"isolate"
+    ~spec:"recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0" ~n:4 ~max_rounds:12
     ~mode:"violate" ();
   t
 
@@ -3333,89 +3331,41 @@ module Claims = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  let runs name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"unknown-ba"
-      [
-        runs "rb n=13" (fun () ->
-            ignore (Scenarios.Rb.run ~n_correct:13 ~payload:"m" ()));
-        runs "rotor n=13" (fun () ->
-            ignore (Scenarios.Rotor_int.run ~n_correct:13 ()));
-        runs "consensus n=13 split" (fun () ->
-            ignore
-              (Scenarios.Consensus_int.run ~n_correct:13
-                 ~inputs:(fun i -> i mod 2)
-                 ()));
-        runs "aa n=13 k=4" (fun () ->
-            ignore
-              (Scenarios.Aa.run ~iterations:4 ~n_correct:13
-                 ~inputs:(fun i -> float_of_int i)
-                 ()));
-        runs "parallel n=5 k=4" (fun () ->
-            ignore
-              (Scenarios.Parallel_int.run ~n_correct:5
-                 ~inputs:(fun _ -> List.init 4 (fun j -> (j, j)))
-                 ()));
-        runs "total-order n=4 r=6" (fun () ->
-            ignore
-              (Scenarios.Total_order_str.run ~n_genesis:4 ~rounds:6
-                 ~events_per_round:1 ()));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "";
-  print_endline "== Timing (bechamel, monotonic clock per run) ==";
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let cell =
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.sprintf "%12.3f ms/run" (est /. 1e6)
-          | _ -> "(no estimate)"
-        in
-        (name, cell) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, cell) -> Printf.printf "%-40s %s\n" name cell) rows
-
-(* ------------------------------------------------------------------ *)
 
 let () =
-  Array.iteri
-    (fun i arg ->
-      match arg with
-      | "--fast" -> fast := true
-      | "--no-timing" -> no_timing := true
-      | "--only" when i + 1 < Array.length Sys.argv ->
-          only := Some Sys.argv.(i + 1)
-      | "--csv" when i + 1 < Array.length Sys.argv ->
-          csv_dir := Some Sys.argv.(i + 1)
-      | "--json" when i + 1 < Array.length Sys.argv ->
-          json_dir := Some Sys.argv.(i + 1)
-      | "--jobs" when i + 1 < Array.length Sys.argv -> (
-          match int_of_string_opt Sys.argv.(i + 1) with
-          | Some j when j >= 0 -> jobs := Some j
-          | _ ->
-              prerr_endline "main.exe: --jobs expects a non-negative integer";
-              exit 2)
-      | "--help" | "-h" ->
-          usage ();
-          exit 0
-      | _ -> ())
-    Sys.argv;
+  let fail msg =
+    prerr_endline ("main.exe: " ^ msg);
+    prerr_string usage;
+    exit 2
+  in
+  let rec parse = function
+    | [] -> ()
+    | "--fast" :: rest ->
+        fast := true;
+        parse rest
+    | "--only" :: v :: rest ->
+        only := Some v;
+        parse rest
+    | "--csv" :: v :: rest ->
+        csv_dir := Some v;
+        parse rest
+    | "--json" :: v :: rest ->
+        json_dir := Some v;
+        parse rest
+    | "--jobs" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some j when j >= 0 ->
+            jobs := Some j;
+            parse rest
+        | _ -> fail "--jobs expects a non-negative integer")
+    | ("--help" | "-h") :: _ ->
+        print_string usage;
+        exit 0
+    | [ (("--only" | "--csv" | "--json" | "--jobs") as flag) ] ->
+        fail (flag ^ " expects a value")
+    | arg :: _ -> fail ("unknown argument " ^ arg)
+  in
+  parse (List.tl (Array.to_list Sys.argv));
   register "E1" "reliable broadcast" e1;
   register "E2" "rotor-coordinator" e2;
   register "E2b" "rotor message profile" e2b;
@@ -3529,7 +3479,6 @@ let () =
                 ^ String.concat ", "
                     (List.map (fun (c : Artifact.claim) -> c.cid) l)))
     (List.filter wanted (List.rev !experiments));
-  if (not !no_timing) && !only = None then timing ();
   if !claim_failures > 0 then begin
     Printf.eprintf "%d claim(s) failed\n%!" !claim_failures;
     exit 1

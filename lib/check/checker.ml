@@ -4,10 +4,11 @@
    states, pending envelopes). Configurations are stored as adversary
    scripts and re-executed on expansion (protocol states are mutable, so
    a config is cheapest to materialize by replaying its script from the
-   root); within one expansion the replayed simulation is branched with
-   the model's [copy_state]. Expansion runs on the multicore Pool in
-   strict submission order and dedup keeps first occurrences, so results
-   are byte-identical at any --jobs. See docs/CHECKING.md. *)
+   root); within one expansion the replayed simulation is branched into
+   siblings that step each (node, delivered inbox) once ([memo]).
+   Expansion runs on the multicore Pool in strict submission order and
+   dedup keeps first occurrences, so results are byte-identical at any
+   --jobs. See docs/CHECKING.md. *)
 
 open Ubpa_util
 module Protocol = Ubpa_sim.Protocol
@@ -66,6 +67,7 @@ module Make (M : Model.S) = struct
     cn_id : Node_id.t;
     cn_input : P.input;
     mutable cn_state : P.state;
+    mutable cn_key : string Lazy.t;  (** [M.state_key cn_state] *)
     mutable cn_first_output : int option;
     mutable cn_output : P.output option;
     mutable cn_halted : int option;
@@ -92,10 +94,12 @@ module Make (M : Model.S) = struct
       Array.of_list
         (List.map
            (fun (id, input) ->
+             let state = P.init ~self:id ~round:1 ~index input in
              {
                cn_id = id;
                cn_input = input;
-               cn_state = P.init ~self:id ~round:1 ~index input;
+               cn_state = state;
+               cn_key = lazy (M.state_key state);
                cn_first_output = None;
                cn_output = None;
                cn_halted = None;
@@ -111,13 +115,13 @@ module Make (M : Model.S) = struct
       pending = [];
     }
 
-  let copy_sim sim =
+  (* A sibling of [base]: fresh node records over [base]'s states and
+     keys. Stepping it under the expansion's [memo] rebinds the
+     sibling's fields and never mutates a state it shares. *)
+  let sibling base =
     {
-      sim with
-      nodes =
-        Array.map
-          (fun n -> { n with cn_state = M.copy_state n.cn_state })
-          sim.nodes;
+      base with
+      nodes = Array.map (fun n -> { n with cn_state = n.cn_state }) base.nodes;
     }
 
   let active n = n.cn_halted = None && n.cn_down = None
@@ -145,13 +149,66 @@ module Make (M : Model.S) = struct
     in
     go 0
 
+  (* One node's step, with its state key deferred until first asked for. *)
+  type stepped = {
+    s_inbox : (Node_id.t * P.message) list;
+    s_state : P.state;
+    s_key : string Lazy.t;
+    s_sends : (Envelope.dest * P.message) list;
+    s_status : P.output Protocol.status;
+  }
+
+  let step_node ~self ~round state ~inbox =
+    let state, sends, status = P.step ~self ~round ~stim:[] state ~inbox in
+    {
+      s_inbox = inbox;
+      s_state = state;
+      s_key = lazy (M.state_key state);
+      s_sends = sends;
+      s_status = status;
+    }
+
+  (* The step memo of one expansion: per node, one entry per distinct
+     delivered inbox (after routing and the omission filter). The
+     siblings of an expansion share the round and every base state, and
+     a step is a deterministic function of (self, round, state, inbox),
+     so siblings that deliver a node the same inbox share one stepped
+     state, its sends, status and key. Sharing is safe because a sibling
+     is only read after its one step (properties, [all_done], vector
+     enumeration, [config_key]); the next layer replays from scripts. *)
+  type memo = stepped list array
+
+  let memo_create sim : memo = Array.make (Array.length sim.nodes) []
+
+  (* Senders first; then payloads, by [==] before [P.equal_message]:
+     siblings deliver the physically same correct payloads. *)
+  let same_inbox a b =
+    List.equal (fun (s, _) (s', _) -> Node_id.equal s s') a b
+    && List.for_all2
+         (fun (_, m) (_, m') -> m == m' || P.equal_message m m')
+         a b
+
+  (* Node [i] of a sibling, still holding its base state: on a miss the
+     base state is copied and stepped, on a hit the stored step is
+     reused as is. *)
+  let memo_step (memo : memo) i n ~round ~inbox =
+    match List.find_opt (fun s -> same_inbox s.s_inbox inbox) memo.(i) with
+    | Some s -> s
+    | None ->
+        let s =
+          step_node ~self:n.cn_id ~round (M.copy_state n.cn_state) ~inbox
+        in
+        memo.(i) <- s :: memo.(i);
+        s
+
   (* One synchronous round under adversary action [a]. Mirrors
      Network.step_round for the checked fragment: fault transitions, then
      delivery (via the engine's own reference delivery core, so dedup,
      stable sender sort and broadcast-includes-sender semantics are
      inherited rather than re-implemented), then correct nodes in
-     ascending id order, then the rushing adversary's scripted sends. *)
-  let step sim (a : action) =
+     ascending id order, then the rushing adversary's scripted sends.
+     Under [memo] the nodes step through the expansion's step memo. *)
+  let step ?memo sim (a : action) =
     sim.round <- sim.round + 1;
     let round = sim.round in
     let tr = sim.tr in
@@ -203,14 +260,17 @@ module Make (M : Model.S) = struct
       | _ -> inbox
     in
     let correct_envs = ref [] in
-    Array.iter
-      (fun n ->
+    Array.iteri
+      (fun i n ->
         if active n then begin
-          let state, sends, status =
-            P.step ~self:n.cn_id ~round ~stim:[] n.cn_state
-              ~inbox:(inbox_of n.cn_id)
+          let inbox = inbox_of n.cn_id in
+          let s =
+            match memo with
+            | None -> step_node ~self:n.cn_id ~round n.cn_state ~inbox
+            | Some memo -> memo_step memo i n ~round ~inbox
           in
-          n.cn_state <- state;
+          n.cn_state <- s.s_state;
+          n.cn_key <- s.s_key;
           List.iter
             (fun (dst, payload) ->
               let env = { Envelope.src = n.cn_id; dst; payload } in
@@ -221,8 +281,8 @@ module Make (M : Model.S) = struct
                   (Envelope.pp P.pp_message)
                   env;
               correct_envs := env :: !correct_envs)
-            sends;
-          match status with
+            s.s_sends;
+          match s.s_status with
           | Protocol.Continue -> ()
           | Protocol.Deliver out ->
               if n.cn_first_output = None then n.cn_first_output <- Some round;
@@ -312,7 +372,8 @@ module Make (M : Model.S) = struct
     payload b env.payload
 
   (* Everything but the round's Byzantine vector, which [byz_vectors]
-     appends as a [vector_suffix]. *)
+     keys separately as a [vector_suffix]. Node state keys come from
+     [cn_key], so a state shared by siblings is keyed once. *)
   let config_key ~payload sim =
     let b = Buffer.create 1024 in
     Key.int b sim.round;
@@ -322,7 +383,7 @@ module Make (M : Model.S) = struct
         Key.id b n.cn_id;
         Key.option Key.int b n.cn_halted;
         Key.option Key.int b n.cn_down;
-        Key.string b (M.state_key n.cn_state);
+        Key.string b (Lazy.force n.cn_key);
         Key.option (fun b o -> Key.string b (M.output_key o)) b n.cn_output)
       sim.nodes;
     Key.list (envelope_key ~payload) b sim.pending;
@@ -501,8 +562,9 @@ module Make (M : Model.S) = struct
      [gr_benign] and differing only in the round-[k] byz vector (one
      entry of [gr_vectors]). Siblings have identical protocol states —
      byz sends only extend [pending] — so one replay serves the whole
-     group and the per-config marginal cost drops to copy + step + key.
-     [gr_benign = None] only for the root (round 0, no action yet). *)
+     group, and a successor costs a route plus a step and a key per
+     distinct delivered inbox ([memo]). [gr_benign = None] only for the
+     root (round 0, no action yet). *)
   type group = {
     gr_prefix : action list;  (** newest first; rounds 1..k-1 *)
     gr_benign : action option;  (** round k's benign action, [byz = []] *)
@@ -518,8 +580,11 @@ module Make (M : Model.S) = struct
         b_prefix : action list;
             (** the parent config's full script, newest first *)
         b_benign : action;  (** round k+1 benign action, [byz = []] *)
-        b_keyed : (string * vec) list;
-            (** canonical key per candidate round-k+1 byz vector *)
+        b_base : string;  (** [config_key] of the stepped configuration *)
+        b_keyed : (vec * string) list;
+            (** each candidate round-k+1 byz vector with its
+                [vector_suffix]; a candidate's canonical key is the pair
+                (base, suffix) *)
         b_terminal : bool;
         b_round : int;
         b_crashes : int;
@@ -571,17 +636,19 @@ module Make (M : Model.S) = struct
         tagged
     in
     let total = pow n_cols (List.length tagged) in
-    (* key fragments per (recipient, byz, option), so the hot leaf path
-       below never encodes — it only sorts and concatenates *)
+    (* entry and key fragment per (recipient, byz, option), so the hot
+       leaf path below never encodes or builds an entry — it only sorts
+       and concatenates, and every vector shares the entries *)
     let frag =
       List.map
         (fun (r, _) ->
           ( r,
             Array.init nb (fun i ->
                 Array.init (n_opts - 1) (fun o ->
-                    Key.to_string
-                      (envelope_key ~payload)
-                      (Envelope.send ~src:byz.(i) ~dst:r opts.(o)))) ))
+                    ( (byz.(i), r, opts.(o)),
+                      Key.to_string
+                        (envelope_key ~payload)
+                        (Envelope.send ~src:byz.(i) ~dst:r opts.(o)) ))) ))
         tagged
     in
     let vectors = ref [] and emitted = ref 0 in
@@ -591,16 +658,16 @@ module Make (M : Model.S) = struct
           incr emitted;
           let entries =
             List.sort
-              (fun (s1, d1, _, _) (s2, d2, _, _) ->
+              (fun ((s1, d1, _), _) ((s2, d2, _), _) ->
                 match Node_id.compare s1 s2 with
                 | 0 -> Node_id.compare d1 d2
                 | c -> c)
               acc
           in
-          let vec = List.map (fun (s, d, m, _) -> (s, d, m)) entries in
-          let suffix = vector_suffix (List.map (fun (_, _, _, f) -> f) entries) in
+          let vec = List.map fst entries in
+          let suffix = vector_suffix (List.map snd entries) in
           vectors := (vec, suffix) :: !vectors
-      | (r, cls) :: rest, (_, fr) :: frest ->
+      | (_, cls) :: rest, (_, fr) :: frest ->
           let floor_ =
             match (prev, cls) with
             | Some (pc, pcol), Some c when String.equal pc c -> pcol
@@ -610,10 +677,7 @@ module Make (M : Model.S) = struct
             let col = columns.(c) in
             let acc' = ref acc in
             for i = 0 to nb - 1 do
-              if col.(i) > 0 then
-                acc' :=
-                  (byz.(i), r, opts.(col.(i) - 1), fr.(i).(col.(i) - 1))
-                  :: !acc'
+              if col.(i) > 0 then acc' := fr.(i).(col.(i) - 1) :: !acc'
             done;
             go rest frest
               (match cls with Some cl -> Some (cl, c) | None -> None)
@@ -668,6 +732,20 @@ module Make (M : Model.S) = struct
           script_oldest;
         Some (Buffer.contents b)
 
+  module Str_tbl = Hashtbl.Make (struct
+    type t = string
+
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
+
+  module Pair_tbl = Hashtbl.Make (struct
+    type t = int * string
+
+    let equal (a, s) (b, t) = Int.equal a b && String.equal s t
+    let hash = Hashtbl.hash
+  end)
+
   type root_outcome =
     | R_verified of stats
     | R_violated of stats * cex
@@ -680,7 +758,20 @@ module Make (M : Model.S) = struct
     let pinned = M.pinned ~correct ~byzantine in
     let explored = ref 0 and dedup_hits = ref 0 and sym_skips = ref 0 in
     let frontier_peak = ref 0 and depth = ref 0 in
-    let seen : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
+    (* Two-level dedup: each distinct base key is interned as a dense int
+       in first-occurrence order, and [seen] holds (base id, suffix)
+       pairs. Exact, because {!Key}'s writers are prefix-free: base ^
+       suffix = base' ^ suffix' iff base = base' and suffix = suffix'. *)
+    let base_ids = Str_tbl.create 4096 in
+    let seen = Pair_tbl.create 4096 in
+    let base_id key =
+      match Str_tbl.find_opt base_ids key with
+      | Some id -> id
+      | None ->
+          let id = Str_tbl.length base_ids in
+          Str_tbl.add base_ids key id;
+          id
+    in
     let replay_script script_newest =
       let sim = make_sim ~correct:correct_inputs ~byzantine () in
       List.iter (step sim) (List.rev script_newest);
@@ -689,12 +780,14 @@ module Make (M : Model.S) = struct
     (* Expand one sibling group: replay the shared prefix once, take the
        shared benign step, then per sibling vector attach the byz
        envelopes, branch over the next round's benign events, step the
-       copy, check properties and enumerate the next canonical byz
-       vectors. Pure: safe on the Pool. *)
+       sibling through the expansion's memo, check properties and
+       enumerate the next canonical byz vectors. Pure, and the memo is
+       local: safe on the Pool. *)
     let expand g =
       let payload = payload_writer () in
       let base = replay_script g.gr_prefix in
       (match g.gr_benign with None -> () | Some b -> step base b);
+      let memo = memo_create base in
       let benign' =
         let crashes =
           if g.gr_crashes < crash_budget then
@@ -737,9 +830,9 @@ module Make (M : Model.S) = struct
           in
           List.iter
             (fun (crash, omit) ->
-              let sim' = copy_sim base in
+              let sim' = sibling base in
               sim'.pending <- sim'.pending @ byz_envs;
-              step sim' { crash; omit; byz = [] };
+              step ~memo sim' { crash; omit; byz = [] };
               let action' = { crash; omit; byz = [] } in
               match check_properties ~props sim' with
               | Some (property, detail) ->
@@ -775,18 +868,13 @@ module Make (M : Model.S) = struct
                                (List.rev (action' :: parent_script)))
                   in
                   skips := !skips + skipped;
-                  let base_key = config_key ~payload sim' in
-                  let b_keyed =
-                    List.map
-                      (fun (vec, suffix) -> (base_key ^ suffix, vec))
-                      vectors
-                  in
                   succs :=
                     S_brood
                       {
                         b_prefix = parent_script;
                         b_benign = action';
-                        b_keyed;
+                        b_base = config_key ~payload sim';
+                        b_keyed = vectors;
                         b_terminal = terminal;
                         b_round = sim'.round;
                         b_crashes =
@@ -803,7 +891,7 @@ module Make (M : Model.S) = struct
       {
         roots = 1;
         explored = !explored;
-        distinct = Hashtbl.length seen;
+        distinct = Pair_tbl.length seen;
         dedup_hits = !dedup_hits;
         sym_skips = !sym_skips;
         frontier_peak = !frontier_peak;
@@ -843,8 +931,8 @@ module Make (M : Model.S) = struct
           } )
     in
     let root_sim = make_sim ~correct:correct_inputs ~byzantine () in
-    Hashtbl.add seen
-      (config_key ~payload:(payload_writer ()) root_sim ^ silent_suffix)
+    Pair_tbl.add seen
+      (base_id (config_key ~payload:(payload_writer ()) root_sim), silent_suffix)
       ();
     let frontier =
       ref
@@ -883,22 +971,24 @@ module Make (M : Model.S) = struct
                      {
                        b_prefix;
                        b_benign;
+                       b_base;
                        b_keyed;
                        b_terminal;
                        b_round;
                        b_crashes;
                        b_omits;
                      } ->
+                     let id = base_id b_base in
                      let surviving =
                        List.filter_map
-                         (fun (key, w) ->
-                           if Hashtbl.mem seen key then begin
+                         (fun (w, suffix) ->
+                           if Pair_tbl.mem seen (id, suffix) then begin
                              incr dedup_hits;
                              None
                            end
                            else begin
-                             Hashtbl.add seen key ();
-                             if Hashtbl.length seen > max_states then begin
+                             Pair_tbl.add seen (id, suffix) ();
+                             if Pair_tbl.length seen > max_states then begin
                                result := Some (R_budget (stats ()));
                                raise Exit
                              end;

@@ -20,6 +20,10 @@ type ('i, 'o) obs = {
 module type S = sig
   module P :
     Ubpa_sim.Protocol.S with type stimulus = Ubpa_sim.Protocol.No_stimulus.t
+  (** [P.step] must be a deterministic function of (self, round, state,
+      inbox). Replay from scripts relies on it, and so does the checker's
+      per-expansion step memo: siblings that deliver a node the same
+      inbox share one stepped state (docs/CHECKING.md). *)
 
   val name : string
 

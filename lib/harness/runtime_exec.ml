@@ -126,22 +126,25 @@ module Make (P : Protocol.S) = struct
     | Error e -> Error e
     | Ok run ->
         let oracle = RT.replay ~delivered:true run in
-        let victims =
+        (* Every plan victim counts against f, as in the simulator's chaos
+           harness: it is excused from the monitors and from the survivor
+           checks. The crash ledger alone drives crash-view. *)
+        let victims = Node_id.Set.of_list (Ubpa_faults.victims faults) in
+        let crashed =
           List.filter_map
             (fun (n : RT.node_summary) ->
               Option.map (fun _ -> n.RT.ns_id) n.RT.ns_crashed_at)
             run.RT.r_nodes
         in
         let survivors =
-          List.filter_map
+          List.filter
             (fun (n : RT.node_summary) ->
-              if n.RT.ns_crashed_at = None then Some n else None)
+              not (Node_id.Set.mem n.RT.ns_id victims))
             run.RT.r_nodes
         in
         let monitor_violations =
           let m =
-            Ubpa_monitor.create
-              ~excused:(Node_id.Set.of_list victims)
+            Ubpa_monitor.create ~excused:victims
               [
                 Ubpa_monitor.agreement ~equal:equal_output ();
                 Ubpa_monitor.no_send_after_halt ();
@@ -175,7 +178,7 @@ module Make (P : Protocol.S) = struct
         let crash_view_ok =
           let missing_ids = List.map fst oracle.RT.Oracle.missing in
           List.for_all
-            (fun id -> List.exists (Node_id.equal id) victims)
+            (fun id -> List.exists (Node_id.equal id) crashed)
             missing_ids
           && List.for_all
                (fun (n : RT.node_summary) ->
@@ -195,7 +198,7 @@ module Make (P : Protocol.S) = struct
               (Fmt.str
                  "oracle sees %d missing node(s), runtime crashed %d"
                  (List.length oracle.RT.Oracle.missing)
-                 (List.length victims));
+                 (List.length crashed));
             check "monitors" (monitor_violations = [])
               (match monitor_violations with
               | v :: _ -> Fmt.str "%a" Ubpa_monitor.pp_violation v

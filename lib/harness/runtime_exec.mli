@@ -55,12 +55,13 @@ module Make (P : Protocol.S) : sig
     f_run : RT.run;
     f_oracle : RT.Oracle.outcome;  (** Delivered-mode replay. *)
     f_survivors : Node_id.t list;
-        (** Nodes the plan did not crash, ascending. *)
+        (** Nodes outside the plan ({!Ubpa_faults.victims}), ascending. *)
     f_checks : check list;
         (** "oracle-replay" (delivered-schedule equivalence),
             "crash-view" (the oracle's missing set matches the runtime's
-            crash ledger), "monitors" (agreement + event sanity with the
-            victims excused), "survivor-agreement", "survivors-decide". *)
+            crash ledger), "monitors" (agreement + event sanity with every
+            plan victim excused), "survivor-agreement", "survivors-decide"
+            (over the nodes outside the plan). *)
     f_ok : bool;
   }
 
@@ -78,12 +79,13 @@ module Make (P : Protocol.S) : sig
   (** Run under a fault plan and gate on graceful degradation instead of
       exact lockstep equivalence: the delivered schedule must replay
       clean through the oracle's delivered mode, the safety monitors
-      (with the crashed victims excused) must stay green, and the
-      surviving correct nodes must all decide and agree. A plan beyond
-      the protocol's fault budget is {e expected} to fail one of these
-      checks — the verdict reports it, the caller decides whether that
-      was the experiment's point. [equal_output] is both the monitor's
-      agreement relation and the survivor-agreement comparison; for
-      protocols whose outputs are streams (reliable broadcast), pass the
-      appropriate consistency relation. *)
+      (with every plan victim excused: a node with a benign fault counts
+      against f, as in the simulator's chaos harness) must stay green,
+      and the correct nodes outside the plan must all decide and agree.
+      A plan beyond the protocol's fault budget is {e expected} to fail
+      one of these checks — the verdict reports it, the caller decides
+      whether that was the experiment's point. [equal_output] is both the
+      monitor's agreement relation and the survivor-agreement comparison;
+      for protocols whose outputs are streams (reliable broadcast), pass
+      the appropriate consistency relation. *)
 end

@@ -101,6 +101,93 @@ let test_symmetry_sound () =
   check_true "fewer distinct configs under the reduction"
     (on.stats.distinct < off.stats.distinct)
 
+(* ----- pinned search counts ----- *)
+
+(* [M] with [P.step] counted, field by field like bench/e2e's timed
+   model. Atomic, because --jobs 2 steps on worker domains. *)
+module Counting (M : Ubpa_check.Model.S) = struct
+  let steps = Atomic.make 0
+
+  module Model : Ubpa_check.Model.S = struct
+    module P = struct
+      include M.P
+
+      let step ~self ~round ~stim st ~inbox =
+        Atomic.incr steps;
+        M.P.step ~self ~round ~stim st ~inbox
+    end
+
+    let name = M.name
+    let roots = M.roots
+    let palette = M.palette
+    let copy_state = M.copy_state
+    let state_key = M.state_key
+    let input_key = M.input_key
+    let output_key = M.output_key
+    let recipient_symmetric = M.recipient_symmetric
+    let pinned = M.pinned
+    let properties = M.properties
+  end
+
+  module Ck = Ubpa_check.Checker.Make (Model)
+end
+
+module Counted_cons = Counting (Ubpa_check.Models.Consensus)
+
+let stats_row (s : Ubpa_check.Checker.stats) =
+  [
+    s.roots; s.explored; s.distinct; s.dedup_hits; s.sym_skips;
+    s.frontier_peak; s.depth;
+  ]
+
+(* The full stats of three cells at the CLI's seed 1, at --jobs 1 and 2.
+   Any change to expansion, keys or dedup that moves a count fails here,
+   not only in CI's MC1 diff: these cells have thousands of dedup hits. *)
+let test_pinned_counts () =
+  let pin name expected run =
+    List.iter
+      (fun jobs ->
+        let r : Ubpa_check.Checker.result = run jobs in
+        Alcotest.(check string)
+          (Printf.sprintf "%s verified (jobs %d)" name jobs)
+          "verified" (verdict r.verdict);
+        Alcotest.(check (list int))
+          (Printf.sprintf
+             "%s roots/explored/distinct/dedup/sym/peak/depth (jobs %d)" name
+             jobs)
+          expected (stats_row r.stats))
+      [ 1; 2 ]
+  in
+  pin "consensus n=4 f=1 5 rounds"
+    [ 4; 5846; 6314; 22860; 0; 1728; 5 ]
+    (fun jobs -> Ck_cons.check ~jobs ~seed:1L ~n:4 ~f:1 ~max_rounds:5 ());
+  pin "rb n=4 f=1 3 rounds (symmetry)"
+    [ 2; 8482; 8844; 8038; 1648; 4200; 3 ]
+    (fun jobs -> Ck_rb.check ~jobs ~seed:1L ~n:4 ~f:1 ~max_rounds:3 ());
+  pin "consensus n=4 f=0 crash+omission 6 rounds"
+    [ 4; 5532; 8208; 2752; 0; 627; 6 ]
+    (fun jobs ->
+      Ck_cons.check ~jobs ~seed:1L ~crash_budget:1 ~omit_budget:1 ~n:4 ~f:0
+        ~max_rounds:6 ())
+
+(* Protocol steps on the first pinned cell: each expansion steps a node
+   once per distinct delivered inbox, so a step memo that stops hitting
+   (or hits too often) moves this count. Stepping every successor node
+   afresh would take 20,214 calls. *)
+let test_pinned_step_calls () =
+  List.iter
+    (fun jobs ->
+      Atomic.set Counted_cons.steps 0;
+      let r = Counted_cons.Ck.check ~jobs ~seed:1L ~n:4 ~f:1 ~max_rounds:5 () in
+      Alcotest.(check (list int))
+        "counting model leaves the search unchanged"
+        [ 4; 5846; 6314; 22860; 0; 1728; 5 ]
+        (stats_row r.stats);
+      check_int
+        (Printf.sprintf "P.step calls (jobs %d)" jobs)
+        4734 (Atomic.get Counted_cons.steps))
+    [ 1; 2 ]
+
 (* ----- canonical state keys ignore insertion order ----- *)
 
 (* Two copies of a machine fed the same inbox multisets, one in reverse
@@ -316,6 +403,8 @@ let suite =
       quick "consensus jobs 1 vs 2 byte-identical"
         test_jobs_identical_consensus;
       slow "symmetry reduction is sound" test_symmetry_sound;
+      quick "pinned search counts at jobs 1 and 2" test_pinned_counts;
+      quick "pinned protocol step calls" test_pinned_step_calls;
       quick "rb state key ignores insertion order" test_rb_key_order_free;
       quick "consensus state key ignores insertion order"
         test_consensus_key_order_free;

@@ -673,8 +673,9 @@ let test_faulty_same_seed_deterministic () =
    --faults "delay:1@1..4=0.5x1,dup=0.05"], seed 1). RB tallies echoes
    per round, so the delay victim's late echoes cost it the round-3
    quorum for good, while every node outside the plan accepts. The
-   degradation gate excuses only the crash ledger, so it still judges the
-   victim and reports survivors-decide FAIL for this cell. *)
+   degradation gate excuses every plan victim (a delayed node counts
+   against f), so the cell passes; cut at round 2, the nodes outside the
+   plan have not accepted yet and the gate still fails. *)
 let rb_delay_cell ~max_rounds =
   let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
   let plan = plan_exn ~ids "delay:1@1..4=0.5x1,dup=0.05" in
@@ -721,7 +722,11 @@ let test_rb_delay_cell_victim_only () =
       (er_check_ok fv "monitors"
       && er_check_ok fv "survivor-agreement"
       && er_check_ok fv "oracle-replay"
-      && er_check_ok fv "crash-view")
+      && er_check_ok fv "crash-view");
+    check_true "survivors-decide passes with the victim excused"
+      (er_check_ok fv "survivors-decide");
+    check_int "the four nodes outside the plan are the survivors" 4
+      (List.length fv.Er.f_survivors)
   end
 
 let test_rb_delay_cell_short_run_fails () =
@@ -732,13 +737,17 @@ let test_rb_delay_cell_short_run_fails () =
     check_false "survivors-decide fails" (er_check_ok fv "survivors-decide")
   end
 
+(* RT2's beyond-budget cell: total receive-omission isolates two of four
+   nodes, one more than f = 1. The two nodes outside the plan stay safe
+   but cannot decide either. *)
+let isolation_plan = "recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0"
+
 let test_faulty_beyond_budget_violates () =
-  (* Total receive-omission isolates one node: survivors stay safe and
-     decide, the victim starves — a liveness violation the gate must
-     report, not paper over. *)
+  (* A liveness violation outside the plan: the gate must report it, not
+     paper over it. *)
   if Ec.RT.available then
     let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
-    let plan = plan_exn ~ids "recv-omit:1@1..12=1.0" in
+    let plan = plan_exn ~ids isolation_plan in
     match
       Ec.run_with_faults ~max_rounds:12 ~faults:plan ~seed:1L
         ~correct:(consensus_correct ~seed:1L 4) ()
@@ -751,7 +760,9 @@ let test_faulty_beyond_budget_violates () =
           && fault_check_ok fv "survivor-agreement"
           && fault_check_ok fv "crash-view"
           && fault_check_ok fv "oracle-replay");
-        check_false "the starved node cannot decide"
+        check_int "two survivors outside the plan" 2
+          (List.length fv.Ec.f_survivors);
+        check_false "the survivors cannot decide"
           (fault_check_ok fv "survivors-decide")
 
 (* ----- golden: the committed beyond-budget trace ----- *)
@@ -773,7 +784,7 @@ let test_committed_rt2_trace_golden () =
     let committed = really_input_string ic len in
     close_in ic;
     let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
-    let plan = plan_exn ~ids "recv-omit:1@1..12=1.0" in
+    let plan = plan_exn ~ids isolation_plan in
     match
       Ec.run_with_faults ~transport:`Domains ~max_rounds:12 ~faults:plan
         ~seed:1L ~correct:(consensus_correct ~seed:1L 4) ()
