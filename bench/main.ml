@@ -34,8 +34,19 @@ let sizes () = if !fast then [ 4; 7; 13 ] else [ 4; 7; 13; 25; 40; 61 ]
 let f_sweep () = if !fast then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ]
 let seeds () = if !fast then [ 1L; 2L ] else [ 1L; 2L; 3L; 4L; 5L ]
 
-let experiments : (string * string * (unit -> Table.t)) list ref = ref []
-let register id title f = experiments := (id, title, f) :: !experiments
+(* What an experiment hands the main loop: its table, the complexity fits
+   the artifact carries, and named side files written next to it. *)
+type outcome = {
+  table : Table.t;
+  fits : Ubpa_obs.Complexity.fit list;
+  files : (string * string) list;  (** (file name, contents) *)
+}
+
+let experiments : (string * string * (unit -> outcome)) list ref = ref []
+let register_outcome id title f = experiments := (id, title, f) :: !experiments
+
+let register id title f =
+  register_outcome id title (fun () -> { table = f (); fits = []; files = [] })
 
 let bool_cell = Table.cell_bool
 let f_of_n n = Scenarios.max_f n
@@ -1619,11 +1630,8 @@ let r1 () =
    c*n^k envelopes (Ubpa_obs.Complexity). The fits land in the artifact's
    schema-v2 `complexity` block and are mirrored as claims; the sweep is
    fixed regardless of --fast because envelope calibration needs the same
-   points on every run. [cx1_fits]/[cx1_trace] are side channels into the
-   generic artifact-writing loop below. *)
-let cx1_fits : Ubpa_obs.Complexity.fit list ref = ref []
-let cx1_trace : string ref = ref ""
-
+   points on every run. A small traced RB run rides along as the
+   TRACE_CX1.jsonl side file. *)
 let cx1 () =
   let module V = Unknown_ba.Value in
   let module Rb = Unknown_ba.Reliable_broadcast.Make (V.String) in
@@ -1744,7 +1752,7 @@ let cx1 () =
         else None)
       cells
   in
-  cx1_fits :=
+  let fits =
     [
       (* RB: O(n^2) messages (each of n nodes echoes/readies to all n), and
          constant-size payloads keep bits on the same envelope. *)
@@ -1761,13 +1769,13 @@ let cx1 () =
          within the O(n^3) budget of rotor-paced voting. *)
       Ubpa_obs.Complexity.fit ~name:"binary.bits" ~exponent:3
         (points "binary" (fun _ b -> b));
-    ];
+    ]
+  in
   (* A small traced run for the observability tooling: TRACE_CX1.jsonl is
      what `ubpa trace --file` examples and the CI trace artifact read. *)
   let tr = Trace.create () in
   let (_ : Ubpa_obs.Wire.t) = rb_run ~delivery:Delivery.Arena ~trace:tr 5 in
-  cx1_trace := Trace.to_jsonl tr;
-  t
+  { table = t; fits; files = [ ("TRACE_CX1.jsonl", Trace.to_jsonl tr) ] }
 
 (* ------------------------------------------------------------------ *)
 (* CX2: sub-quadratic committee agreement — per-node bit budgets        *)
@@ -1786,8 +1794,6 @@ let cx1 () =
    behavioural field must match — the cross-core identity that lets the
    arena-only rows at larger n be trusted (CX1's claim, at the committee
    protocol's sparse fan-out shape). *)
-let cx2_fits : Ubpa_obs.Complexity.fit list ref = ref []
-
 let cx2 () =
   let module C = Scenarios.Committee_int in
   let ns = if !fast then [ 31; 61; 101 ] else [ 301; 1_001; 3_001 ] in
@@ -1874,20 +1880,32 @@ let cx2 () =
                  if n' = n then Float.max acc (float_of_int (pick s)) else acc)
                0. cells ))
   in
-  cx2_fits :=
-    [
-      Ubpa_obs.Complexity.fit_shape ~name:"committee.node-bits"
-        ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-        (points (fun s -> s.C.max_budget_bits));
-      Ubpa_obs.Complexity.fit_shape ~name:"committee.node-msgs"
-        ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-        (points (fun s -> s.C.max_budget_msgs));
-    ];
-  t
+  {
+    table = t;
+    fits =
+      [
+        Ubpa_obs.Complexity.fit_shape ~name:"committee.node-bits"
+          ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
+          (points (fun s -> s.C.max_budget_bits));
+        Ubpa_obs.Complexity.fit_shape ~name:"committee.node-msgs"
+          ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
+          (points (fun s -> s.C.max_budget_msgs));
+      ];
+    files = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* RT1: networked runtime vs lockstep simulator                         *)
 (* ------------------------------------------------------------------ *)
+
+(* RT1-RT3 iterate the runtime's protocol table (Runtime_runs.runners:
+   rb, then consensus) over both transports, with ids seeded 1. RB never
+   halts, so its runs stop at 6 rounds (it accepts in round 3);
+   consensus halts well within 40. *)
+let rt_transports = [ ("domains", `Domains); ("socket", `Socket) ]
+let rt_rounds = function "rb" -> 6 | _ -> 40
+
+let rt_run proto = List.assoc proto Runtime_runs.runners
 
 (* Eight fixed cells (cells do not shrink under --fast: the equivalences
    ARE the claims, like MC1/CX1): rb and consensus, each on both
@@ -1895,12 +1913,12 @@ let cx2 () =
    out. Every cell runs the protocol on actual concurrent per-node
    processes, replays the recorded delivery schedule through the
    simulator's arena core, and runs a fresh simulator instance on the
-   same population; the oracle / sim / wire columns are
-   Runtime_exec.compare_with_sim's check verdicts. Byte counts are
-   deliberately absent from the table — frame counts are deterministic,
-   marshalled sizes are an implementation detail of the OCaml version.
-   Needs OCaml 5; the sequential fallback renders error rows (CI only
-   gates RT1 on the 5.x leg, next to the pool-backend assertions). *)
+   same population; the oracle / sim / wire columns are the verdict's
+   exact-mode checks. Byte counts are deliberately absent from the
+   table — frame counts are deterministic, marshalled sizes are an
+   implementation detail of the OCaml version. Needs OCaml 5; the
+   sequential fallback renders error rows (CI only gates RT1 on the 5.x
+   leg, next to the pool-backend assertions). *)
 let rt1 () =
   let t =
     Table.create
@@ -1923,87 +1941,35 @@ let rt1 () =
           "wire-equal";
         ]
   in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  let add_row ~proto ~transport ~n = function
-    | Error e ->
-        Table.add_row t
-          [ proto; transport; Table.cell_int n; e; "-"; "-"; "-"; "-"; "-";
-            "no"; "no"; "no" ]
-    | Ok (rounds, decided, msgs, bits, frames, late, checks) ->
-        let ok name =
-          List.exists (fun (c, ok, _) -> String.equal c name && ok) checks
-        in
-        Table.add_row t
-          [
-            proto;
-            transport;
-            Table.cell_int n;
-            Table.cell_int rounds;
-            Table.cell_int decided;
-            Table.cell_int msgs;
-            Table.cell_int bits;
-            Table.cell_int frames;
-            Table.cell_int late;
-            bool_cell (ok "oracle-replay");
-            bool_cell (ok "decisions" && ok "decide-rounds" && ok "rounds"
-                      && ok "trace");
-            bool_cell (ok "wire");
-          ]
-  in
   List.iter
     (fun n ->
       let ids = Harness.make_ids ~seed:1L n in
       List.iter
         (fun (tname, transport) ->
-          add_row ~proto:"rb" ~transport:tname ~n
-            (match
-               Er.compare_with_sim ~transport ~max_rounds:6
-                 ~correct:
-                   (List.mapi
-                      (fun i id -> (id, if i = 0 then Some "m" else None))
-                      ids)
-                 ()
-             with
-            | Error e -> Error e
-            | Ok v ->
-                Ok
-                  ( v.Er.v_run.Er.RT.r_rounds,
-                    List.length
-                      (List.filter
-                         (fun (s : Er.RT.node_summary) ->
-                           s.Er.RT.ns_output <> None)
-                         v.Er.v_run.Er.RT.r_nodes),
-                    Ubpa_obs.Wire.messages v.Er.v_run.Er.RT.r_wire,
-                    Ubpa_obs.Wire.bits v.Er.v_run.Er.RT.r_wire,
-                    v.Er.v_run.Er.RT.r_frames,
-                    v.Er.v_run.Er.RT.r_late_frames,
-                    List.map
-                      (fun c -> (c.Er.c_name, c.Er.c_ok, c.Er.c_detail))
-                      v.Er.v_checks ));
-          add_row ~proto:"consensus" ~transport:tname ~n
-            (match
-               Ec.compare_with_sim ~transport ~max_rounds:40
-                 ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-                 ()
-             with
-            | Error e -> Error e
-            | Ok v ->
-                Ok
-                  ( v.Ec.v_run.Ec.RT.r_rounds,
-                    List.length
-                      (List.filter
-                         (fun (s : Ec.RT.node_summary) ->
-                           s.Ec.RT.ns_output <> None)
-                         v.Ec.v_run.Ec.RT.r_nodes),
-                    Ubpa_obs.Wire.messages v.Ec.v_run.Ec.RT.r_wire,
-                    Ubpa_obs.Wire.bits v.Ec.v_run.Ec.RT.r_wire,
-                    v.Ec.v_run.Ec.RT.r_frames,
-                    v.Ec.v_run.Ec.RT.r_late_frames,
-                    List.map
-                      (fun c -> (c.Ec.c_name, c.Ec.c_ok, c.Ec.c_detail))
-                      v.Ec.v_checks )))
-        [ ("domains", `Domains); ("socket", `Socket) ])
+          List.iter
+            (fun (proto, (run : Runtime_runs.run)) ->
+              Table.add_row t
+                (proto :: tname :: Table.cell_int n
+                ::
+                match run ~transport ~max_rounds:(rt_rounds proto) ids with
+                | Error e -> [ e; "-"; "-"; "-"; "-"; "-"; "no"; "no"; "no" ]
+                | Ok (s : Runtime_runs.summary) ->
+                    let ok = Runtime_exec.passed s.checks in
+                    [
+                      Table.cell_int s.rounds;
+                      Table.cell_int s.decided;
+                      Table.cell_int s.msgs;
+                      Table.cell_int s.bits;
+                      Table.cell_int s.frames;
+                      Table.cell_int s.late;
+                      bool_cell (ok "oracle-replay");
+                      bool_cell
+                        (ok "decisions" && ok "decide-rounds" && ok "rounds"
+                       && ok "trace");
+                      bool_cell (ok "wire");
+                    ]))
+            Runtime_runs.runners)
+        rt_transports)
     [ 4; 7 ];
   t
 
@@ -2019,15 +1985,13 @@ let rt1 () =
    the nodes outside the plan); one deliberately beyond-budget cell
    (total receive-omission isolates two of four nodes, more than f = 1)
    is EXPECTED to violate — its point is the committed, replayable
-   counterexample trace (TRACE_RT2.jsonl). Every fault
+   counterexample trace (the TRACE_RT2.jsonl side file). Every fault
    decision draws from per-directed-edge splitmix64 streams keyed by
    (seed, src, dst, direction), so all cells — including the injected
    counters — are byte-identical across transports, schedulers and
    --jobs. Crash cells need a real deadline (round_ms > 0): wall-clock
    "missing" counts are deliberately absent from the table; only the
    round-counted dead-peer marks are gated. *)
-let rt2_trace : string ref = ref ""
-
 let rt2 () =
   let t =
     Table.create
@@ -2055,217 +2019,91 @@ let rt2 () =
           "ok";
         ]
   in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  (* RB's degradation agreement relation: consistency of the accepted
-     streams — no sender accepted with two different payloads. *)
-  let rb_consistent (a : Scenarios.Rb.P.output) (b : Scenarios.Rb.P.output) =
-    List.for_all
-      (fun (x : Scenarios.Rb.P.accepted) ->
-        List.for_all
-          (fun (y : Scenarios.Rb.P.accepted) ->
-            (not (Node_id.equal x.Scenarios.Rb.P.sender y.Scenarios.Rb.P.sender))
-            || String.equal x.Scenarios.Rb.P.payload y.Scenarios.Rb.P.payload)
-          b)
-      a
-  in
-  let error_row ~proto ~transport ~fname ~n e =
+  let files = ref [] in
+  let cell ~proto ~fname ~n ?(round_ms = 0.) ?(max_rounds = rt_rounds proto)
+      ?spec ~mode (tname, transport) =
+    let ids = Harness.make_ids ~seed:1L n in
+    let faults =
+      Option.map
+        (fun spec ->
+          match Ubpa_faults.parse_spec ~ids spec with
+          | Ok p -> p
+          | Error e -> failwith ("RT2: bad fault spec " ^ spec ^ ": " ^ e))
+        spec
+    in
     Table.add_row t
-      [ proto; transport; fname; Table.cell_int n; e; "-"; "-"; "-"; "-"; "-";
-        "-"; "-"; "no"; "no"; "error"; "no" ]
-  in
-  let row ~proto ~transport ~fname ~n ~mode ~rounds ~decided ~survivors ~late
-      ~lost ~dup ~delayed ~dead ~oracle ~safety ~ok =
-    Table.add_row t
-      [
-        proto;
-        transport;
-        fname;
-        Table.cell_int n;
-        Table.cell_int rounds;
-        Table.cell_int decided;
-        Table.cell_int survivors;
-        Table.cell_int late;
-        Table.cell_int lost;
-        Table.cell_int dup;
-        Table.cell_int delayed;
-        Table.cell_int dead;
-        bool_cell oracle;
-        bool_cell safety;
-        mode;
-        bool_cell ok;
-      ]
-  in
-  let plan_of ~ids spec =
-    match Ubpa_faults.parse_spec ~ids spec with
-    | Ok p -> p
-    | Error e -> failwith ("RT2: bad fault spec " ^ spec ^ ": " ^ e)
-  in
-  let transports = [ ("domains", `Domains); ("socket", `Socket) ] in
-  (* -- fault-free cells: the exact RT1 gate, n = 5 -- *)
-  let ids5 = Harness.make_ids ~seed:1L 5 in
-  let rb_correct ids =
-    List.mapi (fun i id -> (id, if i = 0 then Some "m" else None)) ids
-  in
-  let cons_correct ids = List.mapi (fun i id -> (id, i mod 2)) ids in
-  List.iter
-    (fun (tname, transport) ->
-      (match
-         Er.compare_with_sim ~transport ~max_rounds:6 ~correct:(rb_correct ids5)
-           ()
-       with
-      | Error e -> error_row ~proto:"rb" ~transport:tname ~fname:"none" ~n:5 e
-      | Ok v ->
-          let ok name =
-            List.exists
-              (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
-              v.Er.v_checks
-          in
-          row ~proto:"rb" ~transport:tname ~fname:"none" ~n:5 ~mode:"exact"
-            ~rounds:v.Er.v_run.Er.RT.r_rounds
-            ~decided:
-              (List.length
-                 (List.filter
-                    (fun (s : Er.RT.node_summary) -> s.Er.RT.ns_output <> None)
-                    v.Er.v_run.Er.RT.r_nodes))
-            ~survivors:5 ~late:v.Er.v_run.Er.RT.r_late_frames ~lost:0 ~dup:0
-            ~delayed:0 ~dead:0
-            ~oracle:(ok "oracle-replay")
-            ~safety:
-              (ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
-             && ok "wire")
-            ~ok:v.Er.v_ok);
+      (proto :: tname :: fname :: Table.cell_int n
+      ::
       match
-        Ec.compare_with_sim ~transport ~max_rounds:40
-          ~correct:(cons_correct ids5) ()
+        rt_run proto ~transport ~round_ms ~max_rounds ?faults ~fault_seed:1L
+          ids
       with
       | Error e ->
-          error_row ~proto:"consensus" ~transport:tname ~fname:"none" ~n:5 e
-      | Ok v ->
-          let ok name =
-            List.exists
-              (fun c -> String.equal c.Ec.c_name name && c.Ec.c_ok)
-              v.Ec.v_checks
+          [ e; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "no"; "no"; "error"; "no" ]
+      | Ok (s : Runtime_runs.summary) ->
+          let ok = Runtime_exec.passed s.checks in
+          let safety =
+            if String.equal mode "exact" then
+              ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
+              && ok "wire"
+            else ok "monitors" && ok "survivor-agreement" && ok "crash-view"
           in
-          row ~proto:"consensus" ~transport:tname ~fname:"none" ~n:5
-            ~mode:"exact" ~rounds:v.Ec.v_run.Ec.RT.r_rounds
-            ~decided:
-              (List.length
-                 (List.filter
-                    (fun (s : Ec.RT.node_summary) -> s.Ec.RT.ns_output <> None)
-                    v.Ec.v_run.Ec.RT.r_nodes))
-            ~survivors:5 ~late:v.Ec.v_run.Ec.RT.r_late_frames ~lost:0 ~dup:0
-            ~delayed:0 ~dead:0
-            ~oracle:(ok "oracle-replay")
-            ~safety:
-              (ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
-             && ok "wire")
-            ~ok:v.Ec.v_ok)
-    transports;
+          let cell_ok =
+            if String.equal mode "violate" then
+              (not s.ok) && safety && ok "oracle-replay"
+            else s.ok
+          in
+          (* The beyond-budget counterexample trace ships with the
+             artifact — the violation must stay replayable, like MC1's
+             counterexamples. *)
+          if String.equal mode "violate" && String.equal tname "domains" then
+            files :=
+              [
+                ("TRACE_RT2.jsonl", Trace.to_jsonl (Trace.of_events s.events));
+              ];
+          [
+            Table.cell_int s.rounds;
+            Table.cell_int s.decided;
+            Table.cell_int s.survivors;
+            Table.cell_int s.late;
+            Table.cell_int s.injected.inj_lost;
+            Table.cell_int s.injected.inj_dup;
+            Table.cell_int s.injected.inj_delayed;
+            Table.cell_int (List.length s.dead);
+            bool_cell (ok "oracle-replay");
+            bool_cell safety;
+            mode;
+            bool_cell cell_ok;
+          ])
+  in
+  (* -- fault-free cells: the exact RT1 gate, n = 5 -- *)
+  List.iter
+    (fun transport ->
+      List.iter
+        (fun (proto, _) ->
+          cell ~proto ~fname:"none" ~n:5 ~mode:"exact" transport)
+        Runtime_runs.runners)
+    rt_transports;
   (* -- faulty cells -- *)
-  let rb_cell ~fname ~spec ~n ?(round_ms = 0.) ?(max_rounds = 6) ~mode () =
-    let ids = Harness.make_ids ~seed:1L n in
-    let plan = plan_of ~ids spec in
+  let faulty ~proto ~fname ~spec ~n ?round_ms ?max_rounds ~mode () =
     List.iter
-      (fun (tname, transport) ->
-        match
-          Er.run_with_faults ~equal_output:rb_consistent ~transport ~round_ms
-            ~max_rounds ~faults:plan ~seed:1L ~correct:(rb_correct ids) ()
-        with
-        | Error e -> error_row ~proto:"rb" ~transport:tname ~fname ~n e
-        | Ok fv ->
-            let ok name =
-              List.exists
-                (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
-                fv.Er.f_checks
-            in
-            let survivors = List.length fv.Er.f_survivors in
-            let decided =
-              List.length
-                (List.filter
-                   (fun (s : Er.RT.node_summary) ->
-                     s.Er.RT.ns_crashed_at = None && s.Er.RT.ns_output <> None)
-                   fv.Er.f_run.Er.RT.r_nodes)
-            in
-            let safety =
-              ok "monitors" && ok "survivor-agreement" && ok "crash-view"
-            in
-            let cell_ok =
-              match mode with
-              | "degrade" -> fv.Er.f_ok
-              | _ -> (not fv.Er.f_ok) && safety && ok "oracle-replay"
-            in
-            row ~proto:"rb" ~transport:tname ~fname ~n ~mode
-              ~rounds:fv.Er.f_run.Er.RT.r_rounds ~decided ~survivors
-              ~late:fv.Er.f_run.Er.RT.r_late_frames
-              ~lost:fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_lost
-              ~dup:fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_dup
-              ~delayed:
-                fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_delayed
-              ~dead:(List.length fv.Er.f_run.Er.RT.r_dead)
-              ~oracle:(ok "oracle-replay") ~safety ~ok:cell_ok)
-      transports
+      (cell ~proto ~fname ~n ?round_ms ?max_rounds ~spec ~mode)
+      rt_transports
   in
-  let cons_cell ~fname ~spec ~n ?(round_ms = 0.) ?(max_rounds = 40) ~mode () =
-    let ids = Harness.make_ids ~seed:1L n in
-    let plan = plan_of ~ids spec in
-    List.iter
-      (fun (tname, transport) ->
-        match
-          Ec.run_with_faults ~transport ~round_ms ~max_rounds ~faults:plan
-            ~seed:1L ~correct:(cons_correct ids) ()
-        with
-        | Error e -> error_row ~proto:"consensus" ~transport:tname ~fname ~n e
-        | Ok fv ->
-            let ok name =
-              List.exists
-                (fun c -> String.equal c.Ec.c_name name && c.Ec.c_ok)
-                fv.Ec.f_checks
-            in
-            let survivors = List.length fv.Ec.f_survivors in
-            let decided =
-              List.length
-                (List.filter
-                   (fun (s : Ec.RT.node_summary) ->
-                     s.Ec.RT.ns_crashed_at = None && s.Ec.RT.ns_output <> None)
-                   fv.Ec.f_run.Ec.RT.r_nodes)
-            in
-            let safety =
-              ok "monitors" && ok "survivor-agreement" && ok "crash-view"
-            in
-            let cell_ok =
-              match mode with
-              | "degrade" -> fv.Ec.f_ok
-              | _ -> (not fv.Ec.f_ok) && safety && ok "oracle-replay"
-            in
-            (* The beyond-budget counterexample trace ships with the
-               artifact — the violation must stay replayable, like MC1's
-               counterexamples. *)
-            if String.equal mode "violate" && String.equal tname "domains" then
-              rt2_trace :=
-                Trace.to_jsonl (Trace.of_events fv.Ec.f_run.Ec.RT.r_events);
-            row ~proto:"consensus" ~transport:tname ~fname ~n ~mode
-              ~rounds:fv.Ec.f_run.Ec.RT.r_rounds ~decided ~survivors
-              ~late:fv.Ec.f_run.Ec.RT.r_late_frames
-              ~lost:fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_lost
-              ~dup:fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_dup
-              ~delayed:
-                fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_delayed
-              ~dead:(List.length fv.Ec.f_run.Ec.RT.r_dead)
-              ~oracle:(ok "oracle-replay") ~safety ~ok:cell_ok)
-      transports
-  in
-  rb_cell ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5 ~mode:"degrade" ();
-  cons_cell ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5 ~mode:"degrade" ();
-  cons_cell ~fname:"delay" ~spec:"delay:1@1..4=0.5x1" ~n:5 ~mode:"degrade" ();
-  rb_cell ~fname:"crash-1" ~spec:"crash:2@2" ~n:5 ~round_ms:80. ~mode:"degrade"
-    ();
-  cons_cell ~fname:"crash-1" ~spec:"crash:1@3" ~n:5 ~round_ms:80.
+  faulty ~proto:"rb" ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5
     ~mode:"degrade" ();
-  cons_cell ~fname:"isolate"
+  faulty ~proto:"consensus" ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5
+    ~mode:"degrade" ();
+  faulty ~proto:"consensus" ~fname:"delay" ~spec:"delay:1@1..4=0.5x1" ~n:5
+    ~mode:"degrade" ();
+  faulty ~proto:"rb" ~fname:"crash-1" ~spec:"crash:2@2" ~n:5 ~round_ms:80.
+    ~mode:"degrade" ();
+  faulty ~proto:"consensus" ~fname:"crash-1" ~spec:"crash:1@3" ~n:5
+    ~round_ms:80. ~mode:"degrade" ();
+  faulty ~proto:"consensus" ~fname:"isolate"
     ~spec:"recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0" ~n:4 ~max_rounds:12
     ~mode:"violate" ();
-  t
+  { table = t; fits = []; files = !files }
 
 (* ------------------------------------------------------------------ *)
 (* MC1: bounded exhaustive model checking                               *)
@@ -2280,8 +2118,6 @@ let rt2 () =
    committed CEX_MC1.jsonl side artifact; the two boundary cells are
    additionally re-run on two worker domains and compared field by field
    (the "det" column), pinning --jobs byte-identity. *)
-let mc1_cex : string ref = ref ""
-
 let mc1 () =
   let module Crb = Ubpa_check.Checker.Make (Ubpa_check.Models.Rb) in
   let module Cc = Ubpa_check.Checker.Make (Ubpa_check.Models.Consensus) in
@@ -2331,6 +2167,7 @@ let mc1 () =
       ("consensus", 4, 0, 1, 1, 12, "violation", false);
     ]
   in
+  let cex = ref [] in
   List.iter
     (fun (proto, n, f, crashes, omits, rounds, expect, cross_jobs) ->
       let run ?jobs () =
@@ -2353,7 +2190,7 @@ let mc1 () =
       let verdict = Ubpa_check.Checker.verdict_to_string r.verdict in
       (if String.equal proto "rb" && n = 3 then
          match r.cex with
-         | Some cx -> mc1_cex := cx.cx_jsonl
+         | Some cx -> cex := [ ("CEX_MC1.jsonl", cx.cx_jsonl) ]
          | None -> ());
       Table.add_row t
         [
@@ -2383,7 +2220,7 @@ let mc1 () =
           det;
         ])
     cells;
-  t
+  { table = t; fits = []; files = !cex }
 
 (* ------------------------------------------------------------------ *)
 (* RT3: runtime latency/throughput — the performance story of RT1/RT2   *)
@@ -2397,11 +2234,12 @@ let mc1 () =
    150ms round-deadline floors. Frames/late/rounds/decided are
    deterministic and gated cell-for-cell across transports; elapsed,
    frames/s and avg-round-ms are wall-clock (unit-suffixed, exempt from
-   exact diff and metric comparison). The under-deadline column is the
-   measured-round-time-vs-floor comparison: the deadline synchronizer's
-   marker fast path advances as soon as all markers arrive, so even
-   floored rounds finish well under the floor — gated only on the
-   roomy 150ms floor so a loaded CI host cannot flake it. *)
+   exact diff and metric comparison) and time the networked run alone,
+   not the oracle replay that follows it. The under-deadline column is
+   the measured-round-time-vs-floor comparison: the deadline
+   synchronizer's marker fast path advances as soon as all markers
+   arrive, so even floored rounds finish well under the floor — gated
+   only on the roomy 150ms floor so a loaded CI host cannot flake it. *)
 let rt3 () =
   let t =
     Table.create
@@ -2417,87 +2255,39 @@ let rt3 () =
           "under-deadline";
         ]
   in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  let add_row ~proto ~transport ~n ~round_ms = function
-    | Error e ->
-        Table.add_row t
-          [ proto; transport; Table.cell_int n;
-            (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0");
-            e; "-"; "-"; "-"; "-"; "-"; "-"; "no" ]
-    | Ok (rounds, decided, frames, late, elapsed) ->
-        let avg = elapsed /. float_of_int (max rounds 1) in
-        Table.add_row t
-          [
-            proto;
-            transport;
-            Table.cell_int n;
-            (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0");
-            Table.cell_int rounds;
-            Table.cell_int decided;
-            Table.cell_int frames;
-            Table.cell_int late;
-            Printf.sprintf "%.1fms" elapsed;
-            Printf.sprintf "%.0f/s"
-              (float_of_int frames /. (Float.max elapsed 1e-3 /. 1000.));
-            Printf.sprintf "%.1fms" avg;
-            (if round_ms > 0. then bool_cell (avg <= round_ms) else "-");
-          ]
-  in
   let n = 5 in
   let ids = Harness.make_ids ~seed:1L n in
   List.iter
     (fun (tname, transport) ->
-      let timed run =
-        let t0 = Clock.now_ms () in
-        match run () with
-        | Error e -> Error e
-        | Ok (rounds, decided, frames, late) ->
-            Ok (rounds, decided, frames, late, Clock.elapsed_ms ~since:t0)
-      in
-      add_row ~proto:"rb" ~transport:tname ~n ~round_ms:0.
-        (timed (fun () ->
-             match
-               Er.RT.run ~transport ~max_rounds:6
-                 ~correct:
-                   (List.mapi
-                      (fun i id -> (id, if i = 0 then Some "m" else None))
-                      ids)
-                 ()
-             with
-             | Error e -> Error e
-             | Ok r ->
-                 Ok
-                   ( r.Er.RT.r_rounds,
-                     List.length
-                       (List.filter
-                          (fun (s : Er.RT.node_summary) ->
-                            s.Er.RT.ns_output <> None)
-                          r.Er.RT.r_nodes),
-                     r.Er.RT.r_frames,
-                     r.Er.RT.r_late_frames )));
       List.iter
-        (fun round_ms ->
-          add_row ~proto:"consensus" ~transport:tname ~n ~round_ms
-            (timed (fun () ->
-                 match
-                   Ec.RT.run ~transport ~round_ms ~max_rounds:40
-                     ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-                     ()
-                 with
-                 | Error e -> Error e
-                 | Ok r ->
-                     Ok
-                       ( r.Ec.RT.r_rounds,
-                         List.length
-                           (List.filter
-                              (fun (s : Ec.RT.node_summary) ->
-                                s.Ec.RT.ns_output <> None)
-                              r.Ec.RT.r_nodes),
-                         r.Ec.RT.r_frames,
-                         r.Ec.RT.r_late_frames ))))
-        [ 0.; 60.; 150. ])
-    [ ("domains", `Domains); ("socket", `Socket) ];
+        (fun (proto, round_ms) ->
+          Table.add_row t
+            (proto :: tname :: Table.cell_int n
+            :: (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0")
+            ::
+            match
+              rt_run proto ~transport ~round_ms ~max_rounds:(rt_rounds proto)
+                ids
+            with
+            | Error e -> [ e; "-"; "-"; "-"; "-"; "-"; "-"; "no" ]
+            | Ok (s : Runtime_runs.summary) ->
+                let avg = s.run_ms /. float_of_int (max s.rounds 1) in
+                [
+                  Table.cell_int s.rounds;
+                  Table.cell_int s.decided;
+                  Table.cell_int s.frames;
+                  Table.cell_int s.late;
+                  Printf.sprintf "%.1fms" s.run_ms;
+                  Printf.sprintf "%.0f/s"
+                    (float_of_int s.frames
+                    /. (Float.max s.run_ms 1e-3 /. 1000.));
+                  Printf.sprintf "%.1fms" avg;
+                  (if round_ms > 0. then bool_cell (avg <= round_ms) else "-");
+                ]))
+        [
+          ("rb", 0.); ("consensus", 0.); ("consensus", 60.); ("consensus", 150.);
+        ])
+    rt_transports;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -2521,7 +2311,8 @@ module Claims = struct
       status = (if holds then Artifact.Pass else Artifact.Fail);
     }
 
-  let for_experiment id (t : Table.t) =
+  let for_experiment id (o : outcome) =
+    let t = o.table in
     let cols = Table.columns t in
     let idx name =
       let rec go i = function
@@ -2921,7 +2712,7 @@ module Claims = struct
           match
             List.find_opt
               (fun (f : Ubpa_obs.Complexity.fit) -> String.equal f.name name)
-              !cx1_fits
+              o.fits
           with
           | Some f -> f.holds
           | None -> false
@@ -2975,7 +2766,7 @@ module Claims = struct
           match
             List.find_opt
               (fun (f : Ubpa_obs.Complexity.fit) -> String.equal f.name name)
-              !cx2_fits
+              o.fits
           with
           | Some f -> f.holds
           | None -> false
@@ -3201,7 +2992,7 @@ module Claims = struct
           claim "RT2.violation-trace-committed"
             "the beyond-budget counterexample trace is captured for the \
              committed artifact (TRACE_RT2.jsonl)"
-            (!rt2_trace <> "");
+            (List.mem_assoc "TRACE_RT2.jsonl" o.files);
         ]
     | "SCALE" ->
         let key r = (get r "workload", get r "n") in
@@ -3389,13 +3180,13 @@ let () =
   register "PERF" "engine throughput" perf;
   register "PERF2" "sweep executor determinism" perf2;
   register "R1" "chaos sweep" r1;
-  register "CX1" "wire-level complexity" cx1;
-  register "MC1" "exhaustive model checking" mc1;
+  register_outcome "CX1" "wire-level complexity" cx1;
+  register_outcome "MC1" "exhaustive model checking" mc1;
   register "RT1" "networked runtime oracle" rt1;
-  register "RT2" "fault-tolerant runtime" rt2;
+  register_outcome "RT2" "fault-tolerant runtime" rt2;
   register "RT3" "runtime latency/throughput" rt3;
   register "SCALE" "arena core at scale" scale;
-  register "CX2" "sub-quadratic committee agreement" cx2;
+  register_outcome "CX2" "sub-quadratic committee agreement" cx2;
   let wanted (id, _, _) =
     match !only with
     | None -> true
@@ -3406,7 +3197,8 @@ let () =
     (fun (id, _, f) ->
       Printf.printf "\n[%s] running...\n%!" id;
       let t0 = Clock.now_ms () in
-      let table = f () in
+      let o = f () in
+      let table = o.table in
       let elapsed_ms = Clock.elapsed_ms ~since:t0 in
       Table.print table;
       (match !csv_dir with
@@ -3422,7 +3214,7 @@ let () =
       | None -> ()
       | Some dir ->
           let open Ubpa_report in
-          let claims = Claims.for_experiment id table in
+          let claims = Claims.for_experiment id o in
           let columns = Table.columns table in
           let rows = Table.rows table in
           let artifact =
@@ -3436,35 +3228,17 @@ let () =
               rows;
               claims;
               metrics = Artifact.derive_metrics ~columns ~rows;
-              complexity =
-                (match id with
-                | "CX1" -> !cx1_fits
-                | "CX2" -> !cx2_fits
-                | _ -> []);
+              complexity = o.fits;
             }
           in
           let path = Artifact.write ~dir artifact in
-          (if String.equal id "CX1" && !cx1_trace <> "" then begin
-             let tpath = Filename.concat dir "TRACE_CX1.jsonl" in
-             let oc = open_out tpath in
-             output_string oc !cx1_trace;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" tpath
-           end);
-          (if String.equal id "RT2" && !rt2_trace <> "" then begin
-             let tpath = Filename.concat dir "TRACE_RT2.jsonl" in
-             let oc = open_out tpath in
-             output_string oc !rt2_trace;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" tpath
-           end);
-          (if String.equal id "MC1" && !mc1_cex <> "" then begin
-             let cpath = Filename.concat dir "CEX_MC1.jsonl" in
-             let oc = open_out cpath in
-             output_string oc !mc1_cex;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" cpath
-           end);
+          List.iter
+            (fun (name, contents) ->
+              let fpath = Filename.concat dir name in
+              Out_channel.with_open_bin fpath (fun oc ->
+                  output_string oc contents);
+              Printf.printf "wrote %s\n%!" fpath)
+            o.files;
           let failed =
             List.filter
               (fun (c : Artifact.claim) -> c.status = Artifact.Fail)

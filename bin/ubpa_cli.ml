@@ -647,13 +647,14 @@ let trace_cmd =
 
 (* ----- networked runtime ----- *)
 
-(* ubpa run: drive the protocol over actual concurrent per-node processes
-   (lib/runtime) instead of the lockstep simulator, then hold the run to
-   the simulator's verdict: the recorded delivery schedule must replay
-   cleanly through the arena core, and decisions, decide rounds, trace
-   events and wire accounting must match a fresh simulator run on the
-   same population. Needs an OCaml 5 build; on 4.14 it fails gracefully
-   with "runtime unavailable". *)
+(* ubpa run: drive a protocol from the runtime table (Runtime_runs) over
+   actual concurrent per-node processes (lib/runtime) instead of the
+   lockstep simulator, then hold the run to the simulator's verdict: the
+   recorded delivery schedule must replay cleanly through the arena core,
+   and decisions, decide rounds, trace events and wire accounting must
+   match a fresh simulator run on the same population. With --faults the
+   gate is graceful degradation instead. Needs an OCaml 5 build; on 4.14
+   it fails gracefully with "runtime unavailable". *)
 let run_cmd =
   let runtime_t =
     Arg.(
@@ -668,7 +669,8 @@ let run_cmd =
   let protocol_t =
     Arg.(
       value
-      & opt (enum [ ("consensus", `Consensus); ("rb", `Rb) ]) `Consensus
+      & opt (enum (List.map (fun p -> (p, p)) Runtime_runs.protocols))
+          "consensus"
       & info [ "protocol" ] ~docv:"P"
           ~doc:"Protocol to run: consensus or rb (reliable broadcast).")
   in
@@ -727,277 +729,92 @@ let run_cmd =
       & opt (enum [ ("ok", `Ok); ("violation", `Violation) ]) `Ok
       & info [ "expect" ] ~docv:"WHAT"
           ~doc:
-            "With --faults: expected verdict. $(b,ok) (default) exits 0 \
-             when every degradation check passes; $(b,violation) exits 0 \
-             when at least one fails — for beyond-budget plans whose \
-             whole point is the counterexample.")
+            "Expected verdict. $(b,ok) (default) exits 0 when every check \
+             passes; $(b,violation) exits 0 when at least one fails — for \
+             beyond-budget plans whose whole point is the counterexample.")
   in
-  let finish ~transport ~n ~rounds ~late ~frame_bytes ~wire ~checks ~events
-      ~decisions ~trace_out =
+  let comma_list pp xs = String.concat ", " (List.map (Fmt.str "%a" pp) xs) in
+  let pp_crashed ppf (id, at) =
+    Fmt.pf ppf "%a@r%d" Ubpa_util.Node_id.pp id at
+  in
+  let pp_dead ppf (observer, peer, at) =
+    Fmt.pf ppf "%a saw %a dead r%d" Ubpa_util.Node_id.pp observer
+      Ubpa_util.Node_id.pp peer at
+  in
+  let report ~n ~plan ~trace_out ~expect (s : Runtime_runs.summary) =
+    let gate, passed =
+      match plan with
+      | None -> ("oracle", "equivalent to the simulator")
+      | Some _ -> ("degradation", "degraded gracefully")
+    in
     Fmt.pr "runtime=%s n=%d rounds=%d late-frames=%d frame-bytes=%d@."
-      transport n rounds late frame_bytes;
-    Fmt.pr "wire: %d msgs, %d bits@."
-      (Ubpa_obs.Wire.messages wire)
-      (Ubpa_obs.Wire.bits wire);
-    Fmt.pr "oracle checks:@.";
+      s.transport n s.rounds s.late s.frame_bytes;
+    Option.iter
+      (fun plan ->
+        let inj = s.injected in
+        Fmt.pr "fault plan: %a@." Ubpa_faults.pp plan;
+        Fmt.pr "injected: lost=%d dup=%d delayed=%d@."
+          inj.Ubpa_runtime.Transport_faulty.inj_lost inj.inj_dup
+          inj.inj_delayed;
+        if s.crashed <> [] then
+          Fmt.pr "crashed: %s@." (comma_list pp_crashed s.crashed);
+        if s.dead <> [] then
+          Fmt.pr "presumed dead: %s@." (comma_list pp_dead s.dead))
+      plan;
+    Fmt.pr "wire: %d msgs, %d bits@." s.msgs s.bits;
+    Fmt.pr "survivors: %d/%d, %d decided@." s.survivors n s.decided;
+    Fmt.pr "%s checks:@." gate;
     List.iter
-      (fun (name, ok, detail) ->
-        if ok then Fmt.pr "  %-13s ok@." name
-        else Fmt.pr "  %-13s FAIL: %s@." name detail)
-      checks;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
+      (fun (c : Ubpa_harness.Runtime_exec.check) ->
+        if c.c_ok then Fmt.pr "  %-18s ok@." c.c_name
+        else Fmt.pr "  %-18s FAIL: %s@." c.c_name c.c_detail)
+      s.checks;
+    Option.iter
+      (fun path ->
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_string oc
-              (Trace.to_jsonl (Trace.of_events events)));
-        Fmt.pr "trace written to %s@." path);
+              (Trace.to_jsonl (Trace.of_events s.events)));
+        Fmt.pr "trace written to %s@." path)
+      trace_out;
     Fmt.pr "decisions:@.";
-    List.iter (fun line -> Fmt.pr "  %s@." line) decisions;
-    if not (List.for_all (fun (_, ok, _) -> ok) checks) then exit 1
-  in
-  let finish_faults ~transport ~n ~plan ~rounds ~late ~frame_bytes
-      ~injected:(lost, dup, delayed) ~dead ~crashed ~survivors ~checks
-      ~events ~decisions ~trace_out ~expect =
-    Fmt.pr "runtime=%s n=%d rounds=%d late-frames=%d frame-bytes=%d@."
-      transport n rounds late frame_bytes;
-    Fmt.pr "fault plan: %a@." Ubpa_faults.pp plan;
-    Fmt.pr "injected: lost=%d dup=%d delayed=%d@." lost dup delayed;
-    (match crashed with
-    | [] -> ()
-    | _ ->
-        Fmt.pr "crashed: %s@."
-          (String.concat ", "
-             (List.map
-                (fun (id, at) ->
-                  Fmt.str "%a@r%d" Ubpa_util.Node_id.pp id at)
-                crashed)));
-    (match dead with
-    | [] -> ()
-    | _ ->
-        Fmt.pr "presumed dead: %s@."
-          (String.concat ", "
-             (List.map
-                (fun (observer, peer, at) ->
-                  Fmt.str "%a saw %a dead r%d" Ubpa_util.Node_id.pp observer
-                    Ubpa_util.Node_id.pp peer at)
-                dead)));
-    Fmt.pr "survivors: %d/%d, %d decided@." (List.length survivors) n
-      (List.length decisions);
-    Fmt.pr "degradation checks:@.";
-    List.iter
-      (fun (name, ok, detail) ->
-        if ok then Fmt.pr "  %-18s ok@." name
-        else Fmt.pr "  %-18s FAIL: %s@." name detail)
-      checks;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc
-              (Trace.to_jsonl (Trace.of_events events)));
-        Fmt.pr "trace written to %s@." path);
-    Fmt.pr "decisions:@.";
-    List.iter (fun line -> Fmt.pr "  %s@." line) decisions;
-    let ok = List.for_all (fun (_, ok, _) -> ok) checks in
-    (match (ok, expect) with
-    | true, `Ok -> Fmt.pr "verdict: degraded gracefully (as expected)@."
-    | false, `Violation ->
-        Fmt.pr "verdict: violation (expected — plan is beyond budget)@."
+    List.iter (Fmt.pr "  %s@.") s.decisions;
+    (match (s.ok, expect) with
+    | true, `Ok -> Fmt.pr "verdict: %s (as expected)@." passed
+    | false, `Violation -> Fmt.pr "verdict: violation (as expected)@."
     | true, `Violation ->
         Fmt.pr "verdict: NO violation, but --expect violation@."
     | false, `Ok -> Fmt.pr "verdict: VIOLATION@.");
-    if ok <> (expect = `Ok) then exit 1
+    if s.ok <> (expect = `Ok) then exit 1
   in
   let run runtime protocol n seed round_ms max_rounds trace_out faults
       dead_after expect =
     let ids = Ubpa_harness.Harness.make_ids ~seed:(i64 seed) n in
-    let parse_plan spec =
-      match Ubpa_faults.parse_spec ~ids spec with
-      | Ok plan -> plan
-      | Error e ->
-          Fmt.epr "error: bad --faults spec: %s@." e;
-          exit 2
+    let plan =
+      Option.map
+        (fun spec ->
+          match Ubpa_faults.parse_spec ~ids spec with
+          | Ok plan -> plan
+          | Error e ->
+              Fmt.epr "error: bad --faults spec: %s@." e;
+              exit 2)
+        faults
     in
-    match protocol with
-    | `Consensus -> (
-        let module E =
-          Ubpa_harness.Runtime_exec.Make (Scenarios.Consensus_int.P) in
-        let correct = List.mapi (fun i id -> (id, i mod 2)) ids in
-        match faults with
-        | Some spec -> (
-            let plan = parse_plan spec in
-            match
-              E.run_with_faults ~transport:runtime ~round_ms ~max_rounds
-                ~dead_after ~faults:plan ~seed:(i64 seed) ~correct ()
-            with
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                exit 1
-            | Ok fv ->
-                finish_faults ~transport:fv.E.f_run.E.RT.r_transport ~n ~plan
-                  ~rounds:fv.E.f_run.E.RT.r_rounds
-                  ~late:fv.E.f_run.E.RT.r_late_frames
-                  ~frame_bytes:fv.E.f_run.E.RT.r_frame_bytes
-                  ~injected:
-                    ( fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_lost,
-                      fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_dup,
-                      fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_delayed )
-                  ~dead:fv.E.f_run.E.RT.r_dead
-                  ~crashed:fv.E.f_run.E.RT.r_crashed
-                  ~survivors:fv.E.f_survivors
-                  ~checks:
-                    (List.map
-                       (fun c -> (c.E.c_name, c.E.c_ok, c.E.c_detail))
-                       fv.E.f_checks)
-                  ~events:fv.E.f_run.E.RT.r_events
-                  ~decisions:
-                    (List.filter_map
-                       (fun (s : E.RT.node_summary) ->
-                         Option.map
-                           (fun o ->
-                             Fmt.str "%a -> %d" Ubpa_util.Node_id.pp
-                               s.E.RT.ns_id o)
-                           s.E.RT.ns_output)
-                       fv.E.f_run.E.RT.r_nodes)
-                  ~trace_out ~expect)
-        | None -> (
-            match
-              E.compare_with_sim ~transport:runtime ~round_ms ~max_rounds
-                ~correct ()
-            with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            exit 1
-        | Ok v ->
-            finish ~transport:v.E.v_run.E.RT.r_transport ~n
-              ~rounds:v.E.v_run.E.RT.r_rounds
-              ~late:v.E.v_run.E.RT.r_late_frames
-              ~frame_bytes:v.E.v_run.E.RT.r_frame_bytes
-              ~wire:v.E.v_run.E.RT.r_wire
-              ~checks:
-                (List.map
-                   (fun c -> (c.E.c_name, c.E.c_ok, c.E.c_detail))
-                   v.E.v_checks)
-              ~events:v.E.v_run.E.RT.r_events
-              ~decisions:
-                (List.filter_map
-                   (fun (s : E.RT.node_summary) ->
-                     Option.map
-                       (fun o ->
-                         Fmt.str "%a -> %d" Ubpa_util.Node_id.pp s.E.RT.ns_id
-                           o)
-                       s.E.RT.ns_output)
-                   v.E.v_run.E.RT.r_nodes)
-              ~trace_out))
-    | `Rb -> (
-        let module E = Ubpa_harness.Runtime_exec.Make (Scenarios.Rb.P) in
-        let correct =
-          List.mapi
-            (fun i id ->
-              (id, if i = 0 then Some (Printf.sprintf "m%d" seed) else None))
-            ids
-        in
-        (* RB outputs are cumulative accepted streams, not single
-           decisions: the degradation gate's agreement relation is
-           consistency — no sender accepted with two different payloads
-           across two nodes. *)
-        let rb_consistent (a : Scenarios.Rb.P.output)
-            (b : Scenarios.Rb.P.output) =
-          List.for_all
-            (fun (x : Scenarios.Rb.P.accepted) ->
-              List.for_all
-                (fun (y : Scenarios.Rb.P.accepted) ->
-                  (not
-                     (Ubpa_util.Node_id.equal x.Scenarios.Rb.P.sender
-                        y.Scenarios.Rb.P.sender))
-                  || String.equal x.Scenarios.Rb.P.payload
-                       y.Scenarios.Rb.P.payload)
-                b)
-            a
-        in
-        match faults with
-        | Some spec -> (
-            let plan = parse_plan spec in
-            match
-              E.run_with_faults ~equal_output:rb_consistent
-                ~transport:runtime ~round_ms ~max_rounds ~dead_after
-                ~faults:plan ~seed:(i64 seed) ~correct ()
-            with
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                exit 1
-            | Ok fv ->
-                finish_faults ~transport:fv.E.f_run.E.RT.r_transport ~n ~plan
-                  ~rounds:fv.E.f_run.E.RT.r_rounds
-                  ~late:fv.E.f_run.E.RT.r_late_frames
-                  ~frame_bytes:fv.E.f_run.E.RT.r_frame_bytes
-                  ~injected:
-                    ( fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_lost,
-                      fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_dup,
-                      fv.E.f_run.E.RT.r_injected
-                        .Ubpa_runtime.Transport_faulty.inj_delayed )
-                  ~dead:fv.E.f_run.E.RT.r_dead
-                  ~crashed:fv.E.f_run.E.RT.r_crashed
-                  ~survivors:fv.E.f_survivors
-                  ~checks:
-                    (List.map
-                       (fun c -> (c.E.c_name, c.E.c_ok, c.E.c_detail))
-                       fv.E.f_checks)
-                  ~events:fv.E.f_run.E.RT.r_events
-                  ~decisions:
-                    (List.filter_map
-                       (fun (s : E.RT.node_summary) ->
-                         Option.map
-                           (fun acc ->
-                             Fmt.str "%a accepted %d pair(s)"
-                               Ubpa_util.Node_id.pp s.E.RT.ns_id
-                               (List.length acc))
-                           s.E.RT.ns_output)
-                       fv.E.f_run.E.RT.r_nodes)
-                  ~trace_out ~expect)
-        | None -> (
-            match
-              E.compare_with_sim ~transport:runtime ~round_ms ~max_rounds
-                ~correct ()
-            with
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                exit 1
-            | Ok v ->
-                finish ~transport:v.E.v_run.E.RT.r_transport ~n
-                  ~rounds:v.E.v_run.E.RT.r_rounds
-                  ~late:v.E.v_run.E.RT.r_late_frames
-                  ~frame_bytes:v.E.v_run.E.RT.r_frame_bytes
-                  ~wire:v.E.v_run.E.RT.r_wire
-                  ~checks:
-                    (List.map
-                       (fun c -> (c.E.c_name, c.E.c_ok, c.E.c_detail))
-                       v.E.v_checks)
-                  ~events:v.E.v_run.E.RT.r_events
-                  ~decisions:
-                    (List.filter_map
-                       (fun (s : E.RT.node_summary) ->
-                         Option.map
-                           (fun acc ->
-                             Fmt.str "%a accepted %d pair(s)"
-                               Ubpa_util.Node_id.pp s.E.RT.ns_id
-                               (List.length acc))
-                           s.E.RT.ns_output)
-                       v.E.v_run.E.RT.r_nodes)
-                  ~trace_out))
+    match
+      (List.assoc protocol Runtime_runs.runners)
+        ~transport:runtime ~round_ms ~max_rounds ?faults:plan
+        ~fault_seed:(i64 seed) ~dead_after ids
+    with
+    | Error e ->
+        Fmt.epr "error: %s@." e;
+        exit 1
+    | Ok s -> report ~n ~plan ~trace_out ~expect s
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run a protocol on the networked runtime (one concurrent process \
           per node behind a transport) and check trace equivalence against \
-          the lockstep simulator")
+          the lockstep simulator, or graceful degradation under --faults")
     Term.(
       const run $ runtime_t $ protocol_t $ n_t $ seed_t $ round_ms_t
       $ max_rounds_t $ trace_out_t $ faults_t $ dead_after_t $ expect_t)

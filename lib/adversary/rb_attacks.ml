@@ -19,7 +19,7 @@ module Make (V : Value.S) = struct
           List.mapi
             (fun i t ->
               let m = if i < half then m1 else m2 in
-              (Envelope.To t, Rb.inject (Rb.Payload m)))
+              (Envelope.To t, Rb.Payload m))
             correct)
 
   let partial_sender m ~fraction =
@@ -27,27 +27,27 @@ module Make (V : Value.S) = struct
         if view.Strategy.round <> 1 then []
         else
           List.map
-            (fun t -> (Envelope.To t, Rb.inject (Rb.Payload m)))
+            (fun t -> (Envelope.To t, Rb.Payload m))
             (take_fraction fraction view.Strategy.correct))
 
   let forging_echoer m ~claimed =
     Strategy.v ~name:"rb-forging-echoer" (fun _rng _self view ->
         if view.Strategy.round = 1 then
           (* Stay counted in n_v. *)
-          [ (Envelope.Broadcast, Rb.inject Rb.Present) ]
-        else [ (Envelope.Broadcast, Rb.inject (Rb.Echo (m, claimed))) ])
+          [ (Envelope.Broadcast, Rb.Present) ]
+        else [ (Envelope.Broadcast, Rb.Echo (m, claimed)) ])
 
   let echo_amplifier =
     Strategy.v ~name:"rb-echo-amplifier" (fun _rng _self view ->
         let echoes =
           List.filter_map
             (fun (_, msg) ->
-              match Rb.view msg with
-              | Rb.Echo (m, s) -> Some (Rb.inject (Rb.Echo (m, s)))
+              match msg with
+              | Rb.Echo (m, s) -> Some (Rb.Echo (m, s))
               | _ -> None)
             view.Strategy.inbox
         in
         if view.Strategy.round = 1 then
-          [ (Envelope.Broadcast, Rb.inject Rb.Present) ]
+          [ (Envelope.Broadcast, Rb.Present) ]
         else List.map (fun e -> (Envelope.Broadcast, e)) echoes)
 end

@@ -4,8 +4,7 @@ open Unknown_ba
 
 module Make (V : Value.S) = struct
   type input = { value : V.t; members : Node_id.t list; f : int }
-  type message_view = Value of V.t | Propose of V.t | King of V.t
-  type message = message_view
+  type message = Value of V.t | Propose of V.t | King of V.t
   type stimulus = Protocol.No_stimulus.t
   type output = V.t
 

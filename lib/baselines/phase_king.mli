@@ -14,12 +14,12 @@ open Unknown_ba
 module Make (V : Value.S) : sig
   type input = { value : V.t; members : Node_id.t list; f : int }
 
-  type message_view = Value of V.t | Propose of V.t | King of V.t
+  type message = Value of V.t | Propose of V.t | King of V.t
 
   include
     Ubpa_sim.Protocol.S
       with type input := input
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = V.t
-       and type message = message_view
+       and type message := message
 end

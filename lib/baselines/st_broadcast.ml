@@ -5,8 +5,7 @@ open Unknown_ba
 module Make (V : Value.S) = struct
   type accepted = { payload : V.t; sender : Node_id.t; accepted_round : int }
   type input = { payload : V.t option; f : int }
-  type message_view = Payload of V.t | Present | Echo of V.t * Node_id.t
-  type message = message_view
+  type message = Payload of V.t | Present | Echo of V.t * Node_id.t
   type stimulus = Protocol.No_stimulus.t
   type output = accepted list
 

@@ -15,12 +15,12 @@ module Make (V : Value.S) : sig
 
   type input = { payload : V.t option; f : int }
 
-  type message_view = Payload of V.t | Present | Echo of V.t * Node_id.t
+  type message = Payload of V.t | Present | Echo of V.t * Node_id.t
 
   include
     Ubpa_sim.Protocol.S
       with type input := input
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = accepted list
-       and type message = message_view
+       and type message := message
 end

@@ -39,14 +39,14 @@ module Rb = struct
     | b0 :: _ ->
         if arrival <= 1 then []
         else if arrival = 2 then
-          P.inject P.Present
-          :: List.map (fun v -> P.inject (P.Payload v)) universe
+          P.Present
+          :: List.map (fun v -> P.Payload v) universe
         else
           let attributed =
             match correct with [] -> [ b0 ] | c0 :: _ -> [ b0; c0 ]
           in
           List.concat_map
-            (fun s -> List.map (fun v -> P.inject (P.Echo (v, s))) universe)
+            (fun s -> List.map (fun v -> P.Echo (v, s)) universe)
             attributed
 
   let copy_state = P.copy_state

@@ -4,14 +4,13 @@ open Ubpa_sim
 type input = bool
 type output = bool
 
-type message_view =
+type message =
   | Init
   | Cand_echo of Node_id.t
   | Input of bool
   | Support of bool
   | Opinion of bool
 
-type message = message_view
 type stimulus = Protocol.No_stimulus.t
 
 module Bool_tally = Tally.Make (Bool)

@@ -28,7 +28,7 @@ open Ubpa_util
 type input = bool
 type output = bool
 
-type message_view =
+type message =
   | Init
   | Cand_echo of Node_id.t
   | Input of bool
@@ -40,7 +40,7 @@ include
     with type input := input
      and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
      and type output := output
-     and type message = message_view
+     and type message := message
 
 val current_opinion : state -> bool
 val phase : state -> int

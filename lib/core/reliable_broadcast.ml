@@ -4,11 +4,7 @@ open Ubpa_sim
 module Make (V : Value.S) = struct
   type accepted = { payload : V.t; sender : Node_id.t; accepted_round : int }
 
-  type message_view = Payload of V.t | Present | Echo of V.t * Node_id.t
-  type message = message_view
-
-  let view m = m
-  let inject m = m
+  type message = Payload of V.t | Present | Echo of V.t * Node_id.t
 
   type input = V.t option
   type stimulus = Protocol.No_stimulus.t

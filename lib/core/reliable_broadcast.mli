@@ -25,6 +25,13 @@ open Ubpa_util
 module Make (V : Value.S) : sig
   type accepted = { payload : V.t; sender : Node_id.t; accepted_round : int }
 
+  (** Message constructors are exposed so adversary strategies can forge
+      protocol traffic. *)
+  type message =
+    | Payload of V.t  (** The sender's round-1 broadcast; src authenticates. *)
+    | Present
+    | Echo of V.t * Node_id.t
+
   (** [input] is [Some m] for a designated sender and [None] for the rest.
       [output] is the cumulative list of accepted pairs, oldest first,
       re-delivered on every new acceptance. *)
@@ -33,16 +40,7 @@ module Make (V : Value.S) : sig
       with type input = V.t option
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = accepted list
-
-  (** Message constructors are exposed so adversary strategies can forge
-      protocol traffic. *)
-  type message_view =
-    | Payload of V.t  (** The sender's round-1 broadcast; src authenticates. *)
-    | Present
-    | Echo of V.t * Node_id.t
-
-  val view : message -> message_view
-  val inject : message_view -> message
+       and type message := message
 
   val n_v : state -> int
   (** Distinct senders heard from so far, this round's included. *)

@@ -3,8 +3,7 @@ open Ubpa_sim
 module Int_set = Set.Make (Int)
 
 type output = { names : (Node_id.t * int) list; my_name : int }
-type message_view = Init | Echo of Node_id.t | Terminate of int
-type message = message_view
+type message = Init | Echo of Node_id.t | Terminate of int
 type input = unit
 type stimulus = Protocol.No_stimulus.t
 

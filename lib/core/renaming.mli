@@ -19,7 +19,7 @@ type output = {
   my_name : int;
 }
 
-type message_view =
+type message =
   | Init
   | Echo of Node_id.t
   | Terminate of int  (** [terminate(k)]: [S] stable since round [k]. *)
@@ -29,4 +29,4 @@ include
     with type input = unit
      and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
      and type output := output
-     and type message = message_view
+     and type message := message

@@ -2,11 +2,7 @@ open Ubpa_util
 open Ubpa_sim
 
 module Make (V : Value.S) = struct
-  type message_view = Init | Echo of Node_id.t | Opinion of V.t
-  type message = message_view
-
-  let view m = m
-  let inject m = m
+  type message = Init | Echo of Node_id.t | Opinion of V.t
 
   type input = V.t
   type stimulus = Protocol.No_stimulus.t

@@ -22,17 +22,15 @@ module Make (V : Value.S) : sig
     terminated_round : int;  (** Simulator round of the break. *)
   }
 
+  type message =
+    | Init
+    | Echo of Node_id.t
+    | Opinion of V.t
+
   include
     Ubpa_sim.Protocol.S
       with type input = V.t
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output := output
-
-  type message_view =
-    | Init
-    | Echo of Node_id.t
-    | Opinion of V.t
-
-  val view : message -> message_view
-  val inject : message_view -> message
+       and type message := message
 end

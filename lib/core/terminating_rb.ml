@@ -6,8 +6,7 @@ module Make (V : Value.S) = struct
   module Core = Consensus_core.Make (Opt)
 
   type input = { sender : Node_id.t; payload : V.t option }
-  type message_view = Trb_payload of V.t | Trb_init | Con of Core.message
-  type message = message_view
+  type message = Trb_payload of V.t | Trb_init | Con of Core.message
   type stimulus = Protocol.No_stimulus.t
   type output = V.t option
 

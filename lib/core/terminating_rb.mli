@@ -17,7 +17,7 @@ module Make (V : Value.S) : sig
   type input = { sender : Node_id.t; payload : V.t option }
   (** [payload] is [Some m] iff this node is the designated sender [s]. *)
 
-  type message_view =
+  type message =
     | Trb_payload of V.t  (** sender's round-1 broadcast *)
     | Trb_init  (** everyone else's round-1 presence message *)
     | Con of Core.message  (** embedded consensus traffic *)
@@ -27,5 +27,5 @@ module Make (V : Value.S) : sig
       with type input := input
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = V.t option
-       and type message = message_view
+       and type message := message
 end

@@ -17,14 +17,13 @@ module Make (V : Value.S) = struct
   type stimulus_view = Witness of V.t | Leave
   type stimulus = stimulus_view
 
-  type message_view =
+  type message =
     | Present
     | Ack of int
     | Absent
     | Event of V.t * int
     | Group of int * Pc.message
 
-  type message = message_view
   type input = role
 
   type group_state = {

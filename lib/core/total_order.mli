@@ -40,7 +40,7 @@ module Make (V : Value.S) : sig
 
   type stimulus_view = Witness of V.t | Leave
 
-  type message_view =
+  type message =
     | Present
     | Ack of int
     | Absent
@@ -52,7 +52,7 @@ module Make (V : Value.S) : sig
       with type input = role
        and type stimulus = stimulus_view
        and type output = chain_output
-       and type message = message_view
+       and type message := message
 
   val membership : state -> Node_id.t list
   (** Current [S], ascending (tests). *)

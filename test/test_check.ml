@@ -211,16 +211,16 @@ let test_rb_key_order_free () =
   let ids = List.map Node_id.of_int [ 11; 22; 33 ] in
   let all m = List.map (fun id -> (id, m)) ids in
   let c1 = List.nth ids 1 and c2 = List.nth ids 2 in
-  let echo_a = all (P.inject (P.Echo ("A", c1))) in
+  let echo_a = all (P.Echo ("A", c1)) in
   let echoes =
-    echo_a @ all (P.inject (P.Echo ("B", c2)))
+    echo_a @ all (P.Echo ("B", c2))
     |> List.stable_sort (fun (a, _) (b, _) -> Node_id.compare a b)
   in
   let first =
     [
-      (List.nth ids 0, P.inject P.Present);
-      (c1, P.inject (P.Payload "A"));
-      (c2, P.inject (P.Payload "B"));
+      (List.nth ids 0, P.Present);
+      (c1, P.Payload "A");
+      (c2, P.Payload "B");
     ]
   in
   let drive =

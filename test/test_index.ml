@@ -22,7 +22,7 @@ let test_unregistered_slot_raises () =
     (Invalid_argument "Interner.slot: #7 was never registered") (fun () ->
       ignore
         (Rb.step ~self:(id 5) ~round:1 ~stim:[] st
-           ~inbox:[ (id 7, Rb.inject Rb.Present) ]))
+           ~inbox:[ (id 7, Rb.Present) ]))
 
 (* Consecutive and power-of-two-strided ids land in one bucket run
    under identity hashing; every shape must round-trip, through growth. *)
@@ -46,7 +46,7 @@ let test_patterned_ids_roundtrip () =
 (* Broadcasts [present] every round. *)
 let present_every_round =
   Strategy.v ~name:"present" (fun _ _ _ ->
-      [ (Envelope.Broadcast, Rb.inject Rb.Present) ])
+      [ (Envelope.Broadcast, Rb.Present) ])
 
 let test_joiners_count_from_first_delivery () =
   let ids = Node_id.scatter ~seed:3L 6 in
@@ -84,14 +84,14 @@ let test_rb_copy_isolated () =
   let st = step st ~round:1 [] in
   let st =
     step st ~round:2
-      (List.map (fun x -> (x, Rb.inject Rb.Present)) [ id 10; id 20 ])
+      (List.map (fun x -> (x, Rb.Present)) [ id 10; id 20 ])
   in
   let key = Rb.state_key st in
   let copy = Rb.copy_state st in
   let copy =
     step copy ~round:3
       (List.map
-         (fun x -> (x, Rb.inject (Rb.Echo ("m", id 30))))
+         (fun x -> (x, Rb.Echo ("m", id 30)))
          [ id 30; id 40 ])
   in
   check_int "the copy heard the new senders" 4 (Rb.n_v copy);

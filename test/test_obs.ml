@@ -63,7 +63,7 @@ let test_encoded_bits_binary_consensus () =
 let test_encoded_bits_structural_protocols () =
   (* Structural protocols must agree with the sizing module verbatim. *)
   let module R = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String) in
-  let m = R.inject (R.Payload "hello") in
+  let m = R.Payload "hello" in
   check_int "RB inherits the structural sizer"
     (Protocol.structural_bits m) (R.encoded_bits m)
 

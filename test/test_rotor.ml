@@ -115,7 +115,7 @@ let test_shift_attack_no_early_break () =
   let full_announcer =
     Strategy.v ~name:"full" (fun _ _ view ->
         if view.Strategy.round = 1 then
-          [ (Ubpa_sim.Envelope.Broadcast, R.P.inject R.P.Init) ]
+          [ (Ubpa_sim.Envelope.Broadcast, R.P.Init) ]
         else [])
   in
   let staggered = R.Attacks.staggered_announcer ~fraction:0.45 in

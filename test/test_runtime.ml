@@ -377,8 +377,9 @@ let test_trace_of_events_roundtrip () =
 
 (* ----- runtime vs simulator differentials ----- *)
 
-module Ec = Ubpa_harness.Runtime_exec.Make (Ubpa_scenarios.Scenarios.Consensus_int.P)
-module Er = Ubpa_harness.Runtime_exec.Make (Ubpa_scenarios.Scenarios.Rb.P)
+module X = Ubpa_harness.Runtime_exec
+module Ec = X.Make (Ubpa_scenarios.Scenarios.Consensus_int.P)
+module Er = X.Make (Ubpa_scenarios.Scenarios.Rb.P)
 
 let consensus_correct ~seed n =
   let ids = Ubpa_harness.Harness.make_ids ~seed n in
@@ -388,27 +389,22 @@ let rb_correct ~seed n =
   let ids = Ubpa_harness.Harness.make_ids ~seed n in
   List.mapi (fun i id -> (id, if i = 0 then Some "payload" else None)) ids
 
+let assert_checks name (checks : X.check list) =
+  List.iter
+    (fun (c : X.check) ->
+      check_true
+        (Printf.sprintf "%s: %s%s" name c.c_name
+           (if c.c_ok then "" else " — " ^ c.c_detail))
+        c.c_ok)
+    checks
+
 let assert_verdict name = function
   | Error e -> Alcotest.failf "%s: runtime error: %s" name e
-  | Ok v ->
-      List.iter
-        (fun c ->
-          check_true
-            (Printf.sprintf "%s: %s%s" name c.Ec.c_name
-               (if c.Ec.c_ok then "" else " — " ^ c.Ec.c_detail))
-            c.Ec.c_ok)
-        v.Ec.v_checks
+  | Ok v -> assert_checks name v.Ec.v_checks
 
 let assert_verdict_rb name = function
   | Error e -> Alcotest.failf "%s: runtime error: %s" name e
-  | Ok v ->
-      List.iter
-        (fun c ->
-          check_true
-            (Printf.sprintf "%s: %s%s" name c.Er.c_name
-               (if c.Er.c_ok then "" else " — " ^ c.Er.c_detail))
-            c.Er.c_ok)
-        v.Er.v_checks
+  | Ok v -> assert_checks name v.Er.v_checks
 
 let test_unavailable_graceful () =
   if not Ec.RT.available then
@@ -425,14 +421,14 @@ let test_consensus_domains_differential () =
       (fun (seed, n) ->
         assert_verdict
           (Printf.sprintf "consensus domains seed=%Ld n=%d" seed n)
-          (Ec.compare_with_sim ~transport:`Domains ~max_rounds:40
+          (Ec.run ~transport:`Domains ~max_rounds:40
              ~correct:(consensus_correct ~seed n) ()))
       [ (1L, 4); (2L, 5); (7L, 7) ]
 
 let test_consensus_socket_differential () =
   if Ec.RT.available then
     assert_verdict "consensus socket seed=1 n=5"
-      (Ec.compare_with_sim ~transport:`Socket ~max_rounds:40
+      (Ec.run ~transport:`Socket ~max_rounds:40
          ~correct:(consensus_correct ~seed:1L 5) ())
 
 let test_rb_differential () =
@@ -443,7 +439,7 @@ let test_rb_differential () =
       (fun transport ->
         assert_verdict_rb
           (Printf.sprintf "rb %s" (Er.RT.transport_name transport))
-          (Er.compare_with_sim ~transport ~max_rounds:6
+          (Er.run ~transport ~max_rounds:6
              ~correct:(rb_correct ~seed:3L 5) ()))
       [ `Domains; `Socket ]
 
@@ -451,7 +447,7 @@ let test_rb_in_process_n130 () =
   (* More node processes than OCaml's 128-domain cap. *)
   if Er.RT.available then
     assert_verdict_rb "rb domains n=130"
-      (Er.compare_with_sim ~transport:`Domains ~max_rounds:3
+      (Er.run ~transport:`Domains ~max_rounds:3
          ~correct:(rb_correct ~seed:3L 130) ())
 
 let test_rb_socket_n40 () =
@@ -459,7 +455,7 @@ let test_rb_socket_n40 () =
      select's FD_SETSIZE of 1024. *)
   if Er.RT.available then
     assert_verdict_rb "rb socket n=40"
-      (Er.compare_with_sim ~transport:`Socket ~max_rounds:3
+      (Er.run ~transport:`Socket ~max_rounds:3
          ~correct:(rb_correct ~seed:3L 40) ())
 
 let test_runs_release_fds () =
@@ -490,7 +486,7 @@ let test_round_ms_pacing () =
      fire, so the exact-lockstep gate still holds. *)
   if Ec.RT.available then
     assert_verdict "consensus domains round-ms=50"
-      (Ec.compare_with_sim ~transport:`Domains ~round_ms:50. ~max_rounds:40
+      (Ec.run ~transport:`Domains ~round_ms:50. ~max_rounds:40
          ~correct:(consensus_correct ~seed:1L 4) ())
 
 let test_decides_byte_identical () =
@@ -498,7 +494,7 @@ let test_decides_byte_identical () =
      form of the decision-equivalence claim. *)
   if Ec.RT.available then
     match
-      Ec.compare_with_sim ~transport:`Domains ~max_rounds:40
+      Ec.run ~transport:`Domains ~max_rounds:40
         ~correct:(consensus_correct ~seed:5L 5) ()
     with
     | Error e -> Alcotest.failf "runtime error: %s" e
@@ -515,12 +511,11 @@ let test_decides_byte_identical () =
               Option.map (fun o -> (s.Ec.RT.ns_id, o)) s.Ec.RT.ns_output)
             v.Ec.v_run.Ec.RT.r_nodes
         in
+        let sim = Option.get v.Ec.v_sim in
         Alcotest.(check string)
-          "decide sets byte-identical" (render v.Ec.v_sim.Ec.H.outputs)
-          (render rt);
+          "decide sets byte-identical" (render sim.Ec.H.outputs) (render rt);
         Alcotest.(check string)
-          "oracle decide set too"
-          (render v.Ec.v_sim.Ec.H.outputs)
+          "oracle decide set too" (render sim.Ec.H.outputs)
           (render v.Ec.v_oracle.Ec.RT.Oracle.outputs)
 
 let test_monitor_verdicts_identical () =
@@ -528,7 +523,7 @@ let test_monitor_verdicts_identical () =
      monitor (agreement + event sanity) and compare verdicts. *)
   if Ec.RT.available then
     match
-      Ec.compare_with_sim ~transport:`Domains ~max_rounds:40
+      Ec.run ~transport:`Domains ~max_rounds:40
         ~correct:(consensus_correct ~seed:4L 5) ()
     with
     | Error e -> Alcotest.failf "runtime error: %s" e
@@ -562,10 +557,11 @@ let test_monitor_verdicts_identical () =
         in
         let round = v.Ec.v_run.Ec.RT.r_rounds in
         let rt_verdict = verdict v.Ec.v_run.Ec.RT.r_events rt_obs ~round in
+        let sim = Option.get v.Ec.v_sim in
         let sim_verdict =
           verdict
-            (Trace.events (Ec.H.Net.trace v.Ec.v_sim.Ec.H.net))
-            (Ec.H.observations v.Ec.v_sim.Ec.H.net)
+            (Trace.events (Ec.H.Net.trace sim.Ec.H.net))
+            (Ec.H.observations sim.Ec.H.net)
             ~round
         in
         check_true "both monitors green" (rt_verdict = [] && sim_verdict = []);
@@ -610,20 +606,6 @@ let plan_exn ~ids spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad fault spec %s: %s" spec e
 
-let assert_fault_checks name (fv : Ec.fault_verdict) =
-  List.iter
-    (fun c ->
-      check_true
-        (Printf.sprintf "%s: %s%s" name c.Ec.c_name
-           (if c.Ec.c_ok then "" else " — " ^ c.Ec.c_detail))
-        c.Ec.c_ok)
-    fv.Ec.f_checks
-
-let fault_check_ok (fv : Ec.fault_verdict) name =
-  List.exists
-    (fun c -> String.equal c.Ec.c_name name && c.Ec.c_ok)
-    fv.Ec.f_checks
-
 let test_faulty_crash_degrades () =
   (* One crash plus background loss, real deadline: the four survivors
      must agree, decide, and replay clean through the delivered-schedule
@@ -632,14 +614,14 @@ let test_faulty_crash_degrades () =
     let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
     let plan = plan_exn ~ids "crash:1@3,loss=0.05" in
     match
-      Ec.run_with_faults ~round_ms:60. ~max_rounds:40 ~faults:plan ~seed:7L
+      Ec.run ~round_ms:60. ~max_rounds:40 ~faults:plan ~fault_seed:7L
         ~correct:(consensus_correct ~seed:1L 5) ()
     with
     | Error e -> Alcotest.failf "runtime error: %s" e
     | Ok fv ->
-        assert_fault_checks "crash+loss" fv;
-        check_true "graceful degradation verdict" fv.Ec.f_ok;
-        check_int "four survivors" 4 (List.length fv.Ec.f_survivors)
+        assert_checks "crash+loss" fv.Ec.v_checks;
+        check_true "graceful degradation verdict" fv.Ec.v_ok;
+        check_int "four survivors" 4 (List.length fv.Ec.v_survivors)
 
 let test_faulty_same_seed_deterministic () =
   (* Every fault decision derives from (seed, src, dst, direction): the
@@ -650,13 +632,13 @@ let test_faulty_same_seed_deterministic () =
     let plan = plan_exn ~ids "loss=0.10" in
     let go transport =
       match
-        Ec.run_with_faults ~transport ~max_rounds:40 ~faults:plan ~seed:3L
+        Ec.run ~transport ~max_rounds:40 ~faults:plan ~fault_seed:3L
           ~correct:(consensus_correct ~seed:1L 5) ()
       with
       | Error e -> Alcotest.failf "runtime error: %s" e
       | Ok fv ->
-          ( Trace.to_jsonl (Trace.of_events fv.Ec.f_run.Ec.RT.r_events),
-            fv.Ec.f_run.Ec.RT.r_injected )
+          ( Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events),
+            fv.Ec.v_run.Ec.RT.r_injected )
     in
     let ja, ia = go `Domains in
     let jb, ib = go `Domains in
@@ -682,19 +664,9 @@ let rb_delay_cell ~max_rounds =
   let correct =
     List.mapi (fun i id -> (id, if i = 0 then Some "m1" else None)) ids
   in
-  let consistent a b =
-    List.for_all
-      (fun (x : Ubpa_scenarios.Scenarios.Rb.P.accepted) ->
-        List.for_all
-          (fun (y : Ubpa_scenarios.Scenarios.Rb.P.accepted) ->
-            (not (Node_id.equal x.sender y.sender))
-            || String.equal x.payload y.payload)
-          b)
-      a
-  in
   match
-    Er.run_with_faults ~equal_output:consistent ~transport:`Socket
-      ~max_rounds ~faults:plan ~seed:1L ~correct ()
+    Er.run ~agree:Ubpa_scenarios.Runtime_runs.rb_consistent ~transport:`Socket
+      ~max_rounds ~faults:plan ~fault_seed:1L ~correct ()
   with
   | Error e -> Alcotest.failf "runtime error: %s" e
   | Ok fv ->
@@ -704,14 +676,9 @@ let rb_delay_cell ~max_rounds =
           (fun (n : Er.RT.node_summary) ->
             n.ns_output = None
             && not (List.exists (Node_id.equal n.ns_id) victims))
-          fv.Er.f_run.Er.RT.r_nodes
+          fv.Er.v_run.Er.RT.r_nodes
       in
       (victims, undecided_outside_plan, fv)
-
-let er_check_ok (fv : Er.fault_verdict) name =
-  List.exists
-    (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
-    fv.Er.f_checks
 
 let test_rb_delay_cell_victim_only () =
   if Er.RT.available then begin
@@ -719,14 +686,14 @@ let test_rb_delay_cell_victim_only () =
     check_int "one plan victim" 1 (List.length victims);
     check_int "every node outside the plan accepts" 0 (List.length undecided);
     check_true "safety stays green"
-      (er_check_ok fv "monitors"
-      && er_check_ok fv "survivor-agreement"
-      && er_check_ok fv "oracle-replay"
-      && er_check_ok fv "crash-view");
+      (X.passed fv.Er.v_checks "monitors"
+      && X.passed fv.Er.v_checks "survivor-agreement"
+      && X.passed fv.Er.v_checks "oracle-replay"
+      && X.passed fv.Er.v_checks "crash-view");
     check_true "survivors-decide passes with the victim excused"
-      (er_check_ok fv "survivors-decide");
+      (X.passed fv.Er.v_checks "survivors-decide");
     check_int "the four nodes outside the plan are the survivors" 4
-      (List.length fv.Er.f_survivors)
+      (List.length fv.Er.v_survivors)
   end
 
 let test_rb_delay_cell_short_run_fails () =
@@ -734,8 +701,27 @@ let test_rb_delay_cell_short_run_fails () =
     let _, undecided, fv = rb_delay_cell ~max_rounds:2 in
     check_int "no node outside the plan accepts by round 2" 4
       (List.length undecided);
-    check_false "survivors-decide fails" (er_check_ok fv "survivors-decide")
+    check_false "survivors-decide fails"
+      (X.passed fv.Er.v_checks "survivors-decide")
   end
+
+(* RB's consistency relation is not transitive. In [(m1, s)], [(x, t)],
+   [(m2, s)] both neighbour pairs are consistent, yet the outer pair
+   accepted s with two payloads: survivor agreement must compare every
+   pair, since RB never halts and the monitor's agreement only looks at
+   halted nodes. *)
+let test_survivor_agreement_all_pairs () =
+  let module P = Ubpa_scenarios.Scenarios.Rb.P in
+  let acc payload sender =
+    [ { P.payload; sender = nid sender; accepted_round = 3 } ]
+  in
+  let a = acc "m1" 1 and b = acc "x" 2 and c = acc "m2" 1 in
+  let rel = Ubpa_scenarios.Runtime_runs.rb_consistent in
+  check_true "neighbour pairs are consistent" (rel a b && rel b c);
+  check_false "the outer pair is not" (rel a c);
+  check_false "survivor agreement compares every pair"
+    (X.all_agree rel [ a; b; c ]);
+  check_true "consistent outputs agree" (X.all_agree rel [ a; b; acc "m1" 1 ])
 
 (* RT2's beyond-budget cell: total receive-omission isolates two of four
    nodes, one more than f = 1. The two nodes outside the plan stay safe
@@ -749,21 +735,21 @@ let test_faulty_beyond_budget_violates () =
     let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
     let plan = plan_exn ~ids isolation_plan in
     match
-      Ec.run_with_faults ~max_rounds:12 ~faults:plan ~seed:1L
+      Ec.run ~max_rounds:12 ~faults:plan ~fault_seed:1L
         ~correct:(consensus_correct ~seed:1L 4) ()
     with
     | Error e -> Alcotest.failf "runtime error: %s" e
     | Ok fv ->
-        check_false "isolation must be flagged as a violation" fv.Ec.f_ok;
+        check_false "isolation must be flagged as a violation" fv.Ec.v_ok;
         check_true "safety stays green while liveness fails"
-          (fault_check_ok fv "monitors"
-          && fault_check_ok fv "survivor-agreement"
-          && fault_check_ok fv "crash-view"
-          && fault_check_ok fv "oracle-replay");
+          (X.passed fv.Ec.v_checks "monitors"
+          && X.passed fv.Ec.v_checks "survivor-agreement"
+          && X.passed fv.Ec.v_checks "crash-view"
+          && X.passed fv.Ec.v_checks "oracle-replay");
         check_int "two survivors outside the plan" 2
-          (List.length fv.Ec.f_survivors);
+          (List.length fv.Ec.v_survivors);
         check_false "the survivors cannot decide"
-          (fault_check_ok fv "survivors-decide")
+          (X.passed fv.Ec.v_checks "survivors-decide")
 
 (* ----- golden: the committed beyond-budget trace ----- *)
 
@@ -786,15 +772,15 @@ let test_committed_rt2_trace_golden () =
     let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
     let plan = plan_exn ~ids isolation_plan in
     match
-      Ec.run_with_faults ~transport:`Domains ~max_rounds:12 ~faults:plan
-        ~seed:1L ~correct:(consensus_correct ~seed:1L 4) ()
+      Ec.run ~transport:`Domains ~max_rounds:12 ~faults:plan
+        ~fault_seed:1L ~correct:(consensus_correct ~seed:1L 4) ()
     with
     | Error e -> Alcotest.failf "runtime error: %s" e
     | Ok fv ->
         Alcotest.(check string)
           "fresh violation trace matches bench/baseline/TRACE_RT2.jsonl"
           committed
-          (Trace.to_jsonl (Trace.of_events fv.Ec.f_run.Ec.RT.r_events))
+          (Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events))
   end
 
 let suite =
@@ -836,5 +822,7 @@ let suite =
         test_rb_delay_cell_victim_only;
       quick "rb delay cell cut at round 2 fails"
         test_rb_delay_cell_short_run_fails;
+      quick "survivor agreement compares every pair"
+        test_survivor_agreement_all_pairs;
       quick "committed RT2 trace is reproducible" test_committed_rt2_trace_golden;
     ] )
