@@ -60,12 +60,9 @@ scale:
 		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-scale/
 
-# Regenerate the committed refactor-gate baseline. PERF is excluded on
-# purpose: it races the arena core against the reference core, so its
-# timing cells change run to run and can never be a determinism
-# reference.
-# PERF2 is included on purpose: its digests are independent of machine,
-# --jobs, and pool backend, so the baseline pins executor determinism.
+# Regenerate the committed refactor-gate baseline. PERF2 is included on
+# purpose: its digests are independent of machine, --jobs, and pool
+# backend, so the baseline pins executor determinism.
 # SCALE and CX2 are re-run in full mode: their committed baselines carry
 # the rows that are the scaling evidence — SCALE's n=10,000 delivery
 # sweep, CX2's n=3,001 per-node √n·polylog(n) budget fits (CI's
@@ -76,10 +73,10 @@ bench-baseline:
 	dune exec bench/main.exe -- --fast --json bench/baseline/
 	dune exec bench/main.exe -- --only SCALE --json bench/baseline/
 	dune exec bench/main.exe -- --only CX2 --json bench/baseline/
-	rm -f bench/baseline/BENCH_PERF.json
 
-# The refactor gate CI runs: fast sweeps diffed cell-for-cell against
-# the committed baseline (wall-clock metadata exempt).
+# The refactor gate CI runs: fast sweeps diffed claim for claim and cell
+# for cell against the committed baseline (wall-clock metadata exempt).
+# `dune runtest` runs the timing-free part of it (bench/dune).
 # The baseline was produced serially, so running the gate with JOBS > 1
 # doubles as the parallel-vs-serial byte-identity check.
 bench-gate:

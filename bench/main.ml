@@ -1,24 +1,14 @@
 (* Experiment harness.
 
    The paper is theory-only (no tables or figures), so EXPERIMENTS.md
-   defines the evaluation suite E1-E12 + A1-A3: one table per claim of the
-   paper, regenerated by this executable. `--only E3,SCALE` selects
-   experiments,
-   `--fast` shrinks the sweeps, `--jobs N` runs sweep cells on N worker
-   domains (tables stay byte-identical — see PERF2). *)
+   defines the evaluation suite: one table per claim of the paper plus the
+   engine, checking and runtime experiments, each an [Exp.t] declared in
+   its family module (Paper, Engine, Checks). This file parses the
+   arguments and writes the artifacts. `--only E3,SCALE` selects
+   experiments, `--fast` shrinks the sweeps, `--jobs N` runs sweep cells
+   on N worker domains (tables stay byte-identical — see PERF2). *)
 
 open Ubpa_util
-open Ubpa_sim
-open Ubpa_harness
-open Ubpa_scenarios
-
-let fast = ref false
-let only : string option ref = ref None
-let csv_dir : string option ref = ref None
-let json_dir : string option ref = ref None
-
-let jobs : int option ref = ref None
-(* --jobs N; None falls back to UBPA_JOBS, then 1 (see Pool.map) *)
 
 let usage =
   "usage: main.exe [options]\n\
@@ -30,3098 +20,18 @@ let usage =
      \                 default: UBPA_JOBS env var, then 1). Tables are\n\
      \                 byte-identical at any N; PERF2 machine-checks this.\n"
 
-let sizes () = if !fast then [ 4; 7; 13 ] else [ 4; 7; 13; 25; 40; 61 ]
-let f_sweep () = if !fast then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ]
-let seeds () = if !fast then [ 1L; 2L ] else [ 1L; 2L; 3L; 4L; 5L ]
-
-(* What an experiment hands the main loop: its table, the complexity fits
-   the artifact carries, and named side files written next to it. *)
-type outcome = {
-  table : Table.t;
-  fits : Ubpa_obs.Complexity.fit list;
-  files : (string * string) list;  (** (file name, contents) *)
-}
-
-let experiments : (string * string * (unit -> outcome)) list ref = ref []
-let register_outcome id title f = experiments := (id, title, f) :: !experiments
-
-let register id title f =
-  register_outcome id title (fun () -> { table = f (); fits = []; files = [] })
-
-let bool_cell = Table.cell_bool
-let f_of_n n = Scenarios.max_f n
-
-(* Run one sweep cell per item on the pool and append each cell's rows in
-   submission order: the finished table is byte-identical to a serial run
-   at any --jobs (every cell owns its seeds; see Ubpa_harness.Pool). *)
-let pool_rows t items f =
-  List.iter (List.iter (Table.add_row t)) (Pool.map ?jobs:!jobs f items)
-
-(* FNV-1a over a string; used for the deterministic digests in PERF/PERF2
-   (deliberately our own arithmetic — Hashtbl.hash may differ across
-   compiler versions, this must not). *)
-let fnv1a (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let digest_cell h = Printf.sprintf "%016Lx" h
-
-(* ------------------------------------------------------------------ *)
-(* E1: reliable broadcast — correctness, relay, unforgeability          *)
-(* ------------------------------------------------------------------ *)
-
-let e1 () =
-  let t =
-    Table.create ~title:"E1: reliable broadcast in the id-only model"
-      ~columns:
-        [
-          "n";
-          "f";
-          "adversary";
-          "accepted";
-          "consistent";
-          "round(min)";
-          "round(max)";
-          "msgs";
-        ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", [], false);
-          ("silent", List.init f (fun _ -> Strategy.silent), false);
-          ( "equivocating-sender",
-            Scenarios.Rb.Attacks.equivocating_sender "m1" "m2"
-            :: List.init (max 0 (f - 1)) (fun _ -> Strategy.silent),
-            true );
-          ( "partial-sender(0.4)",
-            Scenarios.Rb.Attacks.partial_sender "m" ~fraction:0.4
-            :: List.init (max 0 (f - 1)) (fun _ -> Strategy.silent),
-            true );
-        ]
-      in
-      List.filter_map
-        (fun (label, byz, byz_sender) ->
-          if f = 0 && byz_sender then None
-          else
-            let byz = if f = 0 then [] else byz in
-            let s =
-              Scenarios.Rb.run ~byz ~byz_sender
-                ~n_correct:(n - List.length byz) ~payload:"m" ()
-            in
-            Some
-              [
-                Table.cell_int s.Scenarios.Rb.n;
-                Table.cell_int s.Scenarios.Rb.f;
-                label;
-                bool_cell s.Scenarios.Rb.all_accepted_sender_payload;
-                bool_cell s.Scenarios.Rb.consistent_acceptance;
-                Table.cell_int s.Scenarios.Rb.min_accept_round;
-                Table.cell_int s.Scenarios.Rb.max_accept_round;
-                Table.cell_int s.Scenarios.Rb.delivered_msgs;
-              ])
-        cases);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E2: rotor-coordinator — O(n) rounds, good round                      *)
-(* ------------------------------------------------------------------ *)
-
-let e2 () =
-  let t =
-    Table.create ~title:"E2: rotor-coordinator termination and good rounds"
-      ~columns:
-        [ "n"; "f"; "adversary"; "rounds(max)"; "bound n+3"; "good round"; "msgs" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", []);
-          ("silent", List.init f (fun _ -> Strategy.silent));
-          ( "staggered",
-            List.init f (fun i ->
-                Scenarios.Rotor_int.Attacks.staggered_announcer
-                  ~fraction:(0.34 +. (0.1 *. float_of_int (i mod 4)))) );
-        ]
-      in
-      List.map
-        (fun (label, byz) ->
-          let byz = if f = 0 then [] else byz in
-          let s =
-            Scenarios.Rotor_int.run ~byz ~n_correct:(n - List.length byz) ()
-          in
-          let rmax =
-            List.fold_left max 0 s.Scenarios.Rotor_int.termination_rounds
-          in
-          [
-            Table.cell_int s.Scenarios.Rotor_int.n;
-            Table.cell_int s.Scenarios.Rotor_int.f;
-            label;
-            Table.cell_int rmax;
-            Table.cell_int (n + 3);
-            bool_cell s.Scenarios.Rotor_int.good_round_exists;
-            Table.cell_int s.Scenarios.Rotor_int.delivered_msgs;
-          ])
-        cases);
-  t
-
-
-(* E2b: figure-style series — per-round delivered messages of a rotor run,
-   showing the Theta(n^2) echo burst at initialization and the thin
-   steady-state tail. *)
-
-let e2b () =
-  let t =
-    Table.create
-      ~title:"E2b: rotor message profile over time (n = 13, all correct)"
-      ~columns:[ "round"; "delivered"; "profile" ]
-  in
-  let ids = Scenarios.make_ids ~seed:76L 13 in
-  let module H = Harness.Make (Scenarios.Rotor_int.P) in
-  let o =
-    H.execute ~max_rounds:100
-      ~correct:(List.mapi (fun i id -> (id, i)) ids)
-      ~byzantine:[] ()
-  in
-  let rows = Metrics.delivered_per_round o.H.metrics in
-  let peak = List.fold_left (fun acc (_, c) -> max acc c) 1 rows in
-  List.iter
-    (fun (round, count) ->
-      let bar = String.make (max 1 (40 * count / peak)) '#' in
-      Table.add_row t [ Table.cell_int round; Table.cell_int count; bar ])
-    rows;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E3: consensus — O(f) rounds under the split-world adversary          *)
-(* ------------------------------------------------------------------ *)
-
-let e3 () =
-  let t =
-    Table.create ~title:"E3: consensus round complexity vs f (n = 3f+1)"
-      ~columns:[ "f"; "n"; "rounds(max)"; "phases"; "agreed"; "valid"; "msgs" ]
-  in
-  pool_rows t (f_sweep ()) (fun f ->
-      let s =
-        Scenarios.Consensus_int.run
-          ~byz:
-            (List.init f (fun _ ->
-                 Scenarios.Consensus_int.Attacks.split_world 0 1))
-          ~n_correct:((2 * f) + 1)
-          ~inputs:(fun i -> i mod 2)
-          ()
-      in
-      let rmax =
-        List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds
-      in
-      [
-        [
-          Table.cell_int s.Scenarios.Consensus_int.f;
-          Table.cell_int s.Scenarios.Consensus_int.n;
-          Table.cell_int rmax;
-          Table.cell_int ((rmax - 2 + 4) / 5);
-          bool_cell s.Scenarios.Consensus_int.agreed;
-          bool_cell s.Scenarios.Consensus_int.valid;
-          Table.cell_int s.Scenarios.Consensus_int.delivered_msgs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E4: consensus early termination — unanimous vs split inputs          *)
-(* ------------------------------------------------------------------ *)
-
-let e4 () =
-  let t =
-    Table.create
-      ~title:"E4: early termination (unanimous inputs decide in one phase)"
-      ~columns:[ "n"; "f"; "inputs"; "rounds(max)"; "phases"; "agreed" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      List.map
-        (fun (label, inputs) ->
-          let s =
-            Scenarios.Consensus_int.run
-              ~byz:(List.init f (fun _ -> Strategy.silent))
-              ~n_correct:(n - f) ~inputs ()
-          in
-          let rmax =
-            List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds
-          in
-          [
-            Table.cell_int n;
-            Table.cell_int f;
-            label;
-            Table.cell_int rmax;
-            Table.cell_int ((rmax - 2 + 4) / 5);
-            bool_cell s.Scenarios.Consensus_int.agreed;
-          ])
-        [ ("unanimous", fun _ -> 1); ("split", fun i -> i mod 2) ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E5: approximate agreement — within range, halving, under attack      *)
-(* ------------------------------------------------------------------ *)
-
-let e5 () =
-  let t =
-    Table.create ~title:"E5: approximate agreement (single round)"
-      ~columns:[ "n"; "f"; "adversary"; "in-range"; "contraction"; "bound" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", []);
-          ( "pull-apart",
-            List.init f (fun _ ->
-                Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6) );
-          ("outlier", List.init f (fun _ -> Ubpa_adversary.Aa_attacks.outlier 1e9));
-          ( "tracker",
-            List.init f (fun _ -> Ubpa_adversary.Aa_attacks.tracker ~offset:7.) );
-        ]
-      in
-      List.map
-        (fun (label, byz) ->
-          let byz = if f = 0 then [] else byz in
-          let s =
-            Scenarios.Aa.run ~byz ~n_correct:(n - List.length byz)
-              ~inputs:(fun i -> float_of_int (10 * i))
-              ()
-          in
-          [
-            Table.cell_int s.Scenarios.Aa.n;
-            Table.cell_int s.Scenarios.Aa.f;
-            label;
-            bool_cell s.Scenarios.Aa.within_range;
-            Table.cell_float ~digits:3 s.Scenarios.Aa.contraction;
-            "0.500";
-          ])
-        cases);
-  t
-
-
-(* E5b: approximate agreement in a dynamic network — the range halves each
-   round, except where a joiner's value widens it (the paper's caveat). *)
-
-let e5b () =
-  let t =
-    Table.create
-      ~title:
-        "E5b: dynamic approximate agreement (joins may widen the range, \
-         halving resumes)"
-      ~columns:[ "round"; "lo"; "hi"; "spread"; "event" ]
-  in
-  let s =
-    Scenarios.Aa.run_dynamic ~n_start:7 ~iterations:10
-      ~byz:
-        (List.init 2 (fun _ ->
-             Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-      ~joins:[ (4, 200.0); (4, 300.0); (4, 400.0); (4, 500.0) ]
-      ~inputs:(fun i -> float_of_int (10 * i))
-      ()
-  in
-  List.iter
-    (fun (round, lo, hi) ->
-      let joins =
-        List.filter (fun (r, _) -> r = round) s.Scenarios.Aa.joins_applied
-      in
-      let event =
-        match joins with
-        | [] -> ""
-        | l ->
-            Printf.sprintf "join: %s"
-              (String.concat ", "
-                 (List.map (fun (_, v) -> Printf.sprintf "%.0f" v) l))
-      in
-      Table.add_row t
-        [
-          Table.cell_int round;
-          Table.cell_float ~digits:2 lo;
-          Table.cell_float ~digits:2 hi;
-          Table.cell_float ~digits:4 (hi -. lo);
-          event;
-        ])
-    s.Scenarios.Aa.range_per_round;
-  Table.add_row t
-    [
-      "-";
-      "-";
-      "-";
-      (if s.Scenarios.Aa.within_global_range then "in-range" else "VIOLATED");
-      "final check";
-    ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E6: iterated convergence — unknown-n/f vs Dolev et al. (known f)     *)
-(* ------------------------------------------------------------------ *)
-
-module Da = Ubpa_baselines.Dolev_aa
-module Da_h = Harness.Make (Da)
-
-(* A pull-apart attack over the baseline's own message type. *)
-let da_pull_apart ~low ~high =
-  Strategy.v ~name:"da-pull-apart" (fun _rng _self view ->
-      let correct = view.Strategy.correct in
-      let half = List.length correct / 2 in
-      List.mapi
-        (fun i t ->
-          (Envelope.To t, Da.Estimate (if i < half then low else high)))
-        correct)
-
-
-let dolev_contraction_attacked ~n_correct ~byz_count ~f ~iterations =
-  let ids = Scenarios.make_ids ~seed:71L (n_correct + byz_count) in
-  let correct_ids = List.filteri (fun i _ -> i < n_correct) ids in
-  let byz_ids = List.filteri (fun i _ -> i >= n_correct) ids in
-  let correct =
-    List.mapi
-      (fun i id -> (id, { Da.value = float_of_int (10 * i); iterations; f }))
-      correct_ids
-  in
-  let byzantine =
-    List.map (fun id -> (id, da_pull_apart ~low:(-1e6) ~high:1e6)) byz_ids
-  in
-  let o = Da_h.execute ~correct ~byzantine () in
-  let outs =
-    List.map (fun (_, (p : Da.progress)) -> p.estimate) o.Da_h.outputs
-  in
-  let spread_in = float_of_int (10 * (n_correct - 1)) in
-  if outs = [] then nan else Stats.range outs /. spread_in
-
-let e6 () =
-  let t =
-    Table.create
-      ~title:
-        "E6: iterated AA convergence under pull-apart attack — unknown n/f vs \
-         known-f baseline"
-      ~columns:
-        [ "iterations"; "contraction(id-only)"; "contraction(known-f)"; "bound 2^-k" ]
-  in
-  let n_correct = 7 and byz_count = 3 in
-  pool_rows t [ 1; 2; 3; 4; 6; 8 ] (fun k ->
-      let ours =
-        Scenarios.Aa.run ~iterations:k
-          ~byz:
-            (List.init byz_count (fun _ ->
-                 Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-          ~n_correct
-          ~inputs:(fun i -> float_of_int (10 * i))
-          ()
-      in
-      let theirs =
-        dolev_contraction_attacked ~n_correct ~byz_count ~f:byz_count
-          ~iterations:k
-      in
-      [
-        [
-          Table.cell_int k;
-          Table.cell_float ~digits:6 ours.Scenarios.Aa.contraction;
-          Table.cell_float ~digits:6 theirs;
-          Table.cell_float ~digits:6 (0.5 ** float_of_int k);
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E7: resiliency boundary n > 3f                                       *)
-(* ------------------------------------------------------------------ *)
-
-let e7 () =
-  let t =
-    Table.create
-      ~title:
-        "E7: resiliency boundary (n = 13 fixed, f sweeps across n/3; \
-         safety per algorithm)"
-      ~columns:[ "algorithm"; "f"; "n>3f"; "runs"; "safe"; "violated" ]
-  in
-  let n = 13 in
-  let algorithms =
-    [
-      ( "consensus (agreement)",
-        fun ~seed ~f ->
-          let s =
-            Scenarios.Consensus_int.run ~seed ~max_rounds:400
-              ~byz:
-                (List.init f (fun _ ->
-                     Scenarios.Consensus_int.Attacks.split_world 0 1))
-              ~n_correct:(n - f)
-              ~inputs:(fun i -> i mod 2)
-              ()
-          in
-          s.Scenarios.Consensus_int.all_terminated
-          && s.Scenarios.Consensus_int.agreed );
-      ( "approx-agreement (containment)",
-        fun ~seed ~f ->
-          let s =
-            Scenarios.Aa.run ~seed
-              ~byz:
-                (List.init f (fun _ ->
-                     Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-              ~n_correct:(n - f)
-              ~inputs:(fun i -> float_of_int (10 * i))
-              ()
-          in
-          s.Scenarios.Aa.within_range );
-      ( "reliable-broadcast (unforgeability)",
-        fun ~seed ~f ->
-          (* f forgers echo a payload attributed to a correct node that never
-             sent it; past the boundary the forged echoes cross n_v/3, get
-             relayed by correct nodes, and the forgery is accepted. *)
-          let claimed = List.hd (Scenarios.make_ids ~seed (n - f)) in
-          let s =
-            Scenarios.Rb.run ~seed
-              ~byz:
-                (List.init f (fun _ ->
-                     Scenarios.Rb.Attacks.forging_echoer "forged" ~claimed))
-              ~n_correct:(n - f) ~payload:"real" ()
-          in
-          List.for_all
-            (fun (_, entries) ->
-              not (List.exists (fun (m, _, _) -> m = "forged") entries))
-            s.Scenarios.Rb.accepted );
-    ]
-  in
-  let cells =
-    List.concat_map
-      (fun (name, run_one) ->
-        List.map (fun f -> (name, run_one, f)) [ 0; 2; 4; 5; 6 ])
-      algorithms
-  in
-  pool_rows t cells (fun (name, run_one, f) ->
-      let safe = ref 0 and violated = ref 0 in
-      List.iter
-        (fun seed -> if run_one ~seed ~f then incr safe else incr violated)
-        (seeds ());
-      [
-        [
-          name;
-          Table.cell_int f;
-          bool_cell (n > 3 * f);
-          Table.cell_int (List.length (seeds ()));
-          Table.cell_int !safe;
-          Table.cell_int !violated;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E8: message complexity vs the known-n/f baselines                    *)
-(* ------------------------------------------------------------------ *)
-
-module St = Ubpa_baselines.St_broadcast.Make (Unknown_ba.Value.String)
-module St_h = Harness.Make (St)
-module St_net = St_h.Net
-module Pk = Ubpa_baselines.Phase_king.Make (Unknown_ba.Value.Int)
-module Pk_h = Harness.Make (Pk)
-
-let st_messages ~n =
-  let ids = Scenarios.make_ids ~seed:72L n in
-  let correct =
-    List.mapi
-      (fun i id ->
-        (id, { St.payload = (if i = 0 then Some "m" else None); f = f_of_n n }))
-      ids
-  in
-  let stop net =
-    let reports = St_net.reports net in
-    reports <> []
-    && List.for_all
-         (fun r ->
-           match r.St_net.last_output with Some (_ :: _) -> true | _ -> false)
-         reports
-  in
-  let o = St_h.execute ~max_rounds:20 ~stop ~correct ~byzantine:[] () in
-  (o.St_h.delivered_msgs, o.St_h.rounds)
-
-let pk_messages ~n =
-  let ids = Scenarios.make_ids ~seed:73L n in
-  let correct =
-    List.mapi
-      (fun i id -> (id, { Pk.value = i mod 2; members = ids; f = f_of_n n }))
-      ids
-  in
-  let o = Pk_h.execute ~max_rounds:300 ~correct ~byzantine:[] () in
-  (o.Pk_h.delivered_msgs, o.Pk_h.rounds)
-
-let e8 () =
-  let t =
-    Table.create
-      ~title:
-        "E8: message complexity, id-only vs known-n/f baselines (all-correct runs)"
-      ~columns:
-        [
-          "n";
-          "RB msgs(id-only)";
-          "RB msgs(ST)";
-          "cons msgs(id-only)";
-          "cons msgs(king)";
-          "cons rounds(id-only)";
-          "cons rounds(king)";
-        ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let rb = Scenarios.Rb.run ~n_correct:n ~payload:"m" () in
-      let st_msgs, _ = st_messages ~n in
-      let cons =
-        Scenarios.Consensus_int.run ~n_correct:n ~inputs:(fun i -> i mod 2) ()
-      in
-      let pk_msgs, pk_rounds = pk_messages ~n in
-      [
-        [
-          Table.cell_int n;
-          Table.cell_int rb.Scenarios.Rb.delivered_msgs;
-          Table.cell_int st_msgs;
-          Table.cell_int cons.Scenarios.Consensus_int.delivered_msgs;
-          Table.cell_int pk_msgs;
-          Table.cell_int cons.Scenarios.Consensus_int.rounds;
-          Table.cell_int pk_rounds;
-        ];
-      ]);
-  t
-
-
-(* E8b: message breakdown by kind inside the consensus algorithm. *)
-
-module Cint = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
-module Cint_h = Harness.Make (Cint)
-
-let consensus_kind_of (m : Cint.message) =
-  match m with
-  | Cint.Core.Init -> "init"
-  | Cint.Core.Cand_echo _ -> "cand-echo"
-  | Cint.Core.Input _ -> "input"
-  | Cint.Core.Prefer _ -> "prefer"
-  | Cint.Core.Strongprefer _ -> "strongprefer"
-  | Cint.Core.Opinion _ -> "opinion"
-
-let e8b () =
-  let t =
-    Table.create
-      ~title:
-        "E8b: consensus message breakdown by kind (send operations, \
-         all-correct runs)"
-      ~columns:[ "n"; "init"; "cand-echo"; "input"; "prefer"; "strongprefer"; "opinion" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let ids = Scenarios.make_ids ~seed:75L n in
-      let o =
-        Cint_h.execute ~classify:consensus_kind_of ~max_rounds:500
-          ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-          ~byzantine:[] ()
-      in
-      let kinds = Metrics.kinds o.Cint_h.metrics in
-      let get k = Option.value ~default:0 (List.assoc_opt k kinds) in
-      [
-        [
-          Table.cell_int n;
-          Table.cell_int (get "init");
-          Table.cell_int (get "cand-echo");
-          Table.cell_int (get "input");
-          Table.cell_int (get "prefer");
-          Table.cell_int (get "strongprefer");
-          Table.cell_int (get "opinion");
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E9: parallel consensus — k instances                                 *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  let t =
-    Table.create ~title:"E9: parallel consensus with k instances (n = 7, f = 2)"
-      ~columns:[ "k"; "rounds"; "msgs"; "agreed"; "pairs output" ]
-  in
-  pool_rows t [ 0; 1; 2; 4; 8; 16 ] (fun k ->
-      let s =
-        Scenarios.Parallel_int.run
-          ~byz:
-            [
-              Scenarios.Parallel_int.Attacks.ghost_instance ~id:999 1;
-              Strategy.silent;
-            ]
-          ~n_correct:5
-          ~inputs:(fun _ -> List.init k (fun j -> (j, 10 * j)))
-          ()
-      in
-      let pairs =
-        match s.Scenarios.Parallel_int.outputs with
-        | (_, o) :: _ -> List.length o
-        | [] -> 0
-      in
-      [
-        [
-          Table.cell_int k;
-          Table.cell_int s.Scenarios.Parallel_int.rounds;
-          Table.cell_int s.Scenarios.Parallel_int.delivered_msgs;
-          bool_cell s.Scenarios.Parallel_int.agreed;
-          Table.cell_int pairs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E10: dynamic total ordering                                          *)
-(* ------------------------------------------------------------------ *)
-
-let e10 () =
-  let t =
-    Table.create ~title:"E10: total ordering under churn (chain-prefix / growth)"
-      ~columns:
-        [
-          "scenario";
-          "rounds";
-          "events";
-          "chain(max)";
-          "prefix-ok";
-          "finality lag";
-          "msgs";
-        ]
-  in
-  let cases =
-    [
-      ("static n=4", Scenarios.Total_order_str.no_churn, 4, 8, 1);
-      ( "join@4",
-        { Scenarios.Total_order_str.join_at = [ (4, 1) ]; leave_at = [] },
-        4,
-        10,
-        1 );
-      ( "leave@6",
-        { Scenarios.Total_order_str.join_at = []; leave_at = [ (6, 1) ] },
-        5,
-        10,
-        1 );
-      ( "join+leave",
-        { Scenarios.Total_order_str.join_at = [ (5, 1) ]; leave_at = [ (9, 1) ] },
-        5,
-        12,
-        1 );
-      ("3 events/round", Scenarios.Total_order_str.no_churn, 5, 8, 3);
-    ]
-  in
-  pool_rows t cases (fun (label, churn, n_genesis, rounds, epr) ->
-      let s =
-        Scenarios.Total_order_str.run ~churn ~n_genesis ~rounds
-          ~events_per_round:epr ()
-      in
-      [
-        [
-          label;
-          Table.cell_int s.Scenarios.Total_order_str.rounds;
-          Table.cell_int s.Scenarios.Total_order_str.events_submitted;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Total_order_str.chain_lengths);
-          bool_cell s.Scenarios.Total_order_str.prefix_consistent;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Total_order_str.frontier_lags);
-          Table.cell_int s.Scenarios.Total_order_str.delivered_msgs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E11/E12: impossibility constructions                                 *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  let t =
-    Table.create
-      ~title:"E11: asynchronous impossibility (partitioned executions disagree)"
-      ~columns:[ "|A|"; "|B|"; "A decides"; "B decides"; "disagree"; "in-flight" ]
-  in
-  pool_rows t
-    [ (2, 2); (3, 3); (4, 4); (2, 6); (5, 3) ]
-    (fun (a, b) ->
-      let v = Ubpa_semisync.Partition.asynchronous ~size_a:a ~size_b:b () in
-      let uniq l = List.sort_uniq compare l in
-      [
-        [
-          Table.cell_int a;
-          Table.cell_int b;
-          String.concat ","
-            (List.map string_of_int (uniq v.Ubpa_semisync.Partition.outputs_a));
-          String.concat ","
-            (List.map string_of_int (uniq v.Ubpa_semisync.Partition.outputs_b));
-          bool_cell v.Ubpa_semisync.Partition.disagreement;
-          bool_cell v.Ubpa_semisync.Partition.undelivered_at_decision;
-        ];
-      ]);
-  t
-
-let e12 () =
-  let t =
-    Table.create
-      ~title:
-        "E12: semi-synchronous impossibility (finite delay bound, still disagree)"
-      ~columns:[ "delta"; "T_a"; "T_b"; "max delay"; "bounded"; "disagree" ]
-  in
-  pool_rows t
-    [ 8.; 16.; 64.; 256.; 1024. ]
-    (fun delta ->
-      match
-        Ubpa_semisync.Partition.semi_synchronous ~size_a:3 ~size_b:3 ~delta ()
-      with
-      | v ->
-          [
-            [
-              Table.cell_float ~digits:0 delta;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.decision_time_a;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.decision_time_b;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.max_delay;
-              bool_cell (v.Ubpa_semisync.Partition.max_delay <= delta);
-              bool_cell v.Ubpa_semisync.Partition.disagreement;
-            ];
-          ]
-      | exception Invalid_argument _ ->
-          [
-            [
-              Table.cell_float ~digits:0 delta;
-              "-";
-              "-";
-              "-";
-              "-";
-              "premise fails";
-            ];
-          ]);
-  t
-
-
-(* ------------------------------------------------------------------ *)
-(* E13: the attack matrix — every implemented adversary against the     *)
-(* algorithm it targets, at full density f = (n-1)/3                    *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  let t =
-    Table.create
-      ~title:
-        "E13: attack matrix (n = 10, f = 3 unless noted) — key safety \
-         property per adversary"
-      ~columns:[ "algorithm"; "adversary"; "property"; "holds" ]
-  in
-  (* Each matrix entry is one independent run, so each becomes one pool
-     cell producing its row; [pool_rows] keeps the written order. *)
-  let row alg adv prop ok = [ alg; adv; prop; bool_cell ok ] in
-  let n = 10 in
-  let f = 3 in
-  (* consensus *)
-  let cons byz name () =
-    let s =
-      Scenarios.Consensus_int.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> i mod 2)
-        ()
-    in
-    row "consensus" name "agreement"
-      (s.Scenarios.Consensus_int.all_terminated
-      && s.Scenarios.Consensus_int.agreed)
-  in
-  (* binary consensus *)
-  let bc byz name () =
-    let s =
-      Scenarios.Binary.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> i mod 2 = 0)
-        ()
-    in
-    row "binary-consensus" name "agreement+strong-validity"
-      (s.Scenarios.Binary.all_terminated && s.Scenarios.Binary.agreed
-      && s.Scenarios.Binary.valid)
-  in
-  (* approximate agreement *)
-  let aa byz name () =
-    let s =
-      Scenarios.Aa.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> float_of_int (10 * i))
-        ()
-    in
-    row "approx-agreement" name "containment+halving"
-      (s.Scenarios.Aa.within_range
-      && s.Scenarios.Aa.contraction <= 0.5 +. 1e-9)
-  in
-  let module Ca = Scenarios.Consensus_int.Attacks in
-  let cells =
-    [
-      cons (List.init f (fun _ -> Strategy.silent)) "silent";
-      cons (List.init f (fun _ -> Ca.silent_member)) "silent-member";
-      cons (List.init f (fun _ -> Ca.split_world 0 1)) "split-world";
-      cons (List.init f (fun i -> Ca.stubborn i)) "stubborn";
-      cons (List.init f (fun i -> Ca.half_stubborn i)) "half-stubborn";
-      cons (List.init f (fun _ -> Ubpa_adversary.Generic.mirror)) "mirror";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.split_mirror))
-        "split-mirror";
-      cons (List.init f (fun _ -> Ubpa_adversary.Generic.spam)) "spam";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.random_mix))
-        "random-mix";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.crash_after 6))
-        "crash-after-6";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.replay ~delay:2))
-        "replay-2";
-      cons
-        (List.init f (fun i ->
-             Ubpa_adversary.Combinators.switch_at ~round:8
-               Ubpa_adversary.Generic.mirror (Ca.split_world (i mod 2) 1)))
-        "turncoat";
-      bc
-        (List.init f (fun _ -> Ubpa_adversary.Bc_attacks.split_world))
-        "split-world";
-      bc (List.init f (fun _ -> Ubpa_adversary.Bc_attacks.stubborn true)) "stubborn";
-      aa
-        (List.init f (fun _ ->
-             Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-        "pull-apart";
-      aa (List.init f (fun _ -> Ubpa_adversary.Aa_attacks.outlier 1e9)) "outlier";
-      aa
-        (List.init f (fun _ -> Ubpa_adversary.Aa_attacks.tracker ~offset:5.))
-        "tracker";
-      (* reliable broadcast *)
-      (fun () ->
-        let claimed = List.hd (Scenarios.make_ids ~seed:1L (n - f)) in
-        let rb =
-          Scenarios.Rb.run
-            ~byz:
-              (List.init f (fun _ ->
-                   Scenarios.Rb.Attacks.forging_echoer "x" ~claimed))
-            ~n_correct:(n - f) ~payload:"real" ()
-        in
-        row "reliable-broadcast" "forging-echoer" "unforgeability"
-          (List.for_all
-             (fun (_, entries) ->
-               not (List.exists (fun (m, _, _) -> m = "x") entries))
-             rb.Scenarios.Rb.accepted));
-      (fun () ->
-        let rb2 =
-          Scenarios.Rb.run
-            ~byz:
-              (Scenarios.Rb.Attacks.equivocating_sender "m1" "m2"
-              :: List.init (f - 1) (fun _ -> Strategy.silent))
-            ~byz_sender:true ~n_correct:(n - f) ~payload:"m1" ()
-        in
-        row "reliable-broadcast" "equivocating-sender" "all-or-none"
-          rb2.Scenarios.Rb.consistent_acceptance);
-      (* rotor *)
-      (fun () ->
-        let rot =
-          Scenarios.Rotor_int.run
-            ~byz:
-              (List.init f (fun i ->
-                   Scenarios.Rotor_int.Attacks.staggered_announcer
-                     ~fraction:(0.34 +. (0.08 *. float_of_int i))))
-            ~n_correct:(n - f) ()
-        in
-        row "rotor" "staggered-announcer" "good round"
-          (rot.Scenarios.Rotor_int.all_terminated
-          && rot.Scenarios.Rotor_int.good_round_exists));
-      (* parallel consensus *)
-      (fun () ->
-        let pc =
-          Scenarios.Parallel_int.run
-            ~byz:
-              [
-                Scenarios.Parallel_int.Attacks.ghost_instance ~id:99 1;
-                Scenarios.Parallel_int.Attacks.split_instance ~id:1 0 1;
-                Strategy.silent;
-              ]
-            ~n_correct:(n - 3)
-            ~inputs:(fun _ -> [ (1, 7) ])
-            ()
-        in
-        row "parallel-consensus" "ghost+split+silent" "pair-set agreement"
-          (pc.Scenarios.Parallel_int.all_terminated
-          && pc.Scenarios.Parallel_int.agreed));
-      (* renaming *)
-      (fun () ->
-        let rn =
-          Scenarios.Renaming_run.run
-            ~byz:
-              [
-                Ubpa_adversary.Rename_attacks.partial_announcer ~fraction:0.5;
-                Ubpa_adversary.Rename_attacks.vote_rusher;
-                Ubpa_adversary.Rename_attacks.churning_candidate;
-              ]
-            ~n_correct:(n - 3) ()
-        in
-        row "renaming" "partial+rusher+churn" "consistent dense names"
-          (rn.Scenarios.Renaming_run.all_terminated
-          && rn.Scenarios.Renaming_run.consistent
-          && rn.Scenarios.Renaming_run.names_are_dense));
-    ]
-  in
-  pool_rows t cells (fun cell -> [ cell () ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A1: rotor ablation — n > 4f vs n > 3f densities                      *)
-(* ------------------------------------------------------------------ *)
-
-let a1 () =
-  let t =
-    Table.create ~title:"A1 (ablation): rotor at fault densities n>4f vs n>3f"
-      ~columns:[ "density"; "n"; "f"; "rounds(max)"; "good round" ]
-  in
-  pool_rows t
-    [
-      ("n>4f", 9, 2);
-      ("n>3f", 7, 2);
-      ("n>4f", 17, 4);
-      ("n>3f", 13, 4);
-      ("n>4f", 25, 6);
-      ("n>3f", 19, 6);
-    ]
-    (fun (label, n, f) ->
-      let byz =
-        List.init f (fun i ->
-            Scenarios.Rotor_int.Attacks.staggered_announcer
-              ~fraction:(0.34 +. (0.05 *. float_of_int (i mod 6))))
-      in
-      let s = Scenarios.Rotor_int.run ~byz ~n_correct:(n - f) () in
-      [
-        [
-          label;
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Rotor_int.termination_rounds);
-          bool_cell s.Scenarios.Rotor_int.good_round_exists;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A2: AA discard-rule ablation when f is misestimated                  *)
-(* ------------------------------------------------------------------ *)
-
-let dolev_under_attack ~n_correct ~byz_count ~assumed_f =
-  let ids = Scenarios.make_ids ~seed:74L (n_correct + byz_count) in
-  let correct_ids = List.filteri (fun i _ -> i < n_correct) ids in
-  let byz_ids = List.filteri (fun i _ -> i >= n_correct) ids in
-  let correct =
-    List.mapi
-      (fun i id ->
-        ( id,
-          { Da.value = float_of_int (10 * i); iterations = 1; f = assumed_f } ))
-      correct_ids
-  in
-  let byzantine =
-    List.map (fun id -> (id, da_pull_apart ~low:(-1e6) ~high:1e6)) byz_ids
-  in
-  let o = Da_h.execute ~correct ~byzantine () in
-  let outs =
-    List.map (fun (_, (p : Da.progress)) -> p.estimate) o.Da_h.outputs
-  in
-  match outs with
-  | [] -> false
-  | _ ->
-      let lo, hi = Stats.min_max outs in
-      let i_hi = float_of_int (10 * (n_correct - 1)) in
-      lo >= 0. && hi <= i_hi
-
-let a2 () =
-  let t =
-    Table.create
-      ~title:
-        "A2 (ablation): discard rule under extreme-value attack when f is \
-         misestimated"
-      ~columns:[ "rule"; "actual f"; "assumed f"; "in-range" ]
-  in
-  let n_correct = 7 in
-  pool_rows t [ 1; 2; 3 ] (fun actual_f ->
-      let byz =
-        List.init actual_f (fun _ ->
-            Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6)
-      in
-      let ours =
-        Scenarios.Aa.run ~byz ~n_correct
-          ~inputs:(fun i -> float_of_int (10 * i))
-          ()
-      in
-      [
-        "id-only n_v/3";
-        Table.cell_int actual_f;
-        "-";
-        bool_cell ours.Scenarios.Aa.within_range;
-      ]
-      :: List.map
-           (fun assumed_f ->
-             [
-               "known-f";
-               Table.cell_int actual_f;
-               Table.cell_int assumed_f;
-               bool_cell
-                 (dolev_under_attack ~n_correct ~byz_count:actual_f ~assumed_f);
-             ])
-           [ actual_f; max 0 (actual_f - 1) ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A3: appendix algorithms — terminating RB and renaming                *)
-(* ------------------------------------------------------------------ *)
-
-let a3 () =
-  let t =
-    Table.create ~title:"A3: appendix algorithms (terminating RB, renaming)"
-      ~columns:[ "algorithm"; "n"; "f"; "rounds"; "correct" ]
-  in
-  pool_rows t [ 0; 1; 2; 3; 4 ] (fun f ->
-      let n_correct = (2 * f) + 2 in
-      let trb =
-        Scenarios.Trb_str.run
-          ~byz:(List.init f (fun _ -> Strategy.silent))
-          ~n_correct ~payload:"m" ()
-      in
-      let rn =
-        Scenarios.Renaming_run.run
-          ~byz:(List.init f (fun _ -> Strategy.silent))
-          ~n_correct ()
-      in
-      [
-        [
-          "terminating-rb";
-          Table.cell_int trb.Scenarios.Trb_str.n;
-          Table.cell_int trb.Scenarios.Trb_str.f;
-          Table.cell_int trb.Scenarios.Trb_str.rounds;
-          bool_cell
-            (trb.Scenarios.Trb_str.agreed && trb.Scenarios.Trb_str.all_terminated);
-        ];
-        [
-          "renaming";
-          Table.cell_int rn.Scenarios.Renaming_run.n;
-          Table.cell_int rn.Scenarios.Renaming_run.f;
-          Table.cell_int rn.Scenarios.Renaming_run.rounds;
-          bool_cell
-            (rn.Scenarios.Renaming_run.consistent
-            && rn.Scenarios.Renaming_run.names_are_dense);
-        ];
-      ]);
-  t
-
-
-(* ------------------------------------------------------------------ *)
-(* A4: rotor-driven binary consensus (strong validity, O(n) rounds)    *)
-(* ------------------------------------------------------------------ *)
-
-let a4 () =
-  let t =
-    Table.create
-      ~title:
-        "A4: rotor-driven binary consensus — strong validity at O(n) rounds \
-         vs Algorithm 3's O(f)"
-      ~columns:
-        [ "n"; "f"; "adversary"; "rounds"; "agreed"; "strong-valid"; "msgs" ]
-  in
-  pool_rows t (f_sweep ()) (fun f ->
-      let n = (3 * f) + 1 in
-      List.map
-        (fun (label, byz) ->
-          let s =
-            Scenarios.Binary.run ~byz ~n_correct:(n - List.length byz)
-              ~inputs:(fun i -> i mod 2 = 0)
-              ()
-          in
-          [
-            Table.cell_int s.Scenarios.Binary.n;
-            Table.cell_int s.Scenarios.Binary.f;
-            label;
-            Table.cell_int s.Scenarios.Binary.rounds;
-            bool_cell s.Scenarios.Binary.agreed;
-            bool_cell s.Scenarios.Binary.valid;
-            Table.cell_int s.Scenarios.Binary.delivered_msgs;
-          ])
-        [
-          ("none", []);
-          ( "split-world",
-            List.init f (fun _ -> Ubpa_adversary.Bc_attacks.split_world) );
-          ( "stubborn",
-            List.init f (fun _ -> Ubpa_adversary.Bc_attacks.stubborn true) );
-        ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* PERF: engine throughput — arena delivery core vs the seed core      *)
-(* ------------------------------------------------------------------ *)
-
-module Rbs = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
-module Rbs_h = Harness.Make (Rbs)
-
-(* Multi-sender reliable broadcast is the engine's worst case: every
-   correct node is a designated sender, so from round 2 onwards each
-   inbox carries O(n^2) echo envelopes and the seed core's per-delivery
-   duplicate scan goes quadratic in inbox length. Both cores run the
-   identical workload; every cell except the unit-suffixed timing
-   columns (which `derive_metrics` skips) is deterministic. *)
-let perf_rounds = 6
-let perf_reps = 3
-
-(* Serialize every node's accepted list (sorted by node id) into a
-   position-independent FNV-1a digest: equal digests mean the two cores
-   delivered byte-identical outputs, not just equal counts. *)
-let rb_output_digest net =
-  let buf = Buffer.create 4096 in
-  let reports =
-    List.sort
-      (fun (a : Rbs_h.Net.node_report) (b : Rbs_h.Net.node_report) ->
-        Node_id.compare a.id b.id)
-      (Rbs_h.Net.reports net)
-  in
-  List.iter
-    (fun (r : Rbs_h.Net.node_report) ->
-      Buffer.add_string buf (string_of_int (Node_id.to_int r.id));
-      Buffer.add_char buf '[';
-      (match r.last_output with
-      | None -> ()
-      | Some out ->
-          List.iter
-            (fun (a : Rbs.accepted) ->
-              Buffer.add_string buf
-                (Printf.sprintf "(%s,%d,%d)" a.Rbs.payload
-                   (Node_id.to_int a.Rbs.sender)
-                   a.Rbs.accepted_round))
-            out);
-      Buffer.add_char buf ']')
-    reports;
-  fnv1a (Buffer.contents buf)
-
-let perf_run ~delivery ~n =
-  let ids = Scenarios.make_ids ~seed:97L n in
-  let correct =
-    List.mapi (fun i id -> (id, Some (Printf.sprintf "m%d" i))) ids
-  in
-  let elapsed = ref 0. in
-  let delivered = ref 0 in
-  let digest = ref 0L in
-  for _ = 1 to perf_reps do
-    let net = Rbs_h.create ~delivery ~correct ~byzantine:[] () in
-    let t0 = Clock.now_ms () in
-    for _ = 1 to perf_rounds do
-      Rbs_h.Net.step_round net
-    done;
-    elapsed := !elapsed +. Clock.elapsed_ms ~since:t0;
-    delivered := Metrics.delivered (Rbs_h.Net.metrics net);
-    digest := rb_output_digest net
-  done;
-  (!elapsed, !delivered, !digest)
-
-(* Scale rows: single-sender broadcast with n in the hundreds. The seed
-   core's per-delivery duplicate scan is quadratic in inbox length, so
-   this is where the arena core pays off; one rep and fewer rounds
-   keep the naive cell affordable. *)
-let perf_scale_rounds = 4
-
-let perf_scale_run ~delivery ~n =
-  let ids = Scenarios.make_ids ~seed:98L n in
-  let correct =
-    List.mapi (fun i id -> (id, if i = 0 then Some "m" else None)) ids
-  in
-  let net = Rbs_h.create ~delivery ~correct ~byzantine:[] () in
-  let t0 = Clock.now_ms () in
-  for _ = 1 to perf_scale_rounds do
-    Rbs_h.Net.step_round net
-  done;
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  (elapsed, Metrics.delivered (Rbs_h.Net.metrics net), rb_output_digest net)
-
-(* Pool rows: one fixed consensus sweep timed at jobs=1 and at the
-   runtime's recommended parallelism. The digest proves both runs merged
-   identical cells in identical order; the speedup cell is informational
-   (it depends on the host's core count, so no claim gates on it — PERF2
-   is the machine-checked determinism gate). *)
-let perf_pool_cells =
-  List.concat_map
-    (fun f -> List.map (fun seed -> (f, seed)) [ 3L; 11L; 19L ])
-    [ 1; 2; 3 ]
-
-let perf_pool_run ~jobs =
-  let t0 = Clock.now_ms () in
-  let cells =
-    Pool.map ~jobs
-      (fun (f, seed) ->
-        let s =
-          Scenarios.Consensus_int.run ~seed
-            ~byz:
-              (List.init f (fun _ ->
-                   Scenarios.Consensus_int.Attacks.split_world 0 1))
-            ~n_correct:((2 * f) + 1)
-            ~inputs:(fun i -> i mod 2)
-            ()
-        in
-        ( Printf.sprintf "f=%d seed=%Ld rounds=%d agreed=%b msgs=%d" f seed
-            (List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds)
-            s.Scenarios.Consensus_int.agreed
-            s.Scenarios.Consensus_int.delivered_msgs,
-          s.Scenarios.Consensus_int.delivered_msgs ))
-      perf_pool_cells
-  in
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let digest = fnv1a (String.concat "\n" (List.map fst cells)) in
-  let msgs = List.fold_left (fun acc (_, m) -> acc + m) 0 cells in
-  (elapsed, msgs, digest)
-
-let perf () =
-  let t =
-    Table.create
-      ~title:
-        "PERF: engine throughput — multi-sender RB (arena core vs the seed \
-         scan core), single-sender scale rows up to n=301, and the \
-         pool executor on a fixed consensus sweep (digest cells are \
-         deterministic; elapsed/speedup are timing)"
-      ~columns:
-        [
-          "workload"; "n"; "engine"; "rounds"; "msgs"; "digest"; "elapsed";
-          "rounds/s"; "msgs/s"; "speedup";
-        ]
-  in
-  let add ~workload ~n ~engine ~rounds ~msgs ~digest ~ms ~speedup =
-    let per_s count = float_of_int count /. (Float.max ms 1e-3 /. 1000.) in
-    Table.add_row t
-      [
-        workload;
-        n;
-        engine;
-        Table.cell_int rounds;
-        Table.cell_int msgs;
-        digest;
-        Printf.sprintf "%.1fms" ms;
-        Printf.sprintf "%.0f/s" (per_s rounds);
-        Printf.sprintf "%.0f/s" (per_s msgs);
-        speedup;
-      ]
-  in
-  let race ~workload ~rounds run n =
-    let naive_ms, naive_msgs, naive_dig = run ~delivery:Delivery.Naive ~n in
-    let arena_ms, arena_msgs, arena_dig = run ~delivery:Delivery.Arena ~n in
-    add ~workload ~n:(Table.cell_int n) ~engine:"naive" ~rounds
-      ~msgs:naive_msgs ~digest:(digest_cell naive_dig) ~ms:naive_ms
-      ~speedup:"-";
-    add ~workload ~n:(Table.cell_int n) ~engine:"arena" ~rounds
-      ~msgs:arena_msgs ~digest:(digest_cell arena_dig) ~ms:arena_ms
-      ~speedup:(Table.cell_float ~digits:2 (naive_ms /. Float.max arena_ms 1e-6))
-  in
-  let sizes = if !fast then [ 8; 13; 21 ] else [ 13; 25; 40; 61 ] in
-  List.iter
-    (race ~workload:"multi-rb" ~rounds:(perf_reps * perf_rounds) perf_run)
-    sizes;
-  let scale_sizes = if !fast then [ 301 ] else [ 151; 301 ] in
-  List.iter
-    (race ~workload:"scale-rb" ~rounds:perf_scale_rounds perf_scale_run)
-    scale_sizes;
-  let jmax = max 2 (Pool.available_parallelism ()) in
-  let serial_ms, serial_msgs, serial_dig = perf_pool_run ~jobs:1 in
-  let par_ms, par_msgs, par_dig = perf_pool_run ~jobs:jmax in
-  add ~workload:"pool-sweep" ~n:"-" ~engine:"jobs=1"
-    ~rounds:(List.length perf_pool_cells) ~msgs:serial_msgs
-    ~digest:(digest_cell serial_dig) ~ms:serial_ms ~speedup:"-";
-  add ~workload:"pool-sweep" ~n:"-"
-    ~engine:(Printf.sprintf "jobs=%d" jmax)
-    ~rounds:(List.length perf_pool_cells) ~msgs:par_msgs
-    ~digest:(digest_cell par_dig) ~ms:par_ms
-    ~speedup:(Table.cell_float ~digits:2 (serial_ms /. Float.max par_ms 1e-6));
-  t
-
-(* ------------------------------------------------------------------ *)
-(* PERF2: the determinism gate for the multicore sweep executor         *)
-(* ------------------------------------------------------------------ *)
-
-(* Every sub-sweep below is seed-deterministic and timing-free. Each is
-   re-run at jobs = 1, 2 and 8 regardless of --jobs or --fast, and each
-   row carries the FNV-1a digest of its cell results in merge order, so
-   the finished table is byte-identical on any machine, at any --jobs,
-   under either pool backend. It is committed to bench/baseline, which
-   makes `bench_diff --exact` (and the CI claim gate) turn any ordering
-   or determinism regression in the executor into a hard failure. *)
-
-let perf2 () =
-  let t =
-    Table.create
-      ~title:
-        "PERF2: multicore sweep executor determinism — fixed sub-sweeps \
-         re-run at jobs=1/2/8 must merge cell-for-cell identically \
-         (digests independent of --fast, --jobs, machine, pool backend)"
-      ~columns:[ "sweep"; "jobs"; "cells"; "digest"; "match" ]
-  in
-  let sweeps =
-    [
-      ( "pool-map",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun i -> Printf.sprintf "%d:%d" i ((i * i * 31) + 7))
-            (List.init 64 Fun.id) );
-      ( "consensus-f",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun (f, seed) ->
-              let s =
-                Scenarios.Consensus_int.run ~seed
-                  ~byz:
-                    (List.init f (fun _ ->
-                         Scenarios.Consensus_int.Attacks.split_world 0 1))
-                  ~n_correct:((2 * f) + 1)
-                  ~inputs:(fun i -> i mod 2)
-                  ()
-              in
-              Printf.sprintf "f=%d seed=%Ld rounds=%d agreed=%b msgs=%d" f
-                seed
-                (List.fold_left max 0
-                   s.Scenarios.Consensus_int.decision_rounds)
-                s.Scenarios.Consensus_int.agreed
-                s.Scenarios.Consensus_int.delivered_msgs)
-            (List.concat_map
-               (fun f -> List.map (fun seed -> (f, seed)) [ 3L; 11L ])
-               [ 1; 2 ]) );
-      ( "rb-n",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun n ->
-              let s = Scenarios.Rb.run ~n_correct:n ~payload:"m" () in
-              Printf.sprintf "n=%d acc=%b cons=%b r=%d-%d msgs=%d" n
-                s.Scenarios.Rb.all_accepted_sender_payload
-                s.Scenarios.Rb.consistent_acceptance
-                s.Scenarios.Rb.min_accept_round
-                s.Scenarios.Rb.max_accept_round s.Scenarios.Rb.delivered_msgs)
-            [ 4; 7; 13 ] );
-      ( "chaos-mini",
-        fun ~jobs ->
-          let rows, records =
-            Chaos_runs.sweep ~jobs ~protocols:[ "rb" ] ~budgets:[ 0; 1 ]
-              ~seeds_per_budget:2 ()
-          in
-          List.map
-            (fun (r : Chaos.row) ->
-              Printf.sprintf "%s b=%d green=%d violated=%d" r.Chaos.protocol
-                r.Chaos.budget r.Chaos.green r.Chaos.violated)
-            rows
-          @ List.map
-              (fun (rc : Chaos_runs.run_record) ->
-                Printf.sprintf "%s seed=%Ld b=%d v=%b"
-                  rc.Chaos_runs.protocol rc.Chaos_runs.seed
-                  rc.Chaos_runs.budget
-                  (rc.Chaos_runs.violation <> None))
-              records );
-    ]
-  in
-  List.iter
-    (fun (name, run) ->
-      let reference = ref "" in
-      List.iter
-        (fun jobs ->
-          let cells = run ~jobs in
-          let digest = digest_cell (fnv1a (String.concat "\n" cells)) in
-          if jobs = 1 then reference := digest;
-          Table.add_row t
-            [
-              name;
-              Table.cell_int jobs;
-              Table.cell_int (List.length cells);
-              digest;
-              bool_cell (String.equal digest !reference);
-            ])
-        [ 1; 2; 8 ])
-    sweeps;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* SCALE: the arena core at n up to 10,000                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The existing experiments stop around n=301 because every workload is
-   Ω(n²) deliveries. SCALE sweeps the arena core far past that:
-   single-sender RB to n = 10,000 and all-correct consensus to n = 301,
-   with wire accounting off so the sweep measures the engine, not the
-   observer. At every overlap size both the reference core and the
-   arena core run the identical workload and must produce identical
-   digests, delivered counts and round counts — the identity claim that
-   lets the larger arena-only rows be trusted. The minor-w/msg column is
-   GC minor words allocated per delivered message; the arena core's
-   whole point is that this stays flat as n explodes (the inbox lists
-   the protocol reads are the only steady-state allocation). Unit
-   suffixes keep the alloc/timing cells out of metric comparison;
-   bench_diff additionally exempts them from exact mode. The
-   state-w/pair column is RB's protocol state after the run, in words per
-   (node, sender) pair: deterministic, so exact-gated, and bounded by the
-   SCALE.rb-state-per-pair claim. *)
-
-let scale_engines_overlap = [ ("reference", Delivery.Naive); ("arena", Delivery.Arena) ]
-let scale_engines_large = [ ("arena", Delivery.Arena) ]
-
-(* Every word reachable from the node states, the states array itself
-   excluded and the shared sender index counted once, per (node, sender)
-   pair. *)
-let rb_state_words_per_pair net ~n =
-  let states = Array.of_list (List.map snd (Rbs_h.Net.states net)) in
-  let words =
-    Obj.reachable_words (Obj.repr states) - (Array.length states + 1)
-  in
-  float_of_int words /. float_of_int (n * n)
-
-let scale_rb_run ~delivery ~n =
-  let ids = Scenarios.make_ids ~seed:98L n in
-  let correct =
-    List.mapi (fun i id -> (id, if i = 0 then Some "m" else None)) ids
-  in
-  let net =
-    Rbs_h.create ~delivery ~wire_accounting:false ~correct ~byzantine:[] ()
-  in
-  let w0 = Gc.minor_words () in
-  let t0 = Clock.now_ms () in
-  for _ = 1 to perf_scale_rounds do
-    Rbs_h.Net.step_round net
-  done;
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let words = Gc.minor_words () -. w0 in
-  ( perf_scale_rounds,
-    Metrics.delivered (Rbs_h.Net.metrics net),
-    rb_output_digest net,
-    Some (rb_state_words_per_pair net ~n),
-    elapsed,
-    words )
-
-let consensus_output_digest net =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (r : Cint_h.Net.node_report) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%s:%s;" (Node_id.to_int r.id)
-           (match r.last_output with
-           | Some v -> string_of_int v
-           | None -> "-")
-           (match r.first_output_round with
-           | Some v -> string_of_int v
-           | None -> "-")))
-    (List.sort
-       (fun (a : Cint_h.Net.node_report) (b : Cint_h.Net.node_report) ->
-         Node_id.compare a.id b.id)
-       (Cint_h.Net.reports net));
-  fnv1a (Buffer.contents buf)
-
-let scale_consensus_run ~delivery ~n =
-  let ids = Scenarios.make_ids ~seed:99L n in
-  let correct = List.mapi (fun i id -> (id, i mod 2)) ids in
-  let net =
-    Cint_h.create ~delivery ~wire_accounting:false ~correct ~byzantine:[] ()
-  in
-  let w0 = Gc.minor_words () in
-  let t0 = Clock.now_ms () in
-  let (_ : [ `All_halted | `Max_rounds_reached of _ | `No_correct_nodes ]) =
-    Cint_h.Net.run ~max_rounds:100 net
-  in
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let words = Gc.minor_words () -. w0 in
-  ( Cint_h.Net.round net,
-    Metrics.delivered (Cint_h.Net.metrics net),
-    consensus_output_digest net,
-    None,
-    elapsed,
-    words )
-
-let scale () =
-  let t =
-    Table.create
-      ~title:
-        "SCALE: arena delivery at large n — single-sender RB to n=10,000 \
-         and all-correct consensus to n=301 (55M deliveries), wire \
-         accounting off; reference-vs-arena identity gated at every \
-         overlap size, minor-w/msg is the flat-allocation evidence \
-         (alloc/timing cells are unit-suffixed and exempt from exact diff)"
-      ~columns:
-        [
-          "workload"; "n"; "engine"; "rounds"; "delivered"; "digest";
-          "state-w/pair"; "minor-w/msg"; "elapsed"; "msgs/s";
-        ]
-  in
-  let add ~workload ~n ~engine (rounds, delivered, digest, state, ms, words) =
-    Table.add_row t
-      [
-        workload;
-        Table.cell_int n;
-        engine;
-        Table.cell_int rounds;
-        Table.cell_int delivered;
-        digest_cell digest;
-        (match state with Some w -> Printf.sprintf "%.3f" w | None -> "-");
-        Printf.sprintf "%.1fw" (words /. float_of_int (max delivered 1));
-        Printf.sprintf "%.1fms" ms;
-        Printf.sprintf "%.0f/s"
-          (float_of_int delivered /. (Float.max ms 1e-3 /. 1000.));
-      ]
-  in
-  let sweep ~workload ~run ~overlap ~large =
-    List.iter
-      (fun n ->
-        List.iter
-          (fun (engine, delivery) ->
-            add ~workload ~n ~engine (run ~delivery ~n))
-          scale_engines_overlap)
-      overlap;
-    List.iter
-      (fun n ->
-        List.iter
-          (fun (engine, delivery) ->
-            add ~workload ~n ~engine (run ~delivery ~n))
-          scale_engines_large)
-      large
-  in
-  sweep ~workload:"rb-1sender" ~run:scale_rb_run ~overlap:[ 61; 301 ]
-    ~large:(if !fast then [] else [ 1_001; 3_001; 10_000 ]);
-  (* Consensus deliveries grow ~n^3 (rotor candidate echoes scale with
-     n), so the large band stops at n=301 — already 55M deliveries; the
-     n^2 RB workload is the one that carries the population to 10,000. *)
-  sweep ~workload:"consensus" ~run:scale_consensus_run ~overlap:[ 31; 61 ]
-    ~large:(if !fast then [] else [ 301 ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* R1: chaos sweep — graceful degradation under benign faults          *)
-(* ------------------------------------------------------------------ *)
-
-let r1 () =
-  let t =
-    Table.create
-      ~title:
-        "R1: seeded chaos sweep, monitor verdicts per protocol and fault \
-         budget (n=11 with one Byzantine mirror, f=3; inside the envelope \
-         — crash/omission-only and budget+byz <= f — every monitor must \
-         stay green)"
-      ~columns:
-        [
-          "protocol"; "budget"; "byz"; "n"; "envelope"; "runs"; "green";
-          "violated"; "reported"; "sample violation";
-        ]
-  in
-  (* The sweep size is the claim (>= 50 within-envelope schedules), so it
-     is fixed regardless of --fast. *)
-  let rows, _records = Chaos_runs.sweep ?jobs:!jobs () in
-  List.iter
-    (fun (r : Chaos.row) ->
-      Table.add_row t
-        [
-          r.protocol;
-          Table.cell_int r.budget;
-          Table.cell_int r.byz;
-          Table.cell_int r.n;
-          bool_cell r.within;
-          Table.cell_int r.runs;
-          Table.cell_int r.green;
-          Table.cell_int r.violated;
-          Table.cell_int r.reported;
-          r.sample;
-        ])
-    rows;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* CX1: wire-level complexity accounting                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper's bounds are message/bit-complexity statements; CX1 measures
-   what actually crosses the wire (Ubpa_obs.Wire, fed by both delivery
-   cores at their accept points) and fits the measured curves against
-   c*n^k envelopes (Ubpa_obs.Complexity). The fits land in the artifact's
-   schema-v2 `complexity` block and are mirrored as claims; the sweep is
-   fixed regardless of --fast because envelope calibration needs the same
-   points on every run. A small traced RB run rides along as the
-   TRACE_CX1.jsonl side file. *)
-let cx1 () =
-  let module V = Unknown_ba.Value in
-  let module Rb = Unknown_ba.Reliable_broadcast.Make (V.String) in
-  let module Hr = Harness.Make (Rb) in
-  let module C = Unknown_ba.Consensus.Make (V.Int) in
-  let module Hc = Harness.Make (C) in
-  let module Hb = Harness.Make (Unknown_ba.Binary_consensus) in
-  let everyone_accepted net =
-    let reports = Hr.Net.reports net in
-    reports <> []
-    && List.for_all
-         (fun r ->
-           match r.Hr.Net.last_output with
-           | Some (_ :: _) -> true
-           | _ -> false)
-         reports
-  in
-  let rb_run ~delivery ?(wire_accounting = true) ?trace n =
-    let ids = Harness.make_ids ~seed:101L n in
-    let sender = List.hd ids in
-    let correct =
-      List.map
-        (fun id -> (id, if Node_id.equal id sender then Some "m" else None))
-        ids
-    in
-    let o =
-      Hr.execute ~delivery ~wire_accounting ?trace ~seed:101L ~max_rounds:40
-        ~stop:everyone_accepted ~settle:2 ~correct ~byzantine:[] ()
-    in
-    Hr.Net.wire o.Hr.net
-  in
-  let consensus_run ~delivery ~wire_accounting n =
-    let ids = Harness.make_ids ~seed:102L n in
-    let correct = List.mapi (fun i id -> (id, i mod 2)) ids in
-    let o =
-      Hc.execute ~delivery ~wire_accounting ~seed:102L ~max_rounds:1000
-        ~correct ~byzantine:[] ()
-    in
-    Hc.Net.wire o.Hc.net
-  in
-  let binary_run ~delivery ~wire_accounting n =
-    let ids = Harness.make_ids ~seed:103L n in
-    let correct = List.mapi (fun i id -> (id, i mod 2 = 0)) ids in
-    let o =
-      Hb.execute ~delivery ~wire_accounting ~seed:103L ~max_rounds:2000
-        ~correct ~byzantine:[] ()
-    in
-    Hb.Net.wire o.Hb.net
-  in
-  let t =
-    Table.create
-      ~title:
-        "CX1: wire-level complexity (all-correct sweeps; counters from the \
-         delivery cores' accept points)"
-      ~columns:
-        [ "algo"; "n"; "wire msgs"; "wire bits"; "cross-core"; "wire-w/msg" ]
-  in
-  let ns = [ 5; 9; 13; 21; 31 ] in
-  let runs =
-    [
-      ( "rb",
-        fun ~delivery ~wire_accounting n -> rb_run ~delivery ~wire_accounting n
-      );
-      ("consensus", consensus_run);
-      ("binary", binary_run);
-    ]
-  in
-  (* Minor words are counted per domain, so the runs with and without
-     wire accounting share one pool task. *)
-  let minor_words f =
-    let w0 = Gc.minor_words () in
-    let r = f () in
-    (r, Gc.minor_words () -. w0)
-  in
-  let cells =
-    Pool.map ?jobs:!jobs
-      (fun n ->
-        List.map
-          (fun (algo, run) ->
-            let w_arena, on =
-              minor_words (fun () ->
-                  run ~delivery:Delivery.Arena ~wire_accounting:true n)
-            in
-            let _, off =
-              minor_words (fun () ->
-                  run ~delivery:Delivery.Arena ~wire_accounting:false n)
-            in
-            let w_ref = run ~delivery:Delivery.Naive ~wire_accounting:true n in
-            let msgs = Ubpa_obs.Wire.messages w_arena in
-            ( algo,
-              n,
-              msgs,
-              Ubpa_obs.Wire.bits w_arena,
-              Ubpa_obs.Wire.equal w_arena w_ref,
-              (on -. off) /. float_of_int (max msgs 1) ))
-          runs)
-      ns
-    |> List.concat
-  in
-  List.iter
-    (fun (algo, n, msgs, bits, same, wpm) ->
-      Table.add_row t
-        [
-          algo;
-          Table.cell_int n;
-          Table.cell_int msgs;
-          Table.cell_int bits;
-          bool_cell same;
-          (* Unit-suffixed like SCALE's minor-w/msg, so that it stays out
-             of the derived metrics the threshold gate compares. *)
-          Printf.sprintf "%.2fw" wpm;
-        ])
-    cells;
-  let points algo pick =
-    List.filter_map
-      (fun (a, n, msgs, bits, _, _) ->
-        if String.equal a algo then Some (n, float_of_int (pick msgs bits))
-        else None)
-      cells
-  in
-  let fits =
-    [
-      (* RB: O(n^2) messages (each of n nodes echoes/readies to all n), and
-         constant-size payloads keep bits on the same envelope. *)
-      Ubpa_obs.Complexity.fit ~name:"rb.msgs" ~exponent:2
-        (points "rb" (fun m _ -> m));
-      Ubpa_obs.Complexity.fit ~name:"rb.bits" ~exponent:2
-        (points "rb" (fun _ b -> b));
-      (* Consensus: O(f) phases of all-to-all traffic -> O(n^3) messages;
-         the envelope is an upper bound, so terminating early and landing
-         well under it still passes. *)
-      Ubpa_obs.Complexity.fit ~name:"consensus.msgs" ~exponent:3
-        (points "consensus" (fun m _ -> m));
-      (* Binary consensus: the hand-written one-bit sizer keeps wire bits
-         within the O(n^3) budget of rotor-paced voting. *)
-      Ubpa_obs.Complexity.fit ~name:"binary.bits" ~exponent:3
-        (points "binary" (fun _ b -> b));
-    ]
-  in
-  (* A small traced run for the observability tooling: TRACE_CX1.jsonl is
-     what `ubpa trace --file` examples and the CI trace artifact read. *)
-  let tr = Trace.create () in
-  let (_ : Ubpa_obs.Wire.t) = rb_run ~delivery:Delivery.Arena ~trace:tr 5 in
-  { table = t; fits; files = [ ("TRACE_CX1.jsonl", Trace.to_jsonl tr) ] }
-
-(* ------------------------------------------------------------------ *)
-(* CX2: sub-quadratic committee agreement — per-node bit budgets        *)
-(* ------------------------------------------------------------------ *)
-
-(* The protocol side of the scalability story (docs/SCALABILITY.md): the
-   King–Saia-style committee protocol on the arena core, population n
-   into the thousands with f = n/6 mixed Byzantine strategies, wire
-   accounting ON, and the gated quantity is the *per-node* budget —
-   sent + received bits of the densest node (Ubpa_obs.Wire.budget_of) —
-   fitted against a c·√n·(log₂n)² envelope (Ubpa_obs.Complexity,
-   Sqrt_polylog shape). The sweep keeps n ∈ {301, 1001, 3001} in full
-   mode (the committed baseline) and shrinks only under --fast; fits are
-   calibrated on the smallest swept point either way. At the smallest n
-   the identical run is repeated on the reference core and every
-   behavioural field must match — the cross-core identity that lets the
-   arena-only rows at larger n be trusted (CX1's claim, at the committee
-   protocol's sparse fan-out shape). *)
-let cx2 () =
-  let module C = Scenarios.Committee_int in
-  let ns = if !fast then [ 31; 61; 101 ] else [ 301; 1_001; 3_001 ] in
-  let overlap_n = List.hd ns in
-  let byz_mix f =
-    List.init f (fun i ->
-        match i mod 3 with
-        | 0 -> C.Attacks.silent_member
-        | 1 -> C.Attacks.report_flood 99
-        | _ -> C.Attacks.inner_split 0 1)
-  in
-  let workloads =
-    [ ("split", fun i -> i mod 2); ("unanimous", fun _ -> 7) ]
-  in
-  let run ~delivery ~inputs n =
-    let f = n / 6 in
-    C.run ~seed:104L ~delivery ~max_rounds:400 ~byz:(byz_mix f)
-      ~n_correct:(n - f) ~inputs ()
-  in
-  let t =
-    Table.create
-      ~title:
-        "CX2: committee-sampling agreement (K=2sqrt(n) committee, \
-         q=2log2(n) attestors, f=n/6 mixed adversaries, arena core, wire \
-         accounting on) — the gated quantity is the densest node's \
-         sent+received budget against a c*sqrt(n)*log^2(n) envelope"
-      ~columns:
-        [
-          "workload"; "n"; "f"; "k"; "byz-in-k"; "q"; "rounds"; "agreed";
-          "valid"; "halted"; "monitors"; "node-msgs(max)"; "node-bits(max)";
-          "cross-core";
-        ]
-  in
-  let cells =
-    Pool.map ?jobs:!jobs
-      (fun n ->
-        List.map
-          (fun (workload, inputs) ->
-            let s = run ~delivery:Delivery.Arena ~inputs n in
-            let cross =
-              if n <> overlap_n then "-"
-              else
-                let s' = run ~delivery:Delivery.Naive ~inputs n in
-                Table.cell_bool
-                  (s.C.outputs = s'.C.outputs
-                  && s.C.rounds = s'.C.rounds
-                  && s.C.delivered_msgs = s'.C.delivered_msgs
-                  && s.C.max_budget_msgs = s'.C.max_budget_msgs
-                  && s.C.max_budget_bits = s'.C.max_budget_bits)
-            in
-            (workload, n, s, cross))
-          workloads)
-      ns
-    |> List.concat
-  in
-  List.iter
-    (fun (workload, n, (s : C.summary), cross) ->
-      Table.add_row t
-        [
-          workload;
-          Table.cell_int n;
-          Table.cell_int s.C.f;
-          Table.cell_int (List.length s.C.committee);
-          Table.cell_int s.C.byz_members;
-          Table.cell_int s.C.attestor_q;
-          Table.cell_int s.C.rounds;
-          bool_cell s.C.agreed;
-          bool_cell s.C.valid;
-          bool_cell s.C.all_terminated;
-          bool_cell s.C.monitor_green;
-          Table.cell_int s.C.max_budget_msgs;
-          Table.cell_int s.C.max_budget_bits;
-          cross;
-        ])
-    cells;
-  (* One point per n: the worst (max) per-node budget across workloads —
-     the envelope must hold for the hardest cell, not an average. *)
-  let points pick =
-    List.sort_uniq compare (List.map (fun (_, n, _, _) -> n) cells)
-    |> List.map (fun n ->
-           ( n,
-             List.fold_left
-               (fun acc (_, n', s, _) ->
-                 if n' = n then Float.max acc (float_of_int (pick s)) else acc)
-               0. cells ))
-  in
-  {
-    table = t;
-    fits =
-      [
-        Ubpa_obs.Complexity.fit_shape ~name:"committee.node-bits"
-          ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-          (points (fun s -> s.C.max_budget_bits));
-        Ubpa_obs.Complexity.fit_shape ~name:"committee.node-msgs"
-          ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-          (points (fun s -> s.C.max_budget_msgs));
-      ];
-    files = [];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* RT1: networked runtime vs lockstep simulator                         *)
-(* ------------------------------------------------------------------ *)
-
-(* RT1-RT3 iterate the runtime's protocol table (Runtime_runs.runners:
-   rb, then consensus) over both transports, with ids seeded 1. RB never
-   halts, so its runs stop at 6 rounds (it accepts in round 3);
-   consensus halts well within 40. *)
-let rt_transports = [ ("domains", `Domains); ("socket", `Socket) ]
-let rt_rounds = function "rb" -> 6 | _ -> 40
-
-let rt_run proto = List.assoc proto Runtime_runs.runners
-
-(* Eight fixed cells (cells do not shrink under --fast: the equivalences
-   ARE the claims, like MC1/CX1): rb and consensus, each on both
-   transports at n = 4 and 7, all-correct populations, rounds run flat
-   out. Every cell runs the protocol on actual concurrent per-node
-   processes, replays the recorded delivery schedule through the
-   simulator's arena core, and runs a fresh simulator instance on the
-   same population; the oracle / sim / wire columns are the verdict's
-   exact-mode checks. Byte counts are deliberately absent from the
-   table — frame counts are deterministic, marshalled sizes are an
-   implementation detail of the OCaml version. Needs OCaml 5; the
-   sequential fallback renders error rows (CI only gates RT1 on the 5.x
-   leg, next to the pool-backend assertions). *)
-let rt1 () =
-  let t =
-    Table.create
-      ~title:
-        "RT1: networked runtime, per-node processes vs the lockstep \
-         simulator as a trace-equivalence oracle (see docs/OBSERVABILITY.md)"
-      ~columns:
-        [
-          "protocol";
-          "transport";
-          "n";
-          "rounds";
-          "decided";
-          "msgs";
-          "bits";
-          "frames";
-          "late";
-          "oracle";
-          "sim-equal";
-          "wire-equal";
-        ]
-  in
-  List.iter
-    (fun n ->
-      let ids = Harness.make_ids ~seed:1L n in
-      List.iter
-        (fun (tname, transport) ->
-          List.iter
-            (fun (proto, (run : Runtime_runs.run)) ->
-              Table.add_row t
-                (proto :: tname :: Table.cell_int n
-                ::
-                match run ~transport ~max_rounds:(rt_rounds proto) ids with
-                | Error e -> [ e; "-"; "-"; "-"; "-"; "-"; "no"; "no"; "no" ]
-                | Ok (s : Runtime_runs.summary) ->
-                    let ok = Runtime_exec.passed s.checks in
-                    [
-                      Table.cell_int s.rounds;
-                      Table.cell_int s.decided;
-                      Table.cell_int s.msgs;
-                      Table.cell_int s.bits;
-                      Table.cell_int s.frames;
-                      Table.cell_int s.late;
-                      bool_cell (ok "oracle-replay");
-                      bool_cell
-                        (ok "decisions" && ok "decide-rounds" && ok "rounds"
-                       && ok "trace");
-                      bool_cell (ok "wire");
-                    ]))
-            Runtime_runs.runners)
-        rt_transports)
-    [ 4; 7 ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* RT2: fault-tolerant networked runtime                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Sixteen fixed cells (8 fault configurations x both transports; cells
-   do not shrink under --fast): fault-free cells re-run the full RT1
-   exact-equivalence gate; within-budget cells (loss, delay, single
-   crash) gate on graceful degradation (delivered-schedule oracle,
-   monitors with every plan victim excused, agreement and decision of
-   the nodes outside the plan); one deliberately beyond-budget cell
-   (total receive-omission isolates two of four nodes, more than f = 1)
-   is EXPECTED to violate — its point is the committed, replayable
-   counterexample trace (the TRACE_RT2.jsonl side file). Every fault
-   decision draws from per-directed-edge splitmix64 streams keyed by
-   (seed, src, dst, direction), so all cells — including the injected
-   counters — are byte-identical across transports, schedulers and
-   --jobs. Crash cells need a real deadline (round_ms > 0): wall-clock
-   "missing" counts are deliberately absent from the table; only the
-   round-counted dead-peer marks are gated. *)
-let rt2 () =
-  let t =
-    Table.create
-      ~title:
-        "RT2: fault-tolerant networked runtime — wire fault injection, \
-         deadline-based rounds, graceful degradation under the delivered-\
-         schedule oracle (see docs/OBSERVABILITY.md)"
-      ~columns:
-        [
-          "protocol";
-          "transport";
-          "faults";
-          "n";
-          "rounds";
-          "decided";
-          "survivors";
-          "late";
-          "lost";
-          "dup";
-          "delayed";
-          "dead";
-          "oracle";
-          "safety";
-          "mode";
-          "ok";
-        ]
-  in
-  let files = ref [] in
-  let cell ~proto ~fname ~n ?(round_ms = 0.) ?(max_rounds = rt_rounds proto)
-      ?spec ~mode (tname, transport) =
-    let ids = Harness.make_ids ~seed:1L n in
-    let faults =
-      Option.map
-        (fun spec ->
-          match Ubpa_faults.parse_spec ~ids spec with
-          | Ok p -> p
-          | Error e -> failwith ("RT2: bad fault spec " ^ spec ^ ": " ^ e))
-        spec
-    in
-    Table.add_row t
-      (proto :: tname :: fname :: Table.cell_int n
-      ::
-      match
-        rt_run proto ~transport ~round_ms ~max_rounds ?faults ~fault_seed:1L
-          ids
-      with
-      | Error e ->
-          [ e; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "no"; "no"; "error"; "no" ]
-      | Ok (s : Runtime_runs.summary) ->
-          let ok = Runtime_exec.passed s.checks in
-          let safety =
-            if String.equal mode "exact" then
-              ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
-              && ok "wire"
-            else ok "monitors" && ok "survivor-agreement" && ok "crash-view"
-          in
-          let cell_ok =
-            if String.equal mode "violate" then
-              (not s.ok) && safety && ok "oracle-replay"
-            else s.ok
-          in
-          (* The beyond-budget counterexample trace ships with the
-             artifact — the violation must stay replayable, like MC1's
-             counterexamples. *)
-          if String.equal mode "violate" && String.equal tname "domains" then
-            files :=
-              [
-                ("TRACE_RT2.jsonl", Trace.to_jsonl (Trace.of_events s.events));
-              ];
-          [
-            Table.cell_int s.rounds;
-            Table.cell_int s.decided;
-            Table.cell_int s.survivors;
-            Table.cell_int s.late;
-            Table.cell_int s.injected.inj_lost;
-            Table.cell_int s.injected.inj_dup;
-            Table.cell_int s.injected.inj_delayed;
-            Table.cell_int (List.length s.dead);
-            bool_cell (ok "oracle-replay");
-            bool_cell safety;
-            mode;
-            bool_cell cell_ok;
-          ])
-  in
-  (* -- fault-free cells: the exact RT1 gate, n = 5 -- *)
-  List.iter
-    (fun transport ->
-      List.iter
-        (fun (proto, _) ->
-          cell ~proto ~fname:"none" ~n:5 ~mode:"exact" transport)
-        Runtime_runs.runners)
-    rt_transports;
-  (* -- faulty cells -- *)
-  let faulty ~proto ~fname ~spec ~n ?round_ms ?max_rounds ~mode () =
-    List.iter
-      (cell ~proto ~fname ~n ?round_ms ?max_rounds ~spec ~mode)
-      rt_transports
-  in
-  faulty ~proto:"rb" ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5
-    ~mode:"degrade" ();
-  faulty ~proto:"consensus" ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5
-    ~mode:"degrade" ();
-  faulty ~proto:"consensus" ~fname:"delay" ~spec:"delay:1@1..4=0.5x1" ~n:5
-    ~mode:"degrade" ();
-  faulty ~proto:"rb" ~fname:"crash-1" ~spec:"crash:2@2" ~n:5 ~round_ms:80.
-    ~mode:"degrade" ();
-  faulty ~proto:"consensus" ~fname:"crash-1" ~spec:"crash:1@3" ~n:5
-    ~round_ms:80. ~mode:"degrade" ();
-  faulty ~proto:"consensus" ~fname:"isolate"
-    ~spec:"recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0" ~n:4 ~max_rounds:12
-    ~mode:"violate" ();
-  { table = t; fits = []; files = !files }
-
-(* ------------------------------------------------------------------ *)
-(* MC1: bounded exhaustive model checking                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Six fixed cells through `Ubpa_check` (cells do not shrink under
-   --fast: the verdicts ARE the claims, exactly like R1/CX1). Inside the
-   n > 3f envelope the checker must prove safety exhaustively for both
-   core protocols; at the f > n/3 boundary (and at two benign faults,
-   which exceed the f = 1 budget of n = 4) it must produce a minimized,
-   replayable counterexample. The rb n=3 counterexample trace is the
-   committed CEX_MC1.jsonl side artifact; the two boundary cells are
-   additionally re-run on two worker domains and compared field by field
-   (the "det" column), pinning --jobs byte-identity. *)
-let mc1 () =
-  let module Crb = Ubpa_check.Checker.Make (Ubpa_check.Models.Rb) in
-  let module Cc = Ubpa_check.Checker.Make (Ubpa_check.Models.Consensus) in
-  let t =
-    Table.create
-      ~title:
-        "MC1: bounded exhaustive safety checking (frontier BFS over the M1 \
-         adversary palette; see docs/CHECKING.md)"
-      ~columns:
-        [
-          "protocol";
-          "n";
-          "f";
-          "crashes";
-          "omits";
-          "rounds";
-          "expect";
-          "verdict";
-          "ok";
-          "explored";
-          "distinct";
-          "dedup";
-          "sym-skips";
-          "depth";
-          "cex round";
-          "cex msgs";
-          "replayed";
-          "det";
-        ]
-  in
-  let equal_result (a : Ubpa_check.Checker.result)
-      (b : Ubpa_check.Checker.result) =
-    a.verdict = b.verdict && a.stats = b.stats
-    && Option.equal
-         (fun (x : Ubpa_check.Checker.cex) (y : Ubpa_check.Checker.cex) ->
-           x = y)
-         a.cex b.cex
-  in
-  let cells =
-    [
-      (* protocol, n, f, crashes, omits, rounds, expect, cross-jobs? *)
-      ("rb", 3, 1, 0, 0, 5, "violation", true);
-      ("rb", 4, 1, 0, 0, 5, "verified", false);
-      ("rb", 4, 0, 1, 1, 4, "verified", false);
-      ("consensus", 3, 1, 0, 0, 8, "violation", true);
-      ("consensus", 4, 1, 0, 0, 7, "verified", false);
-      ("consensus", 4, 0, 1, 1, 12, "violation", false);
-    ]
-  in
-  let cex = ref [] in
-  List.iter
-    (fun (proto, n, f, crashes, omits, rounds, expect, cross_jobs) ->
-      let run ?jobs () =
-        match proto with
-        | "rb" ->
-            Crb.check ?jobs ~crash_budget:crashes ~omit_budget:omits ~n ~f
-              ~max_rounds:rounds ()
-        | _ ->
-            Cc.check ?jobs ~crash_budget:crashes ~omit_budget:omits ~n ~f
-              ~max_rounds:rounds ()
-      in
-      let r = run ?jobs:!jobs () in
-      let det =
-        if not cross_jobs then "-"
-        else if
-          equal_result (run ~jobs:1 ()) (run ~jobs:2 ())
-        then "yes"
-        else "no"
-      in
-      let verdict = Ubpa_check.Checker.verdict_to_string r.verdict in
-      (if String.equal proto "rb" && n = 3 then
-         match r.cex with
-         | Some cx -> cex := [ ("CEX_MC1.jsonl", cx.cx_jsonl) ]
-         | None -> ());
-      Table.add_row t
-        [
-          proto;
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int crashes;
-          Table.cell_int omits;
-          Table.cell_int rounds;
-          expect;
-          verdict;
-          bool_cell (String.equal expect verdict);
-          Table.cell_int r.stats.explored;
-          Table.cell_int r.stats.distinct;
-          Table.cell_int r.stats.dedup_hits;
-          Table.cell_int r.stats.sym_skips;
-          Table.cell_int r.stats.depth;
-          (match r.cex with
-          | Some cx -> Table.cell_int cx.cx_round
-          | None -> "-");
-          (match r.cex with
-          | Some cx -> Table.cell_int (cx.cx_byz_msgs + cx.cx_crashes + cx.cx_omits)
-          | None -> "-");
-          (match r.cex with
-          | Some cx -> bool_cell cx.cx_replayed
-          | None -> "-");
-          det;
-        ])
-    cells;
-  { table = t; fits = []; files = !cex }
-
-(* ------------------------------------------------------------------ *)
-(* RT3: runtime latency/throughput — the performance story of RT1/RT2   *)
-(* ------------------------------------------------------------------ *)
-
-(* ROADMAP item 1's remainder: RT1/RT2 prove the networked runtime is
-   *correct* (trace-equivalent to the simulator, graceful under
-   faults); RT3 measures how *fast* it is. Fixed cells (no --fast
-   shrink, like RT1): per transport, rb and consensus run flat out
-   (round_ms = 0, marker fast path only), plus consensus under 60ms and
-   150ms round-deadline floors. Frames/late/rounds/decided are
-   deterministic and gated cell-for-cell across transports; elapsed,
-   frames/s and avg-round-ms are wall-clock (unit-suffixed, exempt from
-   exact diff and metric comparison) and time the networked run alone,
-   not the oracle replay that follows it. The under-deadline column is
-   the measured-round-time-vs-floor comparison: the deadline
-   synchronizer's marker fast path advances as soon as all markers
-   arrive, so even floored rounds finish well under the floor — gated
-   only on the roomy 150ms floor so a loaded CI host cannot flake it. *)
-let rt3 () =
-  let t =
-    Table.create
-      ~title:
-        "RT3: networked runtime latency/throughput — frames/sec per \
-         transport and measured round time vs the --round-ms floor \
-         (timing cells are wall-clock and exempt; rounds/decided/frames/\
-         late are deterministic and gated)"
-      ~columns:
-        [
-          "protocol"; "transport"; "n"; "round-ms"; "rounds"; "decided";
-          "frames"; "late"; "elapsed"; "frames/s"; "avg-round-ms";
-          "under-deadline";
-        ]
-  in
-  let n = 5 in
-  let ids = Harness.make_ids ~seed:1L n in
-  List.iter
-    (fun (tname, transport) ->
-      List.iter
-        (fun (proto, round_ms) ->
-          Table.add_row t
-            (proto :: tname :: Table.cell_int n
-            :: (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0")
-            ::
-            match
-              rt_run proto ~transport ~round_ms ~max_rounds:(rt_rounds proto)
-                ids
-            with
-            | Error e -> [ e; "-"; "-"; "-"; "-"; "-"; "-"; "no" ]
-            | Ok (s : Runtime_runs.summary) ->
-                let avg = s.run_ms /. float_of_int (max s.rounds 1) in
-                [
-                  Table.cell_int s.rounds;
-                  Table.cell_int s.decided;
-                  Table.cell_int s.frames;
-                  Table.cell_int s.late;
-                  Printf.sprintf "%.1fms" s.run_ms;
-                  Printf.sprintf "%.0f/s"
-                    (float_of_int s.frames
-                    /. (Float.max s.run_ms 1e-3 /. 1000.));
-                  Printf.sprintf "%.1fms" avg;
-                  (if round_ms > 0. then bool_cell (avg <= round_ms) else "-");
-                ]))
-        [
-          ("rb", 0.); ("consensus", 0.); ("consensus", 60.); ("consensus", 150.);
-        ])
-    rt_transports;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Machine-checked claims                                               *)
-(*                                                                      *)
-(* Every experiment names the paper-derived bounds it exercises; each    *)
-(* bound is re-evaluated over the finished table and lands as a          *)
-(* pass/fail entry in the JSON artifact, where `bench_diff` (and the CI  *)
-(* claim gate) refuses regressions. Bounds with a constant factor use    *)
-(* the measured constants with headroom, so they fail loudly if a        *)
-(* future change loses the complexity class, not on run-to-run noise.   *)
-(* ------------------------------------------------------------------ *)
-
-module Claims = struct
-  open Ubpa_report
-
-  let claim cid description holds =
-    {
-      Artifact.cid;
-      description;
-      status = (if holds then Artifact.Pass else Artifact.Fail);
-    }
-
-  let for_experiment id (o : outcome) =
-    let t = o.table in
-    let cols = Table.columns t in
-    let idx name =
-      let rec go i = function
-        | [] -> failwith (Printf.sprintf "claims(%s): no column %S" id name)
-        | c :: _ when String.equal c name -> i
-        | _ :: rest -> go (i + 1) rest
-      in
-      go 0 cols
-    in
-    let get row name = List.nth row (idx name) in
-    let geti row name = int_of_string_opt (get row name) in
-    let getf row name = float_of_string_opt (get row name) in
-    (* Unit-suffixed cells ("12.3w", "4.1ms") parse by numeric prefix. *)
-    let numeric_prefix s =
-      let len = String.length s in
-      let rec go i =
-        if
-          i < len
-          &&
-          match s.[i] with
-          | '0' .. '9' | '.' | '-' | '+' | 'e' -> true
-          | _ -> false
-        then go (i + 1)
-        else i
-      in
-      float_of_string_opt (String.sub s 0 (go 0))
-    in
-    let rows = Table.rows t in
-    let forall f = List.for_all f rows in
-    (* Boolean columns may contain non-boolean filler cells (summary rows);
-       those are ignored, but at least one "yes" must be present. *)
-    let all_yes name =
-      forall (fun r -> get r name <> "no")
-      && List.exists (fun r -> get r name = "yes") rows
-    in
-    (* Row-wise integer comparison of two columns; rows where either cell
-       is not an integer are skipped. *)
-    let le_cols a b =
-      forall (fun r ->
-          match (geti r a, geti r b) with
-          | Some x, Some y -> x <= y
-          | _ -> true)
-    in
-    let eps = 1e-9 in
-    match id with
-    | "E1" ->
-        [
-          claim "E1.consistency"
-            "acceptance is all-or-none across correct nodes (Lemma rb-correct)"
-            (all_yes "consistent");
-          claim "E1.accept-round"
-            "honest-sender payloads are accepted by round 4 (round-3 rule \
-             plus one relay round)"
-            (forall (fun r ->
-                 get r "accepted" <> "yes"
-                 ||
-                 match geti r "round(max)" with
-                 | Some rm -> rm <= 4
-                 | None -> false));
-          claim "E1.msg-quadratic"
-            "deliveries stay within 6*n^2 (O(n^2) message complexity)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "msgs") with
-                 | Some n, Some m -> m <= 6 * n * n
-                 | _ -> false));
-        ]
-    | "E2" ->
-        [
-          claim "E2.round-bound"
-            "rotor terminates within n+3 rounds (Theorem rc, O(n))"
-            (le_cols "rounds(max)" "bound n+3");
-          claim "E2.good-round"
-            "every run contains a good round with a common correct \
-             coordinator"
-            (all_yes "good round");
-        ]
-    | "E2b" ->
-        let rounds = List.filter_map (fun r -> geti r "round") rows in
-        let rec ascending = function
-          | a :: (b :: _ as rest) -> a < b && ascending rest
-          | _ -> true
-        in
-        [
-          claim "E2b.round-order"
-            "delivered_per_round rows come out strictly ascending in round"
-            (ascending rounds);
-          claim "E2b.steady-state"
-            "after the round-3/4 echo burst each round carries at most n \
-             deliveries"
-            (forall (fun r ->
-                 match (geti r "round", geti r "delivered") with
-                 | Some rd, Some d -> rd <= 4 || d <= 13
-                 | _ -> false));
-        ]
-    | "E3" ->
-        [
-          claim "E3.agreement" "agreement and validity hold in every run"
-            (all_yes "agreed" && all_yes "valid");
-          claim "E3.round-bound"
-            "decisions within 5*(f+1)+2 rounds (Theorem earlyCon, O(f))"
-            (forall (fun r ->
-                 match (geti r "f", geti r "rounds(max)") with
-                 | Some f, Some rm -> rm <= (5 * (f + 1)) + 2
-                 | _ -> false));
-          claim "E3.phase-bound" "at most f+1 phases are needed"
-            (forall (fun r ->
-                 match (geti r "f", geti r "phases") with
-                 | Some f, Some p -> p <= f + 1
-                 | _ -> false));
-        ]
-    | "E4" ->
-        [
-          claim "E4.agreement" "agreement holds in every run" (all_yes "agreed");
-          claim "E4.early-termination"
-            "unanimous inputs decide at the end of phase 1 (round 7)"
-            (forall (fun r ->
-                 get r "inputs" <> "unanimous"
-                 || (geti r "rounds(max)" = Some 7 && geti r "phases" = Some 1)));
-        ]
-    | "E5" ->
-        [
-          claim "E5.containment"
-            "outputs lie within the correct input range (Lemma aaWithin)"
-            (all_yes "in-range");
-          claim "E5.halving"
-            "one round contracts the range by at least 1/2 (Lemma aaMed)"
-            (forall (fun r ->
-                 match getf r "contraction" with
-                 | Some c -> c <= 0.5 +. eps
-                 | None -> false));
-        ]
-    | "E5b" ->
-        [
-          claim "E5b.containment"
-            "final outputs lie within the global input range despite joins"
-            (List.exists
-               (fun r ->
-                 get r "event" = "final check" && get r "spread" = "in-range")
-               rows);
-        ]
-    | "E6" ->
-        [
-          claim "E6.convergence-rate"
-            "k iterations contract by 2^-k even under pull-apart attack"
-            (forall (fun r ->
-                 match (getf r "contraction(id-only)", getf r "bound 2^-k") with
-                 | Some c, Some b -> c <= b +. eps
-                 | _ -> false));
-          claim "E6.matches-known-f"
-            "id-only convergence matches the known-f Dolev et al. baseline"
-            (forall (fun r ->
-                 match
-                   (getf r "contraction(id-only)", getf r "contraction(known-f)")
-                 with
-                 | Some a, Some b -> Float.abs (a -. b) <= eps
-                 | _ -> false));
-        ]
-    | "E7" ->
-        [
-          claim "E7.safe-inside-boundary"
-            "with n > 3f every seeded run is safe (optimal resiliency)"
-            (forall (fun r ->
-                 get r "n>3f" <> "yes"
-                 || (geti r "violated" = Some 0 && geti r "safe" = geti r "runs")));
-          claim "E7.violated-outside-boundary"
-            "with n <= 3f the implemented attacks break safety"
-            (forall (fun r ->
-                 get r "n>3f" <> "no"
-                 || match geti r "violated" with Some v -> v >= 1 | None -> false));
-        ]
-    | "E8" ->
-        [
-          claim "E8.rb-overhead"
-            "id-only RB costs at most 2x the known-n/f Srikanth-Toueg \
-             baseline"
-            (forall (fun r ->
-                 match (geti r "RB msgs(id-only)", geti r "RB msgs(ST)") with
-                 | Some ours, Some theirs -> ours <= 2 * theirs
-                 | _ -> false));
-          claim "E8.consensus-overhead"
-            "id-only consensus costs at most 6x the phase-king baseline"
-            (forall (fun r ->
-                 match
-                   (geti r "cons msgs(id-only)", geti r "cons msgs(king)")
-                 with
-                 | Some ours, Some theirs -> ours <= 6 * theirs
-                 | _ -> false));
-        ]
-    | "E8b" ->
-        [
-          claim "E8b.echo-quadratic"
-            "candidate echoes account for 2*n^2 sends (the O(n^2) term)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "cand-echo") with
-                 | Some n, Some e -> e <= 2 * n * n
-                 | _ -> false));
-          claim "E8b.opinion-constant"
-            "opinion messages stay constant per run (coordinator only)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "opinion") with
-                 | Some n, Some o -> o <= n
-                 | _ -> false));
-        ]
-    | "E9" ->
-        [
-          claim "E9.agreement" "pair-set agreement holds for every k"
-            (all_yes "agreed");
-          claim "E9.rounds-constant"
-            "rounds do not grow with the number of instances k"
-            (forall (fun r ->
-                 match geti r "rounds" with Some x -> x <= 8 | None -> false));
-          claim "E9.all-instances-decide" "every started instance outputs a pair"
-            (forall (fun r -> geti r "pairs output" = geti r "k"));
-        ]
-    | "E10" ->
-        [
-          claim "E10.prefix-consistency"
-            "per-node chains are prefix-consistent under churn"
-            (all_yes "prefix-ok");
-          claim "E10.finality-lag" "the finality frontier lags at most 20 rounds"
-            (forall (fun r ->
-                 match geti r "finality lag" with
-                 | Some l -> l <= 20
-                 | None -> false));
-        ]
-    | "E11" ->
-        [
-          claim "E11.disagreement"
-            "the partitioned asynchronous executions disagree (impossibility)"
-            (all_yes "disagree");
-          claim "E11.in-flight"
-            "messages were still in flight at decision time (the \
-             indistinguishability premise)"
-            (all_yes "in-flight");
-        ]
-    | "E12" ->
-        [
-          claim "E12.bounded-delay"
-            "every delivery respects the finite delay bound delta"
-            (all_yes "bounded");
-          claim "E12.disagreement"
-            "executions still disagree under semi-synchrony (impossibility)"
-            (all_yes "disagree");
-        ]
-    | "E13" ->
-        [
-          claim "E13.safety-matrix"
-            "every implemented adversary fails to break its target property"
-            (all_yes "holds");
-        ]
-    | "A1" ->
-        [
-          claim "A1.good-round"
-            "rotor finds a good round at both n>4f and n>3f densities"
-            (all_yes "good round");
-        ]
-    | "A2" ->
-        [
-          claim "A2.id-only-robust"
-            "the relative n_v/3 discard rule stays in range without knowing f"
-            (forall (fun r ->
-                 get r "rule" <> "id-only n_v/3" || get r "in-range" = "yes"));
-          claim "A2.known-f-fragile"
-            "underestimating f breaks the known-f discard rule"
-            (List.exists
-               (fun r -> get r "rule" = "known-f" && get r "in-range" = "no")
-               rows);
-        ]
-    | "A3" ->
-        [
-          claim "A3.correct"
-            "terminating RB and renaming are correct at every f"
-            (all_yes "correct");
-          claim "A3.constant-rounds" "both appendix algorithms finish within \
-                                      10 rounds"
-            (forall (fun r ->
-                 match geti r "rounds" with Some x -> x <= 10 | None -> false));
-        ]
-    | "A4" ->
-        [
-          claim "A4.agreement" "agreement and strong validity hold"
-            (all_yes "agreed" && all_yes "strong-valid");
-          claim "A4.round-linear" "rounds stay within 8*n+8 (O(n))"
-            (forall (fun r ->
-                 match (geti r "n", geti r "rounds") with
-                 | Some n, Some x -> x <= (8 * n) + 8
-                 | _ -> false));
-        ]
-    | "R1" ->
-        let withins = List.filter (fun r -> get r "envelope" = "yes") rows in
-        [
-          claim "R1.envelope-green"
-            "inside the proven envelope (benign crash/omission-only, \
-             budget + byzantine <= f) every monitor stays green in every \
-             run"
-            (withins <> []
-            && List.for_all
-                 (fun r ->
-                   geti r "violated" = Some 0 && geti r "green" = geti r "runs")
-                 withins);
-          claim "R1.sweep-size"
-            "the within-envelope sweep covers at least 50 randomized fault \
-             schedules"
-            (List.fold_left
-               (fun acc r -> acc + Option.value ~default:0 (geti r "runs"))
-               0 withins
-            >= 50);
-          claim "R1.first-violation-reported"
-            "every violated run produced a first-violation report (the \
-             monitors report, they do not assert)"
-            (forall (fun r -> geti r "reported" = geti r "violated"));
-          claim "R1.degradation-observed"
-            "pushing past the envelope degrades: at least one over-budget \
-             row has a reported violation"
-            (List.exists
-               (fun r ->
-                 get r "envelope" = "no"
-                 &&
-                 match geti r "violated" with Some v -> v >= 1 | None -> false)
-               rows);
-        ]
-    | "PERF" ->
-        let ns =
-          List.sort_uniq compare (List.filter_map (fun r -> geti r "n") rows)
-        in
-        let n_max = List.fold_left max 0 ns in
-        let digests_match pred =
-          match
-            List.filter_map
-              (fun r -> if pred r then Some (get r "digest") else None)
-              rows
-          with
-          | d :: (_ :: _ as rest) ->
-              d <> "-" && List.for_all (String.equal d) rest
-          | _ -> false
-        in
-        [
-          claim "PERF.same-deliveries"
-            "both delivery cores deliver exactly the same messages at every n"
-            (ns <> []
-            && List.for_all
-                 (fun n ->
-                   match
-                     List.filter_map
-                       (fun r ->
-                         if geti r "n" = Some n then geti r "msgs" else None)
-                       rows
-                   with
-                   | m :: (_ :: _ as rest) -> List.for_all (Int.equal m) rest
-                   | _ -> false)
-                 ns);
-          claim "PERF.identical-deliveries-at-scale"
-            "at every swept n — including the n=301 scale row — the arena \
-             core's per-node accepted outputs are byte-identical to the \
-             reference core's (digest match)"
-            (ns <> []
-            && n_max >= 301
-            && List.for_all
-                 (fun n -> digests_match (fun r -> geti r "n" = Some n))
-                 ns);
-          claim "PERF.arena-faster-at-max"
-            "the arena core is strictly faster than the seed scan core at \
-             the largest swept n"
-            (List.exists
-               (fun r ->
-                 geti r "n" = Some n_max
-                 && get r "engine" = "arena"
-                 &&
-                 match getf r "speedup" with
-                 | Some s -> s > 1.0
-                 | None -> false)
-               rows);
-          claim "PERF.pool-deterministic"
-            "the pool executor merges the fixed consensus sweep identically \
-             at jobs=1 and jobs=max (digest match)"
-            (digests_match (fun r -> get r "workload" = "pool-sweep"));
-        ]
-    | "PERF2" ->
-        [
-          claim "PERF2.deterministic-across-jobs"
-            "every sub-sweep digest at jobs=2 and jobs=8 equals the jobs=1 \
-             digest — parallel tables are cell-for-cell identical to serial \
-             ones"
-            (all_yes "match"
-            && List.exists (fun r -> geti r "jobs" = Some 8) rows);
-          claim "PERF2.order-preserved"
-            "the synthetic pool-map sweep preserves submission order at \
-             every jobs level"
-            (let pm = List.filter (fun r -> get r "sweep" = "pool-map") rows in
-             pm <> [] && List.for_all (fun r -> get r "match" = "yes") pm);
-        ]
-    | "CX1" ->
-        (* The fits themselves live in the artifact's complexity block; the
-           claims mirror their verdicts so the existing claim gate (and
-           bench_diff's pass->fail check) covers them without new plumbing. *)
-        let fit name =
-          match
-            List.find_opt
-              (fun (f : Ubpa_obs.Complexity.fit) -> String.equal f.name name)
-              o.fits
-          with
-          | Some f -> f.holds
-          | None -> false
-        in
-        [
-          claim "CX1.rb-msg-quadratic"
-            "measured RB wire messages fit a c*n^2 envelope (O(n^2) message \
-             complexity, Theorem rb)"
-            (fit "rb.msgs");
-          claim "CX1.rb-bit-quadratic"
-            "measured RB wire bits fit a c*n^2 envelope (constant-size \
-             payloads)"
-            (fit "rb.bits");
-          claim "CX1.consensus-msg-cubic"
-            "measured consensus wire messages fit a c*n^3 envelope (O(f) \
-             phases of O(n^2) traffic)"
-            (fit "consensus.msgs");
-          claim "CX1.binary-bit-cubic"
-            "measured binary-consensus wire bits fit a c*n^3 envelope \
-             (one-bit vote encoding)"
-            (fit "binary.bits");
-          claim "CX1.cross-core-identity"
-            "both delivery cores report identical wire counters (totals, \
-             per-round, per-node, per-kind) on every swept run"
-            (all_yes "cross-core");
-          claim "CX1.wire-alloc"
-            "wire accounting adds at most 1 minor word per delivery at the \
-             largest swept n of every algorithm: each accepted record is \
-             sized once and each delivery is an allocation-free counter \
-             update"
-            (let largest =
-               List.fold_left
-                 (fun acc r -> max acc (Option.value ~default:0 (geti r "n")))
-                 0 rows
-             in
-             List.for_all
-               (fun algo ->
-                 List.exists
-                   (fun r ->
-                     get r "algo" = algo
-                     && geti r "n" = Some largest
-                     &&
-                     match numeric_prefix (get r "wire-w/msg") with
-                     | Some w -> w <= 1.
-                     | None -> false)
-                   rows)
-               [ "rb"; "consensus"; "binary" ]);
-        ]
-    | "CX2" ->
-        let fit name =
-          match
-            List.find_opt
-              (fun (f : Ubpa_obs.Complexity.fit) -> String.equal f.name name)
-              o.fits
-          with
-          | Some f -> f.holds
-          | None -> false
-        in
-        [
-          claim "CX2.agreement-under-attack"
-            "every cell — both workloads, f = n/6 mixed silent / \
-             report-flood / inner-split adversaries — reaches agreement \
-             with validity, full termination, and green online monitors"
-            (all_yes "agreed" && all_yes "valid" && all_yes "halted"
-            && all_yes "monitors");
-          claim "CX2.node-bits-subquadratic"
-            "the densest node's sent+received bits fit a \
-             c*sqrt(n)*log^2(n) envelope across the sweep — per-node \
-             traffic is sub-linear, so total traffic is sub-quadratic"
-            (fit "committee.node-bits");
-          claim "CX2.node-msgs-subquadratic"
-            "the densest node's sent+received message count fits the same \
-             c*sqrt(n)*log^2(n) envelope"
-            (fit "committee.node-msgs");
-          claim "CX2.committee-honest-majority"
-            "in every cell the sampled committee keeps its Byzantine \
-             members below a third (3*byz < k), so the inner consensus \
-             core runs inside its fault envelope"
-            (List.for_all
-               (fun r ->
-                 match (geti r "k", geti r "byz-in-k") with
-                 | Some k, Some b -> 3 * b < k
-                 | _ -> false)
-               rows);
-          claim "CX2.cross-core-identity"
-            "at the overlap population the arena run matches the reference \
-             run field-for-field (outputs, rounds, deliveries, per-node \
-             budgets)"
-            (List.exists (fun r -> get r "cross-core" = "yes") rows
-            && List.for_all (fun r -> get r "cross-core" <> "no") rows);
-        ]
-    | "MC1" ->
-        let violation_rows =
-          List.filter (fun r -> get r "verdict" = "violation") rows
-        in
-        let verified_at id f_pred =
-          List.exists
-            (fun r ->
-              get r "protocol" = id
-              && get r "verdict" = "verified"
-              && match geti r "f" with Some f -> f_pred f | None -> false)
-            rows
-        in
-        [
-          claim "MC1.envelope-verified"
-            "every cell's verdict matches its expectation (safety proved \
-             inside the n > 3f envelope, violated outside it)"
-            (all_yes "ok");
-          claim "MC1.two-protocols-proved"
-            "both core protocols are exhaustively verified with f >= 1 \
-             byzantine nodes"
-            (verified_at "rb" (fun f -> f >= 1)
-            && verified_at "consensus" (fun f -> f >= 1));
-          claim "MC1.boundary-violation"
-            "some cell outside the fault envelope yields a safety violation"
-            (List.exists
-               (fun r ->
-                 match (geti r "n", geti r "f", geti r "crashes", geti r "omits")
-                 with
-                 | Some n, Some f, Some c, Some o ->
-                     3 * (f + c + o) >= n
-                 | _ -> false)
-               violation_rows);
-          claim "MC1.cex-replayable"
-            "every counterexample replays to the same violation under the \
-             live trace engine"
-            (violation_rows <> []
-            && List.for_all (fun r -> get r "replayed" = "yes") violation_rows);
-          claim "MC1.exhaustive"
-            "no cell ran out of state budget (the verdicts are exhaustive, \
-             not samples)"
-            (forall (fun r -> get r "verdict" <> "out-of-budget"));
-          claim "MC1.jobs-identical"
-            "re-running checked cells on two worker domains reproduces the \
-             full result (verdict, stats, counterexample) field by field"
-            (all_yes "det");
-        ]
-    | "RT1" ->
-        let pair_identical =
-          (* For each (protocol, n), the domains and socket rows must agree
-             on every behavioural column: the transport is a pure carrier. *)
-          let key r = (get r "protocol", get r "n") in
-          let behaviour r =
-            ( get r "rounds",
-              get r "decided",
-              get r "msgs",
-              get r "bits",
-              get r "frames" )
-          in
-          forall (fun r ->
-              forall (fun r' ->
-                  (not (key r = key r')) || behaviour r = behaviour r'))
-        in
-        [
-          claim "RT1.oracle-equivalence"
-            "every networked run's recorded delivery schedule replays \
-             cleanly through the simulator's arena core (present sets, \
-             inboxes, sends)"
-            (all_yes "oracle");
-          claim "RT1.sim-equivalence"
-            "decisions, decide rounds, executed rounds and the full trace \
-             event stream equal a fresh lockstep simulator run on the same \
-             population"
-            (all_yes "sim-equal");
-          claim "RT1.wire-identical"
-            "wire counters (totals and per-round/node/kind breakdowns) are \
-             identical across runtime, replay oracle, and simulator"
-            (all_yes "wire-equal");
-          claim "RT1.all-correct-decide"
-            "every node decides in every cell (all-correct populations)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "decided") with
-                 | Some n, Some d -> n = d
-                 | _ -> false));
-          claim "RT1.wire-populated"
-            "wire counters are populated on every cell (the transports \
-             really carry the protocol's messages)"
-            (forall (fun r ->
-                 match (geti r "msgs", geti r "bits") with
-                 | Some m, Some b -> m > 0 && b > 0
-                 | _ -> false));
-          claim "RT1.no-late-frames"
-            "on fault-free runs the marker fast path keeps every frame in \
-             its delivery round"
-            (forall (fun r -> get r "late" = "0"));
-          claim "RT1.transport-identical"
-            "domains and socket transports produce behaviourally identical \
-             runs cell for cell"
-            pair_identical;
-        ]
-    | "RT2" ->
-        let rows_in mode = List.filter (fun r -> get r "mode" = mode) rows in
-        let pair_identical =
-          (* Same-fault cells must agree across transports on every
-             behavioural column — including the injected-fault counters,
-             which is the per-edge-stream determinism claim made real. *)
-          let key r = (get r "protocol", get r "faults", get r "n") in
-          let behaviour r =
-            ( get r "rounds",
-              get r "decided",
-              get r "survivors",
-              (get r "late", get r "lost", get r "dup", get r "delayed"),
-              (get r "dead", get r "oracle", get r "safety", get r "ok") )
-          in
-          forall (fun r ->
-              forall (fun r' ->
-                  (not (key r = key r')) || behaviour r = behaviour r'))
-        in
-        [
-          claim "RT2.fault-free-exact"
-            "fault-free cells still meet RT1's full exact-equivalence gate \
-             (oracle replay, sim equality, wire accounting) — the fault \
-             middleware and deadline synchronizer are behaviour-free when \
-             idle"
-            (rows_in "exact" <> []
-            && List.for_all
-                 (fun r ->
-                   get r "ok" = "yes" && get r "oracle" = "yes"
-                   && get r "safety" = "yes")
-                 (rows_in "exact"));
-          claim "RT2.delivered-oracle"
-            "every cell's recorded delivered schedule — holes included — \
-             replays cleanly through the oracle's sub-schedule mode"
-            (all_yes "oracle");
-          claim "RT2.within-budget-degrades"
-            "every within-budget fault cell degrades gracefully on both \
-             transports: monitors green, survivors all decide and agree"
-            (rows_in "degrade" <> []
-            && List.for_all (fun r -> get r "ok" = "yes") (rows_in "degrade"));
-          claim "RT2.beyond-budget-violates"
-            "the beyond-budget cell violates as expected — liveness fails \
-             (a survivor never decides) while safety stays green"
-            (rows_in "violate" <> []
-            && List.for_all
-                 (fun r ->
-                   get r "ok" = "yes" && get r "safety" = "yes"
-                   && match (geti r "decided", geti r "survivors") with
-                      | Some d, Some s -> d < s
-                      | _ -> false)
-                 (rows_in "violate"));
-          claim "RT2.late-frames-delay"
-            "delay injection produces strictly positive late-frame counts \
-             (the deadline synchronizer really drops stragglers)"
-            (List.exists
-               (fun r ->
-                 get r "faults" = "delay"
-                 && match geti r "late" with Some l -> l > 0 | None -> false)
-               rows);
-          claim "RT2.injection-live"
-            "loss and delay cells inject a strictly positive number of \
-             faults (the plans are not vacuous)"
-            (List.for_all
-               (fun r ->
-                 match geti r "lost" with Some l -> l > 0 | None -> false)
-               (List.filter (fun r -> get r "faults" = "loss=0.10") rows)
-            && List.exists
-                 (fun r ->
-                   get r "faults" = "delay"
-                   && match geti r "delayed" with
-                      | Some d -> d > 0
-                      | None -> false)
-                 rows);
-          claim "RT2.dead-peer-tracking"
-            "in every crash cell each surviving node independently marks \
-             the victim dead (dead marks = survivors)"
-            (List.for_all
-               (fun r ->
-                 match (geti r "dead", geti r "survivors") with
-                 | Some d, Some s -> d = s
-                 | _ -> false)
-               (List.filter (fun r -> get r "faults" = "crash-1") rows))
-          ;
-          claim "RT2.transport-identical"
-            "domains and socket produce byte-identical behaviour and \
-             injected-fault counters cell for cell"
-            pair_identical;
-          claim "RT2.violation-trace-committed"
-            "the beyond-budget counterexample trace is captured for the \
-             committed artifact (TRACE_RT2.jsonl)"
-            (List.mem_assoc "TRACE_RT2.jsonl" o.files);
-        ]
-    | "SCALE" ->
-        let key r = (get r "workload", get r "n") in
-        let groups_of pred =
-          List.sort_uniq compare
-            (List.filter_map (fun r -> if pred r then Some (key r) else None) rows)
-        in
-        let rows_of k = List.filter (fun r -> key r = k) rows in
-        let overlap_groups =
-          List.filter (fun k -> List.length (rows_of k) > 1) (groups_of (fun _ -> true))
-        in
-        let arena_rb =
-          List.filter
-            (fun r -> get r "engine" = "arena" && get r "workload" = "rb-1sender")
-            rows
-        in
-        let n_of r = Option.value ~default:0 (geti r "n") in
-        let arena_rb_max =
-          List.fold_left (fun acc r -> max acc (n_of r)) 0 arena_rb
-        in
-        let arena_rb_min =
-          List.fold_left (fun acc r -> min acc (n_of r)) max_int arena_rb
-        in
-        let wpm n =
-          List.find_map
-            (fun r ->
-              if n_of r = n then numeric_prefix (get r "minor-w/msg") else None)
-            arena_rb
-        in
-        [
-          claim "SCALE.identical-deliveries"
-            "at every overlap size the arena core's digest, delivered count \
-             and round count are identical to the reference core's — the \
-             identity gate that certifies the arena-only rows"
-            (overlap_groups <> []
-            && List.length
-                 (List.sort_uniq compare (List.map fst overlap_groups))
-               = List.length
-                   (List.sort_uniq compare
-                      (List.map (fun r -> get r "workload") rows))
-            && List.for_all
-                 (fun k ->
-                   match rows_of k with
-                   | r0 :: rest ->
-                       List.for_all
-                         (fun r ->
-                           get r "digest" = get r0 "digest"
-                           && get r "delivered" = get r0 "delivered"
-                           && get r "rounds" = get r0 "rounds")
-                         rest
-                   | [] -> false)
-                 overlap_groups);
-          claim "SCALE.alloc-flat"
-            "the arena core's minor words per delivered message at the \
-             largest swept RB n stay within 4x the smallest swept n — \
-             per-message cost does not grow with the population"
-            (arena_rb <> []
-            &&
-            match (wpm arena_rb_min, wpm arena_rb_max) with
-            | Some lo, Some hi -> hi <= Float.max (4. *. lo) 16.
-            | _ -> false);
-          claim "SCALE.rb-state-per-pair"
-            "RB protocol state stays at or below one word per (node, \
-             sender) pair at every swept n: sender sets are bitsets over \
-             the run's one sender index, not per-node hash tables"
-            (arena_rb <> []
-            && List.for_all
-                 (fun r ->
-                   get r "workload" <> "rb-1sender"
-                   ||
-                   match float_of_string_opt (get r "state-w/pair") with
-                   | Some w -> w <= 1.0
-                   | None -> false)
-                 rows);
-          claim "SCALE.reaches-target"
-            "the RB sweep completes under the arena core at the target \
-             population (n=10,000; n=301 in --fast smoke) with every row \
-             delivering messages"
-            (arena_rb_max >= (if !fast then 301 else 10_000)
-            && forall (fun r ->
-                   match geti r "delivered" with
-                   | Some d -> d > 0
-                   | None -> false));
-        ]
-    | "RT3" ->
-        let pair_identical =
-          (* Same-cell rows must agree across transports on every
-             deterministic column; timing columns are exempt. *)
-          let key r = (get r "protocol", get r "round-ms", get r "n") in
-          let behaviour r =
-            (get r "rounds", get r "decided", get r "frames", get r "late")
-          in
-          forall (fun r ->
-              forall (fun r' ->
-                  (not (key r = key r')) || behaviour r = behaviour r'))
-        in
-        [
-          claim "RT3.populated"
-            "every cell runs the protocol over a real transport (frames > 0)"
-            (forall (fun r ->
-                 match geti r "frames" with Some f -> f > 0 | None -> false));
-          claim "RT3.all-decide"
-            "every node decides in every cell (all-correct populations)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "decided") with
-                 | Some n, Some d -> n = d
-                 | _ -> false));
-          claim "RT3.no-late-frames"
-            "the marker fast path keeps every frame in its round at every \
-             deadline floor"
-            (forall (fun r -> get r "late" = "0"));
-          claim "RT3.under-deadline"
-            "with the 150ms round floor the measured average round time \
-             stays under the floor — rounds advance on markers, not on \
-             deadline expiry"
-            (let floored =
-               List.filter (fun r -> get r "round-ms" = "150") rows
-             in
-             floored <> []
-             && List.for_all (fun r -> get r "under-deadline" = "yes") floored);
-          claim "RT3.transport-identical"
-            "domains and socket transports produce identical rounds, \
-             decisions, frame and late counts cell for cell"
-            pair_identical;
-        ]
-    | _ -> []
-end
-
-(* ------------------------------------------------------------------ *)
+(* In run order. *)
+let experiments =
+  Paper.all
+  @ Engine.[ perf2 ]
+  @ Checks.[ r1 ]
+  @ Engine.[ cx1 ]
+  @ Checks.[ mc1; rt1; rt2; rt3 ]
+  @ Engine.[ scale; cx2 ]
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Printf.printf "wrote %s\n%!" path
 
 let () =
   let fail msg =
@@ -3129,13 +39,18 @@ let () =
     prerr_string usage;
     exit 2
   in
+  let fast = ref false
+  and only = ref None
+  and csv_dir = ref None
+  and json_dir = ref None
+  and jobs = ref None in
   let rec parse = function
     | [] -> ()
     | "--fast" :: rest ->
         fast := true;
         parse rest
     | "--only" :: v :: rest ->
-        only := Some v;
+        only := Some (String.split_on_char ',' v);
         parse rest
     | "--csv" :: v :: rest ->
         csv_dir := Some v;
@@ -3157,102 +72,68 @@ let () =
     | arg :: _ -> fail ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  register "E1" "reliable broadcast" e1;
-  register "E2" "rotor-coordinator" e2;
-  register "E2b" "rotor message profile" e2b;
-  register "E3" "consensus O(f)" e3;
-  register "E4" "early termination" e4;
-  register "E5" "approximate agreement" e5;
-  register "E5b" "dynamic approximate agreement" e5b;
-  register "E6" "iterated convergence" e6;
-  register "E7" "resiliency boundary" e7;
-  register "E8" "message complexity" e8;
-  register "E8b" "message breakdown" e8b;
-  register "E9" "parallel consensus" e9;
-  register "E10" "total ordering" e10;
-  register "E11" "async impossibility" e11;
-  register "E12" "semi-sync impossibility" e12;
-  register "E13" "attack matrix" e13;
-  register "A1" "rotor density ablation" a1;
-  register "A2" "discard-rule ablation" a2;
-  register "A3" "appendix algorithms" a3;
-  register "A4" "binary consensus" a4;
-  register "PERF" "engine throughput" perf;
-  register "PERF2" "sweep executor determinism" perf2;
-  register "R1" "chaos sweep" r1;
-  register_outcome "CX1" "wire-level complexity" cx1;
-  register_outcome "MC1" "exhaustive model checking" mc1;
-  register "RT1" "networked runtime oracle" rt1;
-  register_outcome "RT2" "fault-tolerant runtime" rt2;
-  register "RT3" "runtime latency/throughput" rt3;
-  register "SCALE" "arena core at scale" scale;
-  register_outcome "CX2" "sub-quadratic committee agreement" cx2;
-  let wanted (id, _, _) =
+  let known id = List.exists (fun (e : Exp.t) -> e.id = id) experiments in
+  let selected =
     match !only with
-    | None -> true
-    | Some o -> List.exists (String.equal id) (String.split_on_char ',' o)
+    | None -> experiments
+    | Some ids -> (
+        match List.filter (fun id -> not (known id)) ids with
+        | [] -> List.filter (fun (e : Exp.t) -> List.mem e.id ids) experiments
+        | unknown ->
+            Printf.eprintf "main.exe: unknown experiment id %s; known ids:\n"
+              (String.concat "," unknown);
+            List.iter
+              (fun (e : Exp.t) -> Printf.eprintf "  %-6s %s\n" e.id e.title)
+              experiments;
+            exit 2)
   in
+  let ctx = { Exp.fast = !fast; jobs = !jobs } in
   let claim_failures = ref 0 in
   List.iter
-    (fun (id, _, f) ->
-      Printf.printf "\n[%s] running...\n%!" id;
+    (fun (e : Exp.t) ->
+      Printf.printf "\n[%s] running...\n%!" e.id;
       let t0 = Clock.now_ms () in
-      let o = f () in
-      let table = o.table in
+      let o = e.run ctx in
       let elapsed_ms = Clock.elapsed_ms ~since:t0 in
-      Table.print table;
-      (match !csv_dir with
-      | None -> ()
-      | Some dir ->
+      Table.print o.table;
+      Option.iter
+        (fun dir ->
           Ubpa_report.Artifact.mkdir_p dir;
-          let path = Filename.concat dir (id ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (Table.to_csv table);
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path);
-      match !json_dir with
-      | None -> ()
-      | Some dir ->
+          write_file (Filename.concat dir (e.id ^ ".csv")) (Table.to_csv o.table))
+        !csv_dir;
+      Option.iter
+        (fun dir ->
           let open Ubpa_report in
-          let claims = Claims.for_experiment id o in
-          let columns = Table.columns table in
-          let rows = Table.rows table in
-          let artifact =
-            {
-              Artifact.experiment = id;
-              title = Table.title table;
-              fast = !fast;
-              seeds = List.map Int64.to_int (seeds ());
-              elapsed_ms;
-              columns;
-              rows;
-              claims;
-              metrics = Artifact.derive_metrics ~columns ~rows;
-              complexity = o.fits;
-            }
+          let columns = Table.columns o.table and rows = Table.rows o.table in
+          let path =
+            Artifact.write ~dir
+              {
+                Artifact.experiment = e.id;
+                title = Table.title o.table;
+                fast = !fast;
+                seeds = List.map Int64.to_int (Exp.seeds ctx);
+                elapsed_ms;
+                columns;
+                rows;
+                claims = o.claims;
+                metrics = Artifact.derive_metrics ~columns ~rows;
+                complexity = o.fits;
+              }
           in
-          let path = Artifact.write ~dir artifact in
           List.iter
-            (fun (name, contents) ->
-              let fpath = Filename.concat dir name in
-              Out_channel.with_open_bin fpath (fun oc ->
-                  output_string oc contents);
-              Printf.printf "wrote %s\n%!" fpath)
+            (fun (name, contents) -> write_file (Filename.concat dir name) contents)
             o.files;
           let failed =
-            List.filter
-              (fun (c : Artifact.claim) -> c.status = Artifact.Fail)
-              claims
+            List.filter_map
+              (fun (c : Artifact.claim) ->
+                if c.status = Artifact.Fail then Some c.cid else None)
+              o.claims
           in
           claim_failures := !claim_failures + List.length failed;
-          Printf.printf "wrote %s (%d claims%s)\n%!" path (List.length claims)
-            (match failed with
-            | [] -> ""
-            | l ->
-                ", FAILED: "
-                ^ String.concat ", "
-                    (List.map (fun (c : Artifact.claim) -> c.cid) l)))
-    (List.filter wanted (List.rev !experiments));
+          Printf.printf "wrote %s (%d claims%s)\n%!" path (List.length o.claims)
+            (if failed = [] then "" else ", FAILED: " ^ String.concat ", " failed))
+        !json_dir)
+    selected;
   if !claim_failures > 0 then begin
     Printf.eprintf "%d claim(s) failed\n%!" !claim_failures;
     exit 1

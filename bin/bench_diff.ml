@@ -4,7 +4,9 @@
    Two directories: additionally diff candidate against baseline —
    pass->fail claim flips, missing experiments, and derived metrics
    (message counts, round counts, ...) that grew beyond the threshold
-   all make the exit status non-zero, which is what CI keys off. *)
+   all make the exit status non-zero, which is what CI keys off. With
+   --exact, any change to a claims list or a non-exempt table cell
+   does too. *)
 
 open Ubpa_report
 
@@ -33,8 +35,9 @@ let () =
          noisy)" );
       ( "--exact",
         Arg.Set exact,
-        " require candidate tables to be cell-for-cell identical to the \
-         baseline (refactor gate; wall-clock metadata stays exempt)" );
+        " require candidate claims and tables to be identical to the \
+         baseline, cell for cell (refactor gate; wall-clock metadata stays \
+         exempt)" );
     ]
   in
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;

@@ -1015,12 +1015,10 @@ let check_cmd =
       "Protocol model to check: rb or consensus (committee is recognized \
        but not modeled — see docs/CHECKING.md)."
     in
+    let names = List.map fst Ubpa_check.Models.all @ [ "committee" ] in
     Arg.(
       value
-      & opt
-          (enum
-             [ ("rb", `Rb); ("consensus", `Consensus); ("committee", `Committee) ])
-          `Rb
+      & opt (enum (List.map (fun name -> (name, name)) names)) "rb"
       & info [ "protocol" ] ~docv:"PROTOCOL" ~doc)
   in
   let max_rounds_t =
@@ -1101,10 +1099,9 @@ let check_cmd =
       r.verdict
     in
     let verdict =
-      match protocol with
-      | `Rb -> check (module Ubpa_check.Models.Rb)
-      | `Consensus -> check (module Ubpa_check.Models.Consensus)
-      | `Committee ->
+      match List.assoc_opt protocol Ubpa_check.Models.all with
+      | Some model -> check model
+      | None ->
           Fmt.epr
             "committee is not modeled by the bounded checker: its state \
              space is population-sized (the construction only makes sense \

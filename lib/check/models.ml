@@ -243,3 +243,6 @@ module Consensus = struct
               else None );
     ]
 end
+
+let all =
+  [ ("rb", (module Rb : Model.S)); ("consensus", (module Consensus : Model.S)) ]

@@ -12,3 +12,7 @@ val universe : string list
 module Rb : Model.S with type P.input = string option
 
 module Consensus : Model.S with type P.input = int and type P.output = int
+
+val all : (string * (module Model.S)) list
+(** The models by name, [rb] then [consensus]: the table [ubpa check
+    --protocol] and the MC1 experiment pick from. *)

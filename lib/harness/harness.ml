@@ -29,10 +29,10 @@ module Make (P : Protocol.S) = struct
     net : Net.t;
   }
 
-  let create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ~correct ~byzantine () =
-    Net.create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ~correct ~byzantine ()
+  let create ?delivery ?wire_accounting ?seed ?faults ?trace ?classify
+      ?stimulus ~correct ~byzantine () =
+    Net.create ?delivery ?wire_accounting ?seed ?faults ?trace ?classify
+      ?stimulus ~correct ~byzantine ()
 
   let collect net ~finished =
     let metrics = Net.metrics net in
@@ -85,9 +85,9 @@ module Make (P : Protocol.S) = struct
       in
       go ()
 
-  let execute ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ?max_rounds ?stop ?(settle = 0) ?monitor ~correct
-      ~byzantine () =
+  let execute ?delivery ?wire_accounting ?seed ?faults ?trace ?classify
+      ?stimulus ?max_rounds ?stop ?(settle = 0) ?monitor ~correct ~byzantine
+      () =
     (* Event-based invariants need an enabled trace to subscribe to; give
        monitored runs one even if the caller did not ask for a trace. *)
     let trace =
@@ -97,8 +97,8 @@ module Make (P : Protocol.S) = struct
       | None, None -> None
     in
     let net =
-      create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-        ?classify ?stimulus ~correct ~byzantine ()
+      create ?delivery ?wire_accounting ?seed ?faults ?trace ?classify
+        ?stimulus ~correct ~byzantine ()
     in
     let finished =
       match monitor with

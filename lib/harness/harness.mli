@@ -48,7 +48,6 @@ module Make (P : Protocol.S) : sig
   }
 
   val create :
-    ?rushing:bool ->
     ?delivery:Delivery.impl ->
     ?wire_accounting:bool ->
     ?seed:int64 ->
@@ -75,7 +74,6 @@ module Make (P : Protocol.S) : sig
       round loops call after each [Net.step_round]. *)
 
   val execute :
-    ?rushing:bool ->
     ?delivery:Delivery.impl ->
     ?wire_accounting:bool ->
     ?seed:int64 ->

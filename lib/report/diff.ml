@@ -77,9 +77,7 @@ let compare_metric ~experiment ~threshold name ~baseline ~candidate =
 let exact_exempt_columns =
   [
     "elapsed";
-    "rounds/s";
     "msgs/s";
-    "speedup";
     "minor-w/msg";
     "wire-w/msg";
     "frames/s";
@@ -87,9 +85,32 @@ let exact_exempt_columns =
     "under-deadline";
   ]
 
-(* Exact mode: the refactor gate. The candidate table must be cell-for-cell
-   identical to the baseline — any drift in columns, row count, or any
-   non-exempt cell is a Failure, regardless of thresholds. *)
+(* Exact mode: the refactor gate. The candidate's claims must equal the
+   baseline's (ids, descriptions, statuses, order), and its table must be
+   cell-for-cell identical — any drift in claims, columns, row count, or
+   any non-exempt cell is a Failure, regardless of thresholds. *)
+let exact_claims ~experiment (base : Artifact.t) (cand : Artifact.t) =
+  let show = function
+    | None -> "no claim"
+    | Some (c : Artifact.claim) ->
+        Printf.sprintf "%s %s: %s" c.cid
+          (match c.status with Artifact.Pass -> "pass" | Artifact.Fail -> "fail")
+          c.description
+  in
+  (* The lists differ, so some position holds two different entries. *)
+  let rec first_difference i =
+    let b = List.nth_opt base.claims i and c = List.nth_opt cand.claims i in
+    if b = c then first_difference (i + 1)
+    else
+      {
+        experiment;
+        severity = Failure;
+        message =
+          Printf.sprintf "claim %d differs: [%s] -> [%s]" i (show b) (show c);
+      }
+  in
+  if base.claims = cand.claims then [] else [ first_difference 0 ]
+
 let exact_issues ~experiment (base : Artifact.t) (cand : Artifact.t) =
   if base.columns <> cand.columns then
     [
@@ -236,18 +257,21 @@ let compare_pair ~threshold ~time_threshold ~exact (base : Artifact.t)
   in
   let exactness =
     if not exact then []
-    else if base.fast <> cand.fast then
-      (* A full-mode committed baseline (e.g. BENCH_SCALE.json with its
-         n=10,000 rows) cannot be cell-compared against a --fast smoke
-         run; the candidate's own claims still gate it. *)
-      [
-        {
-          experiment;
-          severity = Info;
-          message = "fast flags differ; exact cell comparison skipped";
-        };
-      ]
-    else exact_issues ~experiment base cand
+    else
+      exact_claims ~experiment base cand
+      @
+      if base.fast <> cand.fast then
+        (* A full-mode committed baseline (e.g. BENCH_SCALE.json with its
+           n=10,000 rows) cannot be cell-compared against a --fast smoke
+           run; its claims still must match. *)
+        [
+          {
+            experiment;
+            severity = Info;
+            message = "fast flags differ; exact cell comparison skipped";
+          };
+        ]
+      else exact_issues ~experiment base cand
   in
   claim_regressions @ complexity_regressions @ metric_issues @ time_issues
   @ exactness

@@ -44,12 +44,13 @@ val compare :
     match); otherwise an [Info] issue notes the skip. [time_threshold]
     (percent) additionally gates [elapsed_ms]. [exact] (default [false])
     is the refactor gate: for every experiment present in both sets, the
-    candidate's columns and rows must be cell-for-cell identical to the
-    baseline's — any drift is a [Failure]. Wall-clock [elapsed_ms]
+    candidate's claims must equal the baseline's (ids, descriptions,
+    statuses and order), and its columns and rows must be cell-for-cell
+    identical — any drift is a [Failure]. Wall-clock [elapsed_ms]
     (metadata) and the measurement columns in {!exact_exempt_columns}
     (elapsed / throughput / minor-words / deadline cells, which vary by
     machine and compiler) stay exempt; behavioural statements about those
     cells are claim-gated instead. When the [fast] flags differ — a
     full-mode committed baseline against a [--fast] smoke run — the cell
-    comparison is skipped with an [Info] note. Claims of the candidate
-    are checked unconditionally. *)
+    comparison is skipped with an [Info] note; the claims must still
+    match. Claims of the candidate are checked unconditionally. *)

@@ -739,8 +739,8 @@ module Committee_int = struct
     monitor_green : bool;
   }
 
-  let run ?(seed = 10L) ?(max_rounds = 400) ?(byz = []) ?delivery
-      ?wire_accounting ?rushing ?trace ~n_correct ~inputs () =
+  let run ?(seed = 10L) ?(max_rounds = 400) ?(byz = []) ?delivery ?trace
+      ~n_correct ~inputs () =
     let correct_ids, byz_ids =
       split_population ~seed ~n_correct ~n_byz:(List.length byz)
     in
@@ -768,8 +768,8 @@ module Committee_int = struct
         ]
     in
     let o =
-      H.execute ?delivery ?wire_accounting ?rushing ?trace ~seed ~max_rounds
-        ~classify:P.kind ~monitor ~correct ~byzantine ()
+      H.execute ?delivery ?trace ~seed ~max_rounds ~classify:P.kind ~monitor
+        ~correct ~byzantine ()
     in
     let outputs = o.H.outputs in
     let values = List.map snd outputs in

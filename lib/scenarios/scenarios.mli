@@ -144,7 +144,7 @@ module Committee_int : sig
         (** largest per-node wire budget (sent + received messages) over
             the {e correct} nodes — a flooding adversary's own sent-side
             spend is excluded, its inflation of correct receivers is
-            not; 0 when [wire_accounting] is off *)
+            not *)
     max_budget_bits : int;  (** ditto, in bits — CX2's gated quantity *)
     monitor_green : bool;
         (** online agreement/validity monitors saw no violation *)
@@ -155,8 +155,6 @@ module Committee_int : sig
     ?max_rounds:int ->
     ?byz:P.message Strategy.t list ->
     ?delivery:Delivery.impl ->
-    ?wire_accounting:bool ->
-    ?rushing:bool ->
     ?trace:Trace.t ->
     n_correct:int ->
     inputs:(int -> int) ->

@@ -13,10 +13,10 @@
 
     {!route_reference} is the seed engine's list-scan implementation, kept
     verbatim as an executable specification: the differential tests replay
-    randomized traffic through both cores, and the PERF experiment races
-    them head to head. {!route_arena} is the fast core and the network
-    default — a grow-only flat-arena state reused across rounds, with
-    broadcasts kept as single logical records expanded lazily at read
+    randomized traffic through both cores, and the SCALE experiment runs
+    both on the same workloads. {!route_arena} is the fast core and the
+    network default — a grow-only flat-arena state reused across rounds,
+    with broadcasts kept as single logical records expanded lazily at read
     time, built for the n ≈ 10,000 SCALE sweeps. *)
 
 open Ubpa_util

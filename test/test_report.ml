@@ -137,6 +137,50 @@ let test_exact_gate () =
        (Diff.compare ~exact:true ~baseline:[ base ] ~candidate:[ slower ] ())
     = [])
 
+(* The default gate flags only a vanished claim or a pass -> fail flip;
+   exact mode requires the claims list itself to be unchanged. *)
+let test_exact_claims () =
+  let base = mk () in
+  let reworded =
+    mk
+      ~claims:
+        (List.map
+           (fun (c : Artifact.claim) ->
+             if c.cid = "E1.a" then { c with description = "bound a, loosened" }
+             else c)
+           base.Artifact.claims)
+      ()
+  in
+  let reordered = mk ~claims:(List.rev base.Artifact.claims) () in
+  let added =
+    mk
+      ~claims:
+        (base.Artifact.claims
+        @ [
+            { Artifact.cid = "E1.c"; description = "bound c"; status = Artifact.Pass };
+          ])
+      ()
+  in
+  List.iter
+    (fun (what, cand) ->
+      check_true (what ^ " passes the default gate")
+        (Diff.failures (Diff.compare ~baseline:[ base ] ~candidate:[ cand ] ())
+        = []);
+      check_true (what ^ " fails the exact gate")
+        (Diff.failures
+           (Diff.compare ~exact:true ~baseline:[ base ] ~candidate:[ cand ] ())
+        <> []))
+    [
+      ("a reworded claim", reworded);
+      ("reordered claims", reordered);
+      ("an added claim", added);
+    ];
+  check_true "claims are compared even when the fast flags differ"
+    (Diff.failures
+       (Diff.compare ~exact:true ~baseline:[ mk ~fast:false () ]
+          ~candidate:[ reordered ] ())
+    <> [])
+
 let test_time_gate_opt_in () =
   let base = mk ~elapsed_ms:10. () in
   let cand = mk ~elapsed_ms:100. () in
@@ -161,5 +205,6 @@ let suite =
       quick "diff: missing experiment fails" test_compare_missing_experiment;
       quick "diff: incomparable sweeps are skipped" test_compare_incomparable_sweeps;
       quick "diff: exact mode is a refactor gate" test_exact_gate;
+      quick "diff: exact mode compares claims exactly" test_exact_claims;
       quick "diff: wall-clock gate is opt-in" test_time_gate_opt_in;
     ] )
