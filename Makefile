@@ -116,8 +116,9 @@ chaos:
 # transports, each run gated by the lockstep-simulator oracle (the exit
 # code is the verdict). Needs an OCaml 5 build; on 4.14 this fails with
 # "runtime unavailable". See EXPERIMENTS.md (RT1) for the bench version.
-# The last two cells are sizes past OCaml's 128-domain cap (n=130
-# in-process) and past select's FD_SETSIZE (the n=40 socket mesh).
+# Then sizes past OCaml's 128-domain cap (n=130 in-process) and past
+# select's FD_SETSIZE (the n=40 socket mesh), and consensus at n=40 on
+# both transports, where a round's inbox holds hundreds of messages.
 runtime:
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus -n 5
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol consensus -n 5
@@ -129,6 +130,8 @@ runtime:
 		--max-rounds 3
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol rb -n 40 \
 		--max-rounds 3
+	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol consensus -n 40
+	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus -n 40
 
 # Fault-injected runtime smoke: seeded wire faults + process crashes on
 # both transports, gated on graceful degradation (delivered-schedule
@@ -136,12 +139,18 @@ runtime:
 # plan), plus one deliberately beyond-budget cell (two of four nodes
 # isolated, more than f = 1) that must produce its violation. Exit codes
 # are the verdict. `make runtime-chaos UBPA_SEED=9` re-rolls every fault
-# stream. See EXPERIMENTS.md (RT2) for the committed-baseline version.
+# stream. The crash:0@3 cells crash the lowest id, which every survivor
+# waits on first. See EXPERIMENTS.md (RT2) for the committed-baseline
+# version.
 runtime-chaos:
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus \
 		-n 5 --seed $(UBPA_SEED) --round-ms 60 --faults "crash:1@3,loss=0.05"
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol consensus \
 		-n 5 --seed $(UBPA_SEED) --round-ms 60 --faults "crash:1@3,loss=0.05"
+	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus \
+		-n 5 --seed $(UBPA_SEED) --round-ms 60 --faults "crash:0@3,loss=0.05"
+	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol consensus \
+		-n 5 --seed $(UBPA_SEED) --round-ms 60 --faults "crash:0@3,loss=0.05"
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol rb -n 5 \
 		--seed $(UBPA_SEED) --max-rounds 6 --round-ms 60 --faults "crash:2@2"
 	dune exec bin/ubpa_cli.exe -- run --runtime socket --protocol rb -n 5 \

@@ -589,8 +589,10 @@ let rt2 =
 (* RT1/RT2 prove the networked runtime is *correct* (trace-equivalent to
    the simulator, graceful under faults); RT3 measures how *fast* it is.
    Fixed cells (no --fast shrink, like RT1): per transport, rb and
-   consensus run flat out (round_ms = 0, marker fast path only), plus
-   consensus under 60ms and 150ms round-deadline floors.
+   consensus at n = 5 run flat out (round_ms = 0, marker fast path
+   only), plus consensus under 60ms and 150ms round-deadline floors;
+   then rb and consensus flat out at n = 16 and n = 64, where a round's
+   cost grows with the inbox and with the number of peers awaited.
    Frames/late/rounds/decided are deterministic and gated cell-for-cell
    across transports; elapsed, frames/s and avg-round-ms are wall-clock
    (unit-suffixed, exempt from exact diff and metric comparison) and
@@ -602,27 +604,30 @@ let rt2 =
    cannot flake it. *)
 let rt3 =
   v "RT3" "runtime latency/throughput" @@ fun _ ->
-  let n = 5 in
-  let ids = Harness.make_ids ~seed:1L n in
-  let rows =
+  let cells n protos =
+    let ids = Harness.make_ids ~seed:1L n in
     List.concat_map
       (fun (tname, transport) ->
         List.map
           (fun (proto, round_ms) ->
             ( proto,
               tname,
+              n,
               round_ms,
               rt_run proto ~transport ~round_ms ~max_rounds:(rt_rounds proto)
                 ids ))
-          [
-            ("rb", 0.); ("consensus", 0.); ("consensus", 60.); ("consensus", 150.);
-          ])
+          protos)
       rt_transports
+  in
+  let flat_out = [ ("rb", 0.); ("consensus", 0.) ] in
+  let rows =
+    cells 5 (flat_out @ [ ("consensus", 60.); ("consensus", 150.) ])
+    @ cells 16 flat_out @ cells 64 flat_out
   in
   let avg_round_ms (s : Runtime_runs.summary) =
     s.run_ms /. float_of_int (max s.rounds 1)
   in
-  let holds f (_, _, _, run) = rt_holds run f in
+  let holds f (_, _, _, _, run) = rt_holds run f in
   outcome rows
     ~title:
       "RT3: networked runtime latency/throughput — frames/sec per transport \
@@ -635,7 +640,7 @@ let rt3 =
         "frames"; "late"; "elapsed"; "frames/s"; "avg-round-ms";
         "under-deadline";
       ]
-    ~render:(fun (proto, tname, round_ms, run) ->
+    ~render:(fun (proto, tname, n, round_ms, run) ->
       proto :: tname :: Table.cell_int n
       :: (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0")
       ::
@@ -661,7 +666,9 @@ let rt3 =
           (List.for_all (holds (fun s -> s.frames > 0)) rows);
         claim "RT3.all-decide"
           "every node decides in every cell (all-correct populations)"
-          (List.for_all (holds (fun s -> s.decided = n)) rows);
+          (List.for_all
+             (fun (_, _, n, _, run) -> rt_holds run (fun s -> s.decided = n))
+             rows);
         claim "RT3.no-late-frames"
           "the marker fast path keeps every frame in its round at every \
            deadline floor"
@@ -672,15 +679,17 @@ let rt3 =
            expiry"
           (all_yes
              (holds (fun s -> avg_round_ms s <= 150.))
-             (List.filter (fun (_, _, round_ms, _) -> round_ms = 150.) rows));
+             (List.filter
+                (fun (_, _, _, round_ms, _) -> round_ms = 150.)
+                rows));
         (* Same-cell rows must agree across transports on every
            deterministic column; timing columns are exempt. *)
         claim "RT3.transport-identical"
           "domains and socket transports produce identical rounds, \
            decisions, frame and late counts cell for cell"
           (pairwise_equal rows
-             ~key:(fun (proto, _, round_ms, _) -> (proto, round_ms))
-             ~behaviour:(fun (_, _, _, run) ->
+             ~key:(fun (proto, _, n, round_ms, _) -> (proto, n, round_ms))
+             ~behaviour:(fun (_, _, _, _, run) ->
                Result.map
                  (fun (s : Runtime_runs.summary) ->
                    (s.rounds, s.decided, s.frames, s.late))

@@ -58,35 +58,98 @@ module Make (P : Protocol.S) = struct
     mutable sl_error : string option;
   }
 
-  (* Rebuild the delivery contract from raw received frames: drop
-     duplicate (sender, payload) pairs keeping the first (per-sender
-     arrival order is send order on every transport), then stable-sort by
-     sender id — exactly what either delivery core produces per recipient. *)
+  (* Rebuild the delivery contract from raw received frames: stable-sort
+     by sender id (per-sender arrival order is send order on every
+     transport), then drop repeated payloads within each sender's run,
+     keeping the first — exactly what either delivery core produces per
+     recipient. A payload is compared only with its own sender's kept
+     payloads, so one sender's few messages per round cost a few
+     [equal_message] calls, not one per message in the inbox. *)
   let assemble_inbox frames =
-    let kept = ref [] in
-    List.iter
-      (fun (src, payload) ->
-        let dup =
-          List.exists
-            (fun (s, p) -> Node_id.equal s src && P.equal_message p payload)
-            !kept
-        in
-        if not dup then kept := (src, payload) :: !kept)
-      frames;
-    List.stable_sort
-      (fun (a, _) (b, _) -> Node_id.compare a b)
-      (List.rev !kept)
+    let rec go src kept acc = function
+      | [] -> List.rev acc
+      | ((s, p) as m) :: rest ->
+          if not (Node_id.equal s src) then go s [ p ] (m :: acc) rest
+          else if List.exists (P.equal_message p) kept then go src kept acc rest
+          else go src (p :: kept) (m :: acc) rest
+    in
+    let by_sender (a, _) (b, _) = Node_id.compare a b in
+    match List.stable_sort by_sender frames with
+    | [] -> []
+    | ((s, p) as m) :: rest -> go s [ p ] [ m ] rest
 
   let node_loop (type hub endpoint)
       (module F : Transport_faulty.S with type hub = hub and type endpoint = endpoint)
       ~(slot : slot) ~(ids : Node_id.t array) ~index ~plan ~(sync : Sync.t)
-      ~(ep : endpoint) ~(bells : Runtime_backend.doorbell array) ~me
-      ~max_rounds =
+      ~(ep : endpoint) ~max_rounds =
     let self = slot.sl_id in
     let state = ref (P.init ~self ~round:1 ~index slot.sl_input) in
     let inbox = ref [] in
     let r = ref 1 in
     let running = ref true in
+    let marker kind = { Frame.src = self; round = !r; kind; body = "" } in
+    (* A broken edge ends the node with an error. Its farewell keeps the
+       peers that still wait for its markers from waiting forever. *)
+    let broken (e : Transport.error) =
+      if slot.sl_error = None then
+        slot.sl_error <-
+          Some
+            (Printf.sprintf "node %d: transport: peer #%d %s at round %d"
+               (Node_id.to_int self)
+               (Node_id.to_int e.Transport.peer)
+               (match e.Transport.failure with
+               | Transport.Closed -> "closed its end"
+               | Transport.Corrupt why -> "sent a corrupt stream: " ^ why)
+               !r);
+      Array.iter (fun id -> F.send ep ~dst:id (marker Frame.Halt)) ids;
+      ignore (F.flush ep : (unit, Transport.error) result);
+      running := false
+    in
+    (* Offers one receive's frames to the synchronizer; whether any
+       came. *)
+    let receive from ~timeout =
+      match F.recv ep ~from ~timeout with
+      | Error e -> Error e
+      | Ok [] -> Ok false
+      | Ok frames ->
+          List.iter
+            (fun (f : Frame.t) ->
+              if f.Frame.kind <> Frame.Data then
+                slot.sl_ctrl_frames <- slot.sl_ctrl_frames + 1)
+            frames;
+          Sync.offer sync frames;
+          Ok true
+    in
+    (* Block on the first peer the round still waits for until the round
+       is complete or its deadline fires. *)
+    let rec await () =
+      match Sync.waiting_on sync with
+      | [] -> decide ()
+      | first :: _ as awaited -> (
+          let timeout = Sync.timeout sync ~now:(Unix.gettimeofday ()) in
+          if timeout <= 0. then sweep false awaited
+          else
+            match receive first ~timeout with
+            | Error e -> Error e
+            | Ok _ -> await ())
+    (* At the deadline the node has read only the peer it blocked on.
+       Before the synchronizer decides who is missing, every awaited
+       peer is read without blocking until a pass brings nothing, so a
+       live peer whose marker sits unread is not reported missing. *)
+    and sweep got = function
+      | p :: rest -> (
+          match receive p ~timeout:0. with
+          | Error e -> Error e
+          | Ok got_p -> sweep (got || got_p) rest)
+      | [] -> (
+          match Sync.waiting_on sync with
+          | _ :: _ as still when got -> sweep false still
+          | _ -> decide ())
+    and decide () =
+      match Sync.ready sync ~now:(Unix.gettimeofday ()) with
+      | Some v -> Ok v
+      | None -> await ()
+    in
     while !running do
       if Ubpa_faults.status plan ~node:self ~round:!r <> `Up then begin
         (* Hard process crash: no farewell marker, no sends — the node
@@ -96,7 +159,6 @@ module Make (P : Protocol.S) = struct
         running := false
       end
       else begin
-        F.note_round ep !r;
         let events = ref [] in
         let ev kind what =
           events := { Trace.round = !r; node = Some self; kind; what } :: !events
@@ -131,7 +193,7 @@ module Make (P : Protocol.S) = struct
                 | Envelope.Broadcast ->
                     (* Every node gets the frame, the sender and even
                        halted ones included: receivers that the model says
-                       are absent next round drop it on drain, mirroring
+                       are absent next round drop it on receipt, mirroring
                        present-set routing. *)
                     Array.iter (fun id -> F.send ep ~dst:id frame) ids)
               sends;
@@ -151,53 +213,30 @@ module Make (P : Protocol.S) = struct
         (* End-of-round marker: Done while running, Halt as a farewell.
            Per-edge FIFO puts it after every Data frame of this round,
            so a peer holding our marker holds all our data too. *)
-        let marker =
-          {
-            Frame.src = self;
-            round = !r;
-            kind = (if !pending_halt then Frame.Halt else Frame.Done);
-            body = "";
-          }
-        in
-        Array.iter (fun id -> F.send ep ~dst:id marker) ids;
-        (* Flush, then ring: a peer woken by the ring finds this round's
-           data and marker on its next drain. *)
-        F.flush ep;
-        Array.iteri
-          (fun i bell -> if i <> me then Runtime_backend.ring bell)
-          bells;
-        if !pending_halt || !r >= max_rounds then running := false
-        else begin
-          Sync.begin_round sync ~round:!r ~now:(Unix.gettimeofday ());
-          let verdict = ref None in
-          while !verdict = None do
-            let frames = F.drain ep in
-            List.iter
-              (fun (f : Frame.t) ->
-                if f.Frame.kind <> Frame.Data then
-                  slot.sl_ctrl_frames <- slot.sl_ctrl_frames + 1)
-              frames;
-            Sync.offer sync frames;
-            let now = Unix.gettimeofday () in
-            match Sync.ready sync ~now with
-            | Some v -> verdict := Some v
-            | None ->
-                Runtime_backend.wait bells.(me)
-                  ~timeout:(Sync.timeout sync ~now)
-          done;
-          let v = Option.get !verdict in
-          slot.sl_missing <- slot.sl_missing + List.length v.Sync.v_missing;
-          List.iter
-            (fun p -> slot.sl_dead_marks <- (p, !r) :: slot.sl_dead_marks)
-            v.Sync.v_newly_dead;
-          inbox :=
-            assemble_inbox
-              (List.map
-                 (fun (f : Frame.t) ->
-                   (f.Frame.src, (Frame.unmarshal_message f.Frame.body : P.message)))
-                 v.Sync.v_inbox);
-          incr r
-        end
+        let m = marker (if !pending_halt then Frame.Halt else Frame.Done) in
+        Array.iter (fun id -> F.send ep ~dst:id m) ids;
+        match F.flush ep with
+        | Error e -> broken e
+        | Ok () when !pending_halt || !r >= max_rounds -> running := false
+        | Ok () -> (
+            Sync.begin_round sync ~round:!r ~now:(Unix.gettimeofday ());
+            Sync.offer sync (F.note_round ep !r);
+            match await () with
+            | Error e -> broken e
+            | Ok v ->
+                slot.sl_missing <-
+                  slot.sl_missing + List.length v.Sync.v_missing;
+                List.iter
+                  (fun p -> slot.sl_dead_marks <- (p, !r) :: slot.sl_dead_marks)
+                  v.Sync.v_newly_dead;
+                inbox :=
+                  assemble_inbox
+                    (List.map
+                       (fun (f : Frame.t) ->
+                         ( f.Frame.src,
+                           (Frame.unmarshal_message f.Frame.body : P.message) ))
+                       v.Sync.v_inbox);
+                incr r)
       end
     done;
     slot.sl_late <- Sync.late_frames sync;
@@ -242,23 +281,21 @@ module Make (P : Protocol.S) = struct
        only read after that, so the threads share it. *)
     let index = Interner.of_ids id_list in
     let hub = F.create ~ids:id_list in
-    (* One doorbell per node, indexed like [ids] and [slots]. *)
-    let bells = Array.map (fun _ -> Runtime_backend.doorbell ()) ids in
     let cells =
-      List.mapi
-        (fun me slot ->
+      List.map
+        (fun slot ->
           let ep = F.endpoint hub ~self:slot.sl_id in
           let sync = Sync.create ~peers:id_list ~round_ms ~dead_after in
-          (me, slot, ep, sync))
+          (slot, ep, sync))
         slots
     in
     let handles =
       List.map
-        (fun (me, slot, ep, sync) ->
+        (fun (slot, ep, sync) ->
           Runtime_backend.spawn (fun () ->
               try
-                node_loop (module F) ~slot ~ids ~index ~plan ~sync ~ep ~bells
-                  ~me ~max_rounds
+                node_loop (module F) ~slot ~ids ~index ~plan ~sync ~ep
+                  ~max_rounds
               with e ->
                 slot.sl_error <-
                   Some
@@ -268,14 +305,13 @@ module Make (P : Protocol.S) = struct
     in
     List.iter Runtime_backend.join handles;
     F.close hub;
-    Array.iter Runtime_backend.close_doorbell bells;
     (* Collect the per-endpoint fault observations now the owners are
        gone (join is the synchronization edge). Sorting by (round, what)
        inside each owner makes the event stream a pure function of what
        was injected, independent of arrival interleaving. *)
     let injected = { Transport_faulty.inj_lost = 0; inj_dup = 0; inj_delayed = 0 } in
     List.iter
-      (fun (_, slot, ep, sync) ->
+      (fun (slot, ep, sync) ->
         let inj = F.injected ep in
         injected.Transport_faulty.inj_lost <-
           injected.Transport_faulty.inj_lost + inj.Transport_faulty.inj_lost;

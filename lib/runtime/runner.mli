@@ -5,13 +5,14 @@
     {!Transport.S} backend wrapped in the {!Transport_faulty} fault
     middleware. The deadline-based round synchronizer ({!Sync}) keeps the
     processes aligned with the synchronous model without any shared
-    barrier: each node broadcasts a control marker after its send phase,
-    flushes its frames (one write per peer per round) and rings every
-    peer's doorbell; a waiting node sleeps on its own doorbell and
-    advances as soon as every awaited peer has marked (fast path — on a
-    fault-free run this reproduces the lockstep schedule exactly), or
-    when its [round_ms] deadline fires (real timeout — missing frames
-    become inbox holes, frames arriving afterwards are counted late and
+    barrier: each node broadcasts a control marker after its send phase
+    and flushes its frames (one write per peer per round); a waiting
+    node blocks in {!Transport.S.recv} on the first peer it still awaits
+    and advances as soon as every awaited peer has marked (fast path —
+    on a fault-free run this reproduces the lockstep schedule exactly),
+    or when its [round_ms] deadline fires (real timeout — every awaited
+    peer is read once more without blocking, missing frames become
+    inbox holes, frames arriving afterwards are counted late and
     dropped, and a peer silent for [dead_after] consecutive deadlines is
     presumed dead and no longer waited on). Messages sent in round [r]
     are consumed in round [r + 1], with per-round (sender, payload) dedup
@@ -74,8 +75,8 @@ module Make (P : Protocol.S) : sig
         (** Their transport-level bytes (headers included) — overhead,
             kept separate from semantic bits. *)
     r_ctrl_frames : int;
-        (** Done/Halt markers drained before exit. Informative only: how
-            many markers a node drains past its last round is a
+        (** Done/Halt markers received before exit. Informative only:
+            how many markers a node receives past its last round is a
             scheduler race, so this is not byte-deterministic. *)
     r_late_frames : int;
         (** Data frames that missed their delivery round — counted,
@@ -93,6 +94,14 @@ module Make (P : Protocol.S) : sig
     r_crashed : (Node_id.t * int) list;
         (** Nodes the plan crashed, with their crash round. *)
   }
+
+  val assemble_inbox :
+    (Node_id.t * P.message) list -> (Node_id.t * P.message) list
+  (** One round's received messages, in arrival order, as the delivery
+      contract hands them to [P.step]: sorted by sender, each sender's
+      messages in arrival order, and a payload repeated by the same
+      sender kept once (the first copy). Equal payloads from different
+      senders are all kept. *)
 
   val available : bool
   (** False on sequential-only (4.14) builds; {!run} then fails
@@ -122,8 +131,8 @@ module Make (P : Protocol.S) : sig
       [`Domains] transport. Errors: runtime unavailable, empty/duplicate
       node list, a plan naming unknown nodes, recovery/rejoin plans
       (a real crashed process cannot resume), crash plans without a
-      deadline, or a node process raising (the run still shuts down
-      cleanly). *)
+      deadline, a node process raising, or a transport edge failing
+      ({!Transport.error}; the run still shuts down cleanly). *)
 
   val replay : ?delivered:bool -> run -> Oracle.outcome
   (** Feed the recorded schedule through the simulator's arena delivery

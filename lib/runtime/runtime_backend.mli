@@ -1,8 +1,9 @@
 (** Concurrency backend for the networked runtime, chosen at build time by
     dune's [(select)] — the same pattern as {!Ubpa_harness.Pool}'s
     executor: on OCaml 5 (detected via the [runtime_events] library, which
-    only exists there) nodes run on system threads with Mutex-protected
-    mailboxes and socketpair doorbells; on 4.14 a stub keeps the
+    only exists there) nodes run on system threads, and the in-process
+    transport has Mutex-protected mailboxes and socketpair doorbells; on
+    4.14 a stub keeps the
     interface so the rest of the runtime compiles, and every operation
     raises [Failure "runtime unavailable: ..."]. Callers must check
     {!available} first — {!Ubpa_runtime.Runner.run} turns it into a
@@ -18,7 +19,7 @@ val unavailable_reason : string
 (** {2 Node processes}
 
     A node spends nearly all of its time blocked in a system call
-    (socket writes, the doorbell wait), so a system thread is enough:
+    (a read on the peer it waits for), so a system thread is enough:
     unlike a domain it costs no stop-the-world on spawn, join or minor
     GC, and it has no cap of 128 per program. *)
 
@@ -30,29 +31,30 @@ val spawn : (unit -> unit) -> handle
 val join : handle -> unit
 (** Wait for the node to finish; re-raises its uncaught exception. *)
 
-(** {2 Mailboxes}
+(** {2 Mailboxes and doorbells}
 
-    One per node: any node may {!push} an encoded frame, only the owner
-    {!drain}s. FIFO per producer. The Mutex inside gives the
+    These serve the in-process transport ({!Transport_domains}) alone:
+    the socket transport waits in a read on the peer's own socket.
+
+    A mailbox is one per node: any node may {!push} an item, only the
+    owner {!drain}s. FIFO per producer. The Mutex inside gives the
     happens-before edge the runtime relies on: anything a node writes
     before {!push} is visible to the owner after {!drain} returns it. *)
 
-type mailbox
+type 'a mailbox
 
-val mailbox : unit -> mailbox
-val push : mailbox -> string -> unit
+val mailbox : unit -> 'a mailbox
+val push : 'a mailbox -> 'a -> unit
 
-val drain : mailbox -> string list
+val drain : 'a mailbox -> 'a list
 (** Everything currently queued, in arrival order; empties the mailbox. *)
 
-(** {2 Doorbells}
-
-    One per node: any node may {!ring} it, only the owner {!wait}s on
-    it. A ring is never lost: one that arrives while the owner is not
-    waiting makes the owner's next {!wait} return at once. A wait may
-    also return with nothing new to see (an old ring that the owner's
-    last drain already answered), so the owner re-checks its condition
-    after every wait. *)
+(** A doorbell is one per node, beside its mailbox: any node may {!ring}
+    it, only the owner {!wait}s on it. A ring is never lost: one that
+    arrives while the owner is not waiting makes the owner's next
+    {!wait} return at once. A wait may also return with nothing new to
+    see (an old ring that the owner's last drain already answered), so
+    the owner re-checks its condition after every wait. *)
 
 type doorbell
 

@@ -1,6 +1,6 @@
-(* OCaml 5 backend: system threads, Mutex-protected mailboxes and
-   socketpair doorbells. Selected by dune when the [runtime_events]
-   library exists (OCaml 5). *)
+(* OCaml 5 backend: system threads, plus the in-process transport's
+   Mutex-protected mailboxes and socketpair doorbells. Selected by dune
+   when the [runtime_events] library exists (OCaml 5). *)
 
 let available = true
 let unavailable_reason = ""
@@ -20,9 +20,9 @@ let join h =
   Thread.join h.h_thread;
   Option.iter raise !(h.h_exn)
 
-type mailbox = {
+type 'a mailbox = {
   m_mutex : Mutex.t;
-  mutable m_queue : string list;  (* newest first *)
+  mutable m_queue : 'a list;  (* newest first *)
 }
 
 let mailbox () = { m_mutex = Mutex.create (); m_queue = [] }

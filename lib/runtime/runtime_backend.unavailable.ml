@@ -15,11 +15,11 @@ type handle = unit
 let spawn (_ : unit -> unit) : handle = unavailable ()
 let join (_ : handle) = unavailable ()
 
-type mailbox = unit
+type 'a mailbox = unit
 
-let mailbox () : mailbox = unavailable ()
-let push (_ : mailbox) (_ : string) = unavailable ()
-let drain (_ : mailbox) : string list = unavailable ()
+let mailbox () : 'a mailbox = unavailable ()
+let push (_ : 'a mailbox) (_ : 'a) = unavailable ()
+let drain (_ : 'a mailbox) : 'a list = unavailable ()
 
 type doorbell = unit
 

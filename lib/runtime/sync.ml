@@ -58,8 +58,8 @@ let index t id =
    current inbox, the future buffer, or the late counter — a late frame
    is dropped here, never handed to the protocol (no cross-round
    contamination). Frame/byte accounting happens at the two terminal
-   classifications (current, late), not at drain time: whether a node
-   happened to drain a peer's next-round frames before exiting is a
+   classifications (current, late), not at receive time: whether a node
+   happened to receive a peer's next-round frames before exiting is a
    scheduler race, but what it classified is not. *)
 let count_data t (f : Frame.t) =
   t.data_frames <- t.data_frames + 1;

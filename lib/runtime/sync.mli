@@ -7,7 +7,7 @@
     [Done r] arrives after all of its round-[r] data, so:
 
     - {b fast path} — once every awaited peer's marker for round [r] is
-      in, the round is complete: all its data has been drained, and the
+      in, the round is complete: all its data has been received, and the
       node advances immediately. On a fault-free run this reproduces the
       lockstep schedule exactly, at marker speed, regardless of
       [round_ms].
@@ -24,9 +24,12 @@
       a timeout per remaining round.
 
     The synchronizer never blocks or sleeps. Between checks the node
-    blocks on its doorbell ({!Runtime_backend.wait}), which every peer
-    rings after flushing a round's data and marker, for at most
-    {!timeout}, so the deadline still fires when nobody rings.
+    blocks in {!Transport.S.recv} on the first peer of {!waiting_on},
+    for at most {!timeout}, so the deadline still fires when that peer
+    stays silent. A node that blocked on one peer has not read the
+    others, so at the deadline it reads every peer of {!waiting_on}
+    once more without blocking before asking {!ready}: otherwise a live
+    peer whose marker sits unread would be reported missing.
 
     The synchronizer is pure state + an injected clock ([~now]), so the
     deadline/liveness logic unit-tests on any OCaml, including the 4.14
@@ -60,7 +63,7 @@ val begin_round : t -> round:int -> now:float -> unit
     re-classifies any buffered future frames under the new round. *)
 
 val offer : t -> Frame.t list -> unit
-(** Feed drained frames: markers advance per-peer progress, on-time data
+(** Feed received frames: markers advance per-peer progress, on-time data
     joins the inbox, data for a later round is buffered, data for an
     earlier round is counted late and dropped. *)
 
@@ -87,7 +90,7 @@ val data_bytes : t -> int
     a terminal classification — delivered on time or counted late.
     Frames still buffered for a future round are not counted yet: the
     count is a pure function of the delivered schedule, not of how much
-    a node happened to drain before exiting. *)
+    a node happened to receive before exiting. *)
 
 val dead_peers : t -> Node_id.t list
 (** Peers presumed dead so far, ascending. *)

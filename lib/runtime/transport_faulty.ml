@@ -16,7 +16,7 @@ end
 module type S = sig
   include Transport.S
 
-  val note_round : endpoint -> int -> unit
+  val note_round : endpoint -> int -> Frame.t list
   val injected : endpoint -> injected
   val fault_events : endpoint -> fault_event list
 end
@@ -105,64 +105,75 @@ module Make (B : Transport.S) (C : CONFIG) = struct
           else B.send ep.e_base ~dst f
 
   let flush ep = B.flush ep.e_base
-  let note_round ep r = ep.e_round <- r
 
-  let drain ep =
-    let raw = B.drain ep.e_base in
-    if not active then raw
-    else begin
-      let out = ref [] in
-      List.iter
-        (fun (f : Frame.t) ->
-          if f.Frame.kind <> Frame.Data then out := f :: !out
-          else
-            match edge_rng ep.e_recv_rng f.Frame.src with
-            | None -> out := f :: !out
-            | Some rng -> (
-                (* Windows are evaluated at the delivery round (send
-                   round + 1), matching the simulator's convention. *)
-                let at = f.Frame.round + 1 in
-                let p_recv = Ubpa_faults.recv_omission_prob C.plan ~node:ep.e_self ~round:at in
-                if p_recv > 0. && Rng.float rng 1.0 < p_recv then begin
-                  ep.e_inj.inj_lost <- ep.e_inj.inj_lost + 1;
-                  event ep ~round:at
-                    (Printf.sprintf "fault: recv-omission drop from #%d"
-                       (Node_id.to_int f.Frame.src))
-                end
-                else begin
-                  (match Ubpa_faults.delay_spec C.plan ~node:ep.e_self ~round:at with
-                  | Some (dp, dr) when Rng.float rng 1.0 < dp ->
-                      ep.e_inj.inj_delayed <- ep.e_inj.inj_delayed + 1;
-                      event ep ~round:at
-                        (Printf.sprintf "fault: delay +%dr from #%d (sent r%d)" dr
-                           (Node_id.to_int f.Frame.src) f.Frame.round);
-                      ep.e_in_held <-
-                        { hi_release = f.Frame.round + dr; hi_frame = f } :: ep.e_in_held
-                  | _ -> out := f :: !out);
-                  (* Duplication is receiver-side: a copy is held one
-                     round and surfaces in the next — where the
-                     synchronizer deterministically counts it late and
-                     drops it, the runtime analogue of the simulator's
-                     per-round dedup absorbing a same-round copy. *)
-                  let p_dup = Ubpa_faults.dup C.plan in
-                  if p_dup > 0. && Rng.float rng 1.0 < p_dup then begin
-                    ep.e_inj.inj_dup <- ep.e_inj.inj_dup + 1;
+  (* Held frames whose release round has come, oldest first. *)
+  let matured ep =
+    let due, keep = List.partition (fun h -> h.hi_release <= ep.e_round) ep.e_in_held in
+    ep.e_in_held <- keep;
+    List.rev_map (fun h -> h.hi_frame) due
+
+  let note_round ep r =
+    ep.e_round <- r;
+    matured ep
+
+  let faulted ep raw =
+    let out = ref [] in
+    List.iter
+      (fun (f : Frame.t) ->
+        if f.Frame.kind <> Frame.Data then out := f :: !out
+        else
+          match edge_rng ep.e_recv_rng f.Frame.src with
+          | None -> out := f :: !out
+          | Some rng -> (
+              (* Windows are evaluated at the delivery round (send
+                 round + 1), matching the simulator's convention. *)
+              let at = f.Frame.round + 1 in
+              let p_recv = Ubpa_faults.recv_omission_prob C.plan ~node:ep.e_self ~round:at in
+              if p_recv > 0. && Rng.float rng 1.0 < p_recv then begin
+                ep.e_inj.inj_lost <- ep.e_inj.inj_lost + 1;
+                event ep ~round:at
+                  (Printf.sprintf "fault: recv-omission drop from #%d"
+                     (Node_id.to_int f.Frame.src))
+              end
+              else begin
+                (match Ubpa_faults.delay_spec C.plan ~node:ep.e_self ~round:at with
+                | Some (dp, dr) when Rng.float rng 1.0 < dp ->
+                    ep.e_inj.inj_delayed <- ep.e_inj.inj_delayed + 1;
                     event ep ~round:at
-                      (Printf.sprintf "fault: duplicate (next round) from #%d"
-                         (Node_id.to_int f.Frame.src));
+                      (Printf.sprintf "fault: delay +%dr from #%d (sent r%d)" dr
+                         (Node_id.to_int f.Frame.src) f.Frame.round);
                     ep.e_in_held <-
-                      { hi_release = f.Frame.round + 1; hi_frame = f } :: ep.e_in_held
-                  end
-                end))
-        raw;
-      let due, keep = List.partition (fun h -> h.hi_release <= ep.e_round) ep.e_in_held in
-      ep.e_in_held <- keep;
-      (* Matured held frames surface first (they are older), then this
-         drain's arrivals in order. A released frame's send round is
-         behind the receiver's current round by construction, so the
-         synchronizer deterministically counts it late. *)
-      List.map (fun h -> h.hi_frame) (List.rev due) @ List.rev !out
-    end
+                      { hi_release = f.Frame.round + dr; hi_frame = f } :: ep.e_in_held
+                | _ -> out := f :: !out);
+                (* Duplication is receiver-side: a copy is held one
+                   round and surfaces in the next — where the
+                   synchronizer deterministically counts it late and
+                   drops it, the runtime analogue of the simulator's
+                   per-round dedup absorbing a same-round copy. *)
+                let p_dup = Ubpa_faults.dup C.plan in
+                if p_dup > 0. && Rng.float rng 1.0 < p_dup then begin
+                  ep.e_inj.inj_dup <- ep.e_inj.inj_dup + 1;
+                  event ep ~round:at
+                    (Printf.sprintf "fault: duplicate (next round) from #%d"
+                       (Node_id.to_int f.Frame.src));
+                  ep.e_in_held <-
+                    { hi_release = f.Frame.round + 1; hi_frame = f } :: ep.e_in_held
+                end
+              end))
+      raw;
+    (* A frame that arrived after its release round (a late frame's
+       duplicate) surfaces at once. Matured held frames come first
+       (they are older), then this read's arrivals in order. A
+       released frame's send round is behind the receiver's current
+       round by construction, so the synchronizer deterministically
+       counts it late. *)
+    let due = matured ep in
+    due @ List.rev !out
+
+  let recv ep ~from ~timeout =
+    match B.recv ep.e_base ~from ~timeout with
+    | Ok raw when active -> Ok (faulted ep raw)
+    | r -> r
 
   let close hub = B.close hub.b_hub
   let injected ep = ep.e_inj

@@ -50,9 +50,12 @@ end
 module type S = sig
   include Transport.S
 
-  val note_round : endpoint -> int -> unit
-  (** The owner entered this round: held duplicates and delayed frames
-      whose release round arrived surface on the next {!drain}. *)
+  val note_round : endpoint -> int -> Frame.t list
+  (** The owner entered this round's wait: returns the held duplicates
+      and delayed frames whose release round has come, oldest first.
+      Frames held later and already due surface on the {!recv} that
+      read them. Called once per round, so a matured frame is offered in
+      the round it matures whichever receives that round makes. *)
 
   val injected : endpoint -> injected
   val fault_events : endpoint -> fault_event list

@@ -1,6 +1,7 @@
 (* The networked runtime against the lockstep simulator: frame codec
    units (including hostile-header rejection), the deadline synchronizer
-   as pure state, the doorbell and flush contracts, trace diffing, PR-6-style differentials — the same
+   as pure state, the doorbell, flush and receive contracts, inbox
+   assembly, trace diffing, PR-6-style differentials — the same
    protocol on concurrent per-node processes must produce byte-identical
    decide sets, trace events, wire counters and monitor verdicts as the
    simulator — and the fault-injection path, gated on graceful
@@ -16,7 +17,9 @@ open Helpers
 module Frame = Ubpa_runtime.Frame
 module Sync = Ubpa_runtime.Sync
 module Backend = Ubpa_runtime.Runtime_backend
+module Transport = Ubpa_runtime.Transport
 module Socket = Ubpa_runtime.Transport_socket
+module Domains = Ubpa_runtime.Transport_domains
 
 (* ----- frame codec ----- *)
 
@@ -263,7 +266,7 @@ let test_sync_halt_excuses () =
   check_true "round completes without the halted peer"
     (Sync.ready s ~now:0. <> None)
 
-(* ----- doorbell and flush contract ----- *)
+(* ----- doorbell, flush and receive contracts ----- *)
 
 let elapsed f =
   let t0 = Unix.gettimeofday () in
@@ -291,6 +294,11 @@ let test_doorbell_timeout () =
       (dt >= 0.02 && dt < 1.)
   end
 
+let ok_exn = function
+  | Ok x -> x
+  | Error (e : Transport.error) ->
+      Alcotest.failf "transport error from #%d" (Node_id.to_int e.peer)
+
 let test_socket_flush_contract () =
   let a = nid 1 and b = nid 2 in
   let hub = Socket.create ~ids:[ a; b ] in
@@ -301,15 +309,77 @@ let test_socket_flush_contract () =
       and eb = Socket.endpoint hub ~self:b in
       Socket.send ea ~dst:b (dframe ~src:1 ~round:1 "held");
       Socket.send ea ~dst:b (marker ~src:1 ~round:1 ());
-      check_int "sent, not flushed: the peer drains nothing" 0
-        (List.length (Socket.drain eb));
-      Socket.flush ea;
-      match Socket.drain eb with
+      check_int "sent, not flushed: the peer receives nothing" 0
+        (List.length (ok_exn (Socket.recv eb ~from:a ~timeout:0.)));
+      ok_exn (Socket.flush ea);
+      match ok_exn (Socket.recv eb ~from:a ~timeout:0.) with
       | [ d; m ] ->
           Alcotest.(check string) "data first" "held" d.Frame.body;
           check_true "then the marker" (m.Frame.kind = Frame.Done)
       | fs ->
           Alcotest.failf "after flush: %d frames, expected 2" (List.length fs))
+
+let is_closed peer = function
+  | Error { Transport.peer = p; failure = Transport.Closed } ->
+      Node_id.equal p peer
+  | Ok _ | Error _ -> false
+
+let test_socket_peer_closed () =
+  (* The peer shuts its end down: a receive with no time bound must
+     return [Closed] at once — end of file is final, not a frame-less
+     read to retry — and a flush toward it must return [Closed] (EPIPE)
+     instead of raising. *)
+  let a = nid 1 and b = nid 2 in
+  let hub = Socket.create ~ids:[ a; b ] in
+  Fun.protect
+    ~finally:(fun () -> Socket.close hub)
+    (fun () ->
+      let ea = Socket.endpoint hub ~self:a
+      and eb = Socket.endpoint hub ~self:b in
+      (match Socket.find eb a with
+      | Some { Socket.p_fd = Some fd; _ } -> Unix.shutdown fd Unix.SHUTDOWN_ALL
+      | _ -> Alcotest.fail "b has no socket toward a");
+      let r = ref (Ok []) in
+      let dt =
+        elapsed (fun () -> r := Socket.recv ea ~from:b ~timeout:infinity)
+      in
+      check_true (Printf.sprintf "end of file is Closed (%.3f s)" dt)
+        (is_closed b !r && dt < 1.);
+      Socket.send ea ~dst:b (dframe ~src:1 ~round:1 "lost");
+      check_true "a flush toward it is Closed" (is_closed b (Socket.flush ea)))
+
+let test_socket_mesh_fds () =
+  (* One socketpair per pair of distinct nodes and none for a node's
+     frames to itself: n(n - 1) descriptors, all released by [close]. *)
+  if Sys.file_exists "/proc/self/fd" then begin
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = open_fds () in
+    let hub = Socket.create ~ids:(List.init 5 nid) in
+    check_int "a 5-node mesh holds 5 * 4 descriptors" (5 * 4)
+      (open_fds () - before);
+    Socket.close hub;
+    check_int "close releases them" before (open_fds ())
+  end
+
+let test_closed_hub () =
+  (* After [close], a receive and a flush with frames for another node
+     answer [Closed] at once: no block (the timeout is unbounded), no
+     spin, no exception, and no read on a released descriptor. *)
+  let a = nid 1 and b = nid 2 in
+  let go (module T : Transport.S) =
+    let hub = T.create ~ids:[ a; b ] in
+    let ea = T.endpoint hub ~self:a in
+    T.send ea ~dst:b (dframe ~src:1 ~round:1 "x");
+    T.close hub;
+    let r = ref (Ok []) in
+    let dt = elapsed (fun () -> r := T.recv ea ~from:b ~timeout:infinity) in
+    check_true (Printf.sprintf "%s: receive is Closed (%.3f s)" T.name dt)
+      (is_closed b !r && dt < 1.);
+    check_true (T.name ^ ": flush is Closed") (is_closed b (T.flush ea));
+    T.close hub
+  in
+  go (module Socket);
+  if Backend.available then go (module Domains)
 
 (* ----- trace diff ----- *)
 
@@ -451,16 +521,17 @@ let test_rb_in_process_n130 () =
          ~correct:(rb_correct ~seed:3L 130) ())
 
 let test_rb_socket_n40 () =
-  (* The mesh holds 40 * 41 socket fds plus two per doorbell, well past
-     select's FD_SETSIZE of 1024. *)
+  (* The mesh holds 40 * 39 socket fds, well past select's FD_SETSIZE
+     of 1024. *)
   if Er.RT.available then
     assert_verdict_rb "rb socket n=40"
       (Er.run ~transport:`Socket ~max_rounds:3
          ~correct:(rb_correct ~seed:3L 40) ())
 
 let test_runs_release_fds () =
-  (* Every run opens doorbells (and, on the socket transport, its mesh);
-     all of them must be closed when [run] returns. *)
+  (* Every run opens descriptors: the in-process transport one doorbell
+     per node, the socket transport its mesh and no doorbell. All of
+     them must be closed when [run] returns. *)
   if Ec.RT.available && Sys.file_exists "/proc/self/fd" then
     let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
     List.iter
@@ -479,6 +550,41 @@ let test_runs_release_fds () =
              (Ec.RT.transport_name transport))
           before (open_fds ()))
       [ `Domains; `Socket ]
+
+let test_assemble_inbox_contract () =
+  (* Sorted by sender; each sender's send order kept; a payload repeated
+     by one sender kept once, as its first copy; an equal payload from
+     another sender kept again. *)
+  let module M = Ubpa_scenarios.Scenarios.Rb.P in
+  let first = M.Payload (String.make 1 'x') in
+  let copy = M.Payload (String.make 1 'x') in
+  let a = nid 5 and b = nid 2 and c = nid 9 in
+  let inbox =
+    Er.RT.assemble_inbox
+      [
+        (a, first);
+        (c, M.Present);
+        (b, M.Echo ("x", a));
+        (a, M.Echo ("x", a));
+        (a, copy);
+        (b, M.Payload "x");
+        (a, M.Present);
+        (b, M.Echo ("x", a));
+      ]
+  in
+  check_true "sorted by sender, send order and first copies kept"
+    (inbox
+    = [
+        (b, M.Echo ("x", a));
+        (b, M.Payload "x");
+        (a, first);
+        (a, M.Echo ("x", a));
+        (a, M.Present);
+        (c, M.Present);
+      ]);
+  check_true "the first copy is the one kept"
+    (List.exists (fun (s, m) -> Node_id.equal s a && m == first) inbox);
+  check_int "empty in, empty out" 0 (List.length (Er.RT.assemble_inbox []))
 
 let test_round_ms_pacing () =
   (* A real round deadline on a fault-free run must not change behaviour:
@@ -606,6 +712,31 @@ let plan_exn ~ids spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad fault spec %s: %s" spec e
 
+let test_deadline_reads_unread_peers () =
+  (* The lowest id crash-stops at round 2, so every survivor blocks on
+     it first while the other survivors' markers sit unread in their
+     sockets. When the deadline fires, only the crashed node may be
+     reported missing: once per survivor at each of the [dead_after]
+     deadlines, after which every survivor presumes it dead. The round
+     deadline is roomy so that a loaded host cannot make a live peer
+     miss it. *)
+  if Ec.RT.available then begin
+    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
+    let victim = List.hd (Node_id.sorted ids) in
+    let plan = plan_exn ~ids "crash:0@2" in
+    match
+      Ec.RT.run ~transport:`Socket ~round_ms:250. ~max_rounds:6 ~faults:plan
+        ~correct:(consensus_correct ~seed:1L 4) ()
+    with
+    | Error e -> Alcotest.failf "runtime error: %s" e
+    | Ok run ->
+        check_true "only the crashed node is presumed dead"
+          (List.for_all (fun (_, p, _) -> Node_id.equal p victim) run.r_dead);
+        check_int "every survivor presumes it dead" 3 (List.length run.r_dead);
+        check_int "missing: three survivors, two deadlines each" 6
+          run.r_missing
+  end
+
 let test_faulty_crash_degrades () =
   (* One crash plus background loss, real deadline: the four survivors
      must agree, decide, and replay clean through the delivered-schedule
@@ -679,6 +810,47 @@ let rb_delay_cell ~max_rounds =
           fv.Er.v_run.Er.RT.r_nodes
       in
       (victims, undecided_outside_plan, fv)
+
+let test_rb_delay_cell_late_in_maturing_round () =
+  (* Every delay in the cell is one round and every duplicate is held
+     one round, so each held frame matures in its send round + 1 and
+     must be counted late exactly then, once. *)
+  if Er.RT.available then
+    List.iter
+      (fun transport ->
+        let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
+        let plan = plan_exn ~ids "delay:1@1..4=0.5x1,dup=0.05" in
+        let correct =
+          List.mapi (fun i id -> (id, if i = 0 then Some "m1" else None)) ids
+        in
+        match
+          Er.RT.run ~transport ~max_rounds:6 ~faults:plan ~fault_seed:1L
+            ~correct ()
+        with
+        | Error e -> Alcotest.failf "runtime error: %s" e
+        | Ok run ->
+            let late =
+              List.filter_map
+                (fun (e : Trace.event) ->
+                  try
+                    Scanf.sscanf e.what
+                      "fault: late frame from #%d (sent r%d) dropped"
+                      (fun _ sent -> Some (e.round, sent))
+                  with Scanf.Scan_failure _ | End_of_file -> None)
+                run.r_events
+            in
+            let name = Er.RT.transport_name transport in
+            check_int (name ^ ": one trace event per late frame")
+              run.r_late_frames (List.length late);
+            check_true (name ^ ": delay and duplicates fired") (late <> []);
+            List.iter
+              (fun (round, sent) ->
+                check_int
+                  (Printf.sprintf "%s: frame sent in round %d is late in round"
+                     name sent)
+                  (sent + 1) round)
+              late)
+      [ `Domains; `Socket ]
 
 let test_rb_delay_cell_victim_only () =
   if Er.RT.available then begin
@@ -800,6 +972,10 @@ let suite =
       quick "doorbell ring before wait" test_doorbell_ring_before_wait;
       quick "doorbell wait times out" test_doorbell_timeout;
       quick "socket frames wait for flush" test_socket_flush_contract;
+      quick "socket peer closed is a typed outcome" test_socket_peer_closed;
+      quick "socket mesh holds n(n-1) descriptors" test_socket_mesh_fds;
+      quick "closed hub answers Closed at once" test_closed_hub;
+      quick "inbox assembly contract" test_assemble_inbox_contract;
       quick "trace diff identical" test_trace_diff_identical;
       quick "trace diff divergence" test_trace_diff_divergence;
       quick "trace diff prefix" test_trace_diff_prefix;
@@ -811,6 +987,8 @@ let suite =
       quick "rb in-process at n=130" test_rb_in_process_n130;
       quick "rb socket at n=40" test_rb_socket_n40;
       quick "runs release their fds" test_runs_release_fds;
+      quick "deadline reads every awaited peer"
+        test_deadline_reads_unread_peers;
       quick "round-ms pacing is behaviour-neutral" test_round_ms_pacing;
       quick "decide sets byte-identical" test_decides_byte_identical;
       quick "monitor verdicts identical" test_monitor_verdicts_identical;
@@ -820,6 +998,8 @@ let suite =
       quick "beyond-budget isolation violates" test_faulty_beyond_budget_violates;
       quick "rb delay cell: only the plan victim misses"
         test_rb_delay_cell_victim_only;
+      quick "rb delay cell: late in the maturing round"
+        test_rb_delay_cell_late_in_maturing_round;
       quick "rb delay cell cut at round 2 fails"
         test_rb_delay_cell_short_run_fails;
       quick "survivor agreement compares every pair"
