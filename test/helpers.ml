@@ -25,6 +25,22 @@ let words f =
   f ();
   Gc.minor_words () -. w0
 
+(* 64-bit FNV-1a: the fingerprint behind every golden test, printed as 16
+   hex digits so a mismatch shows both values. *)
+let fnv1a (s : string) : int64 =
+  let basis = 0xcbf29ce484222325L and prime = 0x100000001b3L in
+  let h = ref basis in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h prime)
+    s;
+  !h
+
+let check_fp name expected actual =
+  Alcotest.(check string) name (Printf.sprintf "%016Lx" expected)
+    (Printf.sprintf "%016Lx" actual)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =

@@ -15,16 +15,6 @@ open Helpers
 module T = Scenarios.Total_order_str
 module R = Scenarios.Renaming_run
 
-let fnv1a (s : string) : int64 =
-  let basis = 0xcbf29ce484222325L and prime = 0x100000001b3L in
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 let total_order_fingerprint ~seed =
   let s =
     T.run ~seed:(Int64.of_int seed)
@@ -73,10 +63,6 @@ let renaming_fingerprint ~seed =
       Buffer.add_char buf '|')
     s.R.outputs;
   fnv1a (Buffer.contents buf)
-
-let check_fp name expected actual =
-  Alcotest.(check string) name (Printf.sprintf "%016Lx" expected)
-    (Printf.sprintf "%016Lx" actual)
 
 let test_total_order_goldens () =
   List.iter
