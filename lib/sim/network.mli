@@ -10,29 +10,35 @@
     is how the dynamic-network experiments of the paper are driven. A purely
     static run is simply one where everybody joins before round 1.
 
-    Byzantine nodes are driven by {!Strategy.t} values. By default the
-    adversary is {e rushing}: in each round it sees the messages correct
-    nodes send in that very round before choosing its own. *)
+    Byzantine nodes are driven by {!Strategy.t} values. The adversary is
+    {e rushing}: in each round it sees the messages correct nodes send in
+    that very round before choosing its own.
+
+    The correct half of a round runs through the round kernel
+    ({!Kernel}), which the bounded checker, the replay oracle and the
+    networked runtime share. *)
 
 open Ubpa_util
 
 module Make (P : Protocol.S) : sig
   type t
 
-  type node_report = {
+  type node_report = Kernel.Make(P).node = {
     id : Node_id.t;
     joined_at : int;
-    first_output_round : int option;
+    mutable state : P.state;
+    mutable first_output_round : int option;
         (** Round of the first [Deliver]/[Stop]. *)
-    last_output : P.output option;
-    halted_at : int option;
-    down_since : int option;
+    mutable last_output : P.output option;
+    mutable halted_at : int option;
+    mutable down_since : int option;
         (** [Some r] while an injected crash/leave from the fault plan is
             in effect (since round [r]); [None] for healthy nodes. *)
   }
+  (** The kernel's node record. {!report} and {!reports} return copies,
+      which later rounds do not move. *)
 
   val create :
-    ?rushing:bool ->
     ?delivery:Delivery.impl ->
     ?wire_accounting:bool ->
     ?seed:int64 ->
@@ -114,9 +120,15 @@ module Make (P : Protocol.S) : sig
     [ `Stopped | `Max_rounds_reached of Node_id.t list ]
   (** Step until [stop] holds (checked after each round). *)
 
-  val stalled : t -> Node_id.t list
-  (** Correct nodes that have not halted, ascending — the
-      [`Max_rounds_reached] payload. *)
+  val loop :
+    ?max_rounds:int ->
+    t ->
+    until:(unit -> bool) ->
+    after:(unit -> unit) ->
+    [ `Done | `Max_rounds_reached of Node_id.t list ]
+  (** The kernel's run loop ({!Kernel.Make.run}) over {!step_round}:
+      [until] is checked before every round, [after] runs after each. {!run}
+      and {!run_until} are this loop with [after] doing nothing. *)
 
   val has_correct : t -> bool
   (** A correct node is present or queued to join. *)
@@ -136,12 +148,6 @@ module Make (P : Protocol.S) : sig
       [classify] (["msg"] when none was given). *)
 
   val trace : t -> Trace.t
-
-  val correct_ids : t -> Node_id.t list
-  (** Every correct node that ever joined, ascending. *)
-
-  val active_correct : t -> Node_id.t list
-  (** Correct nodes present and not halted, ascending. *)
 
   val byzantine_ids : t -> Node_id.t list
 
