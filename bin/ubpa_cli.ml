@@ -37,8 +37,18 @@ let adversary_t choices =
     & opt (enum choices) (snd (List.hd choices))
     & info [ "adversary" ] ~docv:"STRATEGY" ~doc)
 
+(* Every command that takes -n and -f validates them here: a population
+   no run can be built from is a usage error (exit 2). *)
+let valid_nf n f =
+  if n < 1 || f < 0 || f >= n then begin
+    Fmt.epr "ubpa: need n >= 1 and 0 <= f < n, got n = %d, f = %d@." n f;
+    exit 2
+  end
+
+(* The simulator commands also warn outside the paper's bound. *)
 let check_nf n f =
-  if f < 0 || n <= 3 * f then
+  valid_nf n f;
+  if n <= 3 * f then
     Fmt.epr
       "warning: n = %d, f = %d violates n > 3f; the guarantees of the paper \
        do not apply.@."
@@ -1066,6 +1076,8 @@ let check_cmd =
   in
   let run protocol n f max_rounds jobs max_states crashes omissions
       no_symmetry cex_file expect seed =
+    (* No n > 3f warning: the checker explores the boundary on purpose. *)
+    valid_nf n f;
     let check (module M : Ubpa_check.Model.S) =
       let module C = Ubpa_check.Checker.Make (M) in
       let r =
