@@ -2,8 +2,8 @@
 
     A strategy is instantiated once per Byzantine node. Each round the node
     observes a {!view} — its inbox, the whole membership (Byzantine nodes are
-    omniscient about who exists), and, when the engine runs in rushing mode,
-    the messages the correct nodes send in the {e current} round — and emits
+    omniscient about who exists), and the messages the correct nodes send
+    in the {e current} round (the adversary is rushing) — and emits
     arbitrary envelopes. The engine still stamps the true [src], so identity
     cannot be forged; everything else is fair game. *)
 
@@ -16,8 +16,7 @@ type 'm view = {
   byzantine : Node_id.t list;  (** Fellow Byzantine nodes (collusion). *)
   inbox : (Node_id.t * 'm) list;
   rushing : (Node_id.t * Envelope.dest * 'm) list;
-      (** Messages correct nodes are sending this round ([] when the engine
-          runs non-rushing). *)
+      (** Messages correct nodes are sending this round. *)
   equal_message : 'm -> 'm -> bool;
       (** The protocol's message equality ({!Protocol.S.equal_message}),
           supplied by the engine so strategies that filter or dedup observed
