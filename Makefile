@@ -51,10 +51,11 @@ bench-only:
 # The arena core at scale: the full SCALE sweep — single-sender RB to
 # n=10,000 and consensus to n=301 (55M deliveries) under the arena
 # core, with the reference core rerunning the overlap sizes for the
-# cross-core identity claim, the flat-allocation claim and the
-# RB state-per-pair claim gated. About 80 s serial on a 2-vCPU Xeon VM,
-# peaking at 2.6 GB RSS: the consensus n=301 cell's candidate-echo
-# buffer sets the peak, and the RB n=10,000 cell needs about 75 MB.
+# cross-core identity claim, the flat-allocation and shared-inbox
+# claims and the RB state-per-pair claim gated. About 37 s serial on a
+# 2-vCPU Xeon VM, peaking at 1.8 GB RSS: the consensus n=301 cell's
+# candidate-echo buffer sets the peak, and the RB n=10,000 cell needs
+# about 75 MB.
 scale:
 	dune exec bench/main.exe -- --only SCALE --json results/json-scale/ \
 		--jobs $(JOBS)

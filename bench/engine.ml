@@ -138,8 +138,10 @@ let perf2 =
    digests, delivered counts and round counts — the identity claim that
    lets the larger arena-only rows be trusted. The minor-w/msg column is
    GC minor words allocated per delivered message; the arena core's
-   whole point is that this stays flat as n explodes (the inbox lists
-   the protocol reads are the only steady-state allocation). Unit
+   whole point is that this stays flat as n explodes. Every inbox shares
+   the tail of one list of the round's broadcast entries, so RB's steady
+   state allocates that list and the protocol's own work, not a copy per
+   recipient (SCALE.inbox-shared). Unit
    suffixes keep the alloc/timing cells out of metric comparison;
    bench_diff additionally exempts them from exact mode. The
    state-w/pair column is RB's protocol state after the run, in words per
@@ -367,6 +369,13 @@ let scale =
           (match (wpm arena_rb_min, wpm arena_rb_max) with
           | Some lo, Some hi -> hi <= Float.max (4. *. lo) 16.
           | _ -> false);
+        claim "SCALE.inbox-shared"
+          "every arena RB row at n >= 301 allocates under 2 minor words per \
+           delivered message — inboxes share one sealed list of the round's \
+           broadcasts instead of copying it per recipient"
+          (let large = List.filter (fun (n, _) -> n >= 301) arena_rb in
+           large <> []
+           && List.for_all (fun (_, r) -> words_per_msg r < 2.) large);
         claim "SCALE.rb-state-per-pair"
           "RB protocol state stays at or below one word per (node, sender) \
            pair at every swept n: sender sets are bitsets over the run's one \

@@ -21,7 +21,7 @@ end
 module Bool : S with type t = bool = struct
   type t = bool
 
-  let compare = Stdlib.compare
+  let compare = Stdlib.Bool.compare
   let pp = Fmt.bool
   let key = Key.bool
 end
@@ -29,7 +29,7 @@ end
 module Int : S with type t = int = struct
   type t = int
 
-  let compare = Stdlib.compare
+  let compare = Stdlib.Int.compare
   let pp = Fmt.int
   let key = Key.int
 end
@@ -45,7 +45,7 @@ end
 module String : S with type t = string = struct
   type t = string
 
-  let compare = Stdlib.compare
+  let compare = Stdlib.String.compare
   let pp = Fmt.string
   let key = Key.string
 end

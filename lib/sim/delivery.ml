@@ -62,8 +62,10 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
 (*     and only grows), and per-round presence is a stamp in a flat      *)
 (*     array — nothing is cleared between rounds, the stamp just moves;  *)
 (*   - a broadcast is ONE logical record (sender, payload, exclusions),  *)
-(*     expanded lazily when an inbox is read, never fanned out into n    *)
-(*     physical copies;                                                  *)
+(*     never fanned out into n physical copies: the seal lists the       *)
+(*     round's broadcast entries once, in (sender id, seq) order, and    *)
+(*     keeps every tail of that list, so an inbox is a short prefix put  *)
+(*     in front of one shared tail (see [view_inbox]);                   *)
 (*   - unicasts land in flat parallel arenas and are sealed into CSR     *)
 (*     slices — (offset, length) ranges into one position array — by a   *)
 (*     counting sort, so reading an inbox is a merge of two sorted       *)
@@ -85,6 +87,11 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
 (* position). Every record carries its scan position, so the read-time   *)
 (* merge compares (raw sender id, seq) and reproduces the reference      *)
 (* order without ever materialising an unsorted inbox.                   *)
+(*                                                                       *)
+(* Sharing: inbox lists are immutable and handed out as they are, so a   *)
+(* protocol state may keep any cons cell of them across rounds. The      *)
+(* tails live in [suffix] until the next seal replaces it, which keeps   *)
+(* at most one round of lists reachable from the state.                  *)
 (* -------------------------------------------------------------------- *)
 
 type 'm arena_state = {
@@ -103,6 +110,12 @@ type 'm arena_state = {
   b_pay : 'm option Arena.t;
   b_excl : int list Arena.t; (* recipient ixs already served by unicast *)
   mutable b_order : int array; (* sealed: record indices by (sender, seq) *)
+  mutable suffix : (Node_id.t * 'm) list array;
+      (* sealed: [suffix.(i)] lists the entries of sorted records i onward;
+         [suffix.(nb)] is empty. *)
+  mutable excl_end : int;
+      (* sealed: the sorted position after the round's last record with an
+         exclusion, 0 if none *)
   bc_any : Bitset.t; (* senders with ≥1 accepted broadcast this round *)
   bc_pay : (int, 'm list) Hashtbl.t; (* sender ix -> distinct payloads *)
   (* Unicast records: parallel arenas, one slot per accepted unicast. *)
@@ -142,6 +155,8 @@ let arena_create ?(hint = 16) () =
     b_pay = Arena.create ~hint ~dummy:None ();
     b_excl = Arena.create ~hint ~dummy:[] ();
     b_order = [||];
+    suffix = [| [] |];
+    excl_end = 0;
     bc_any = Bitset.create ~hint ();
     bc_pay = Hashtbl.create 16;
     u_rcpt = Arena.create ~hint ~dummy:0 ();
@@ -177,6 +192,7 @@ let ensure_columns st =
   end
 
 let raw = Node_id.to_int
+let payload_of = function Some p -> p | None -> assert false
 
 (* Seal the unicast arenas into per-recipient CSR slices of [u_pos]:
    counting sort by recipient, then an in-place insertion sort of each
@@ -233,9 +249,20 @@ let seal st =
       let c = compare (raw (Arena.unsafe_get st.b_src a)) (raw (Arena.unsafe_get st.b_src b)) in
       if c <> 0 then c else compare a b)
     order;
-  st.b_order <- order
-
-let payload_of = function Some p -> p | None -> assert false
+  st.b_order <- order;
+  (* One list of the round's broadcast entries, built from the back so
+     that every tail is a slot of [suffix]. *)
+  let suffix = Array.make (nb + 1) [] in
+  let excl_end = ref 0 in
+  for i = nb - 1 downto 0 do
+    let b = order.(i) in
+    if !excl_end = 0 && Arena.unsafe_get st.b_excl b <> [] then excl_end := i + 1;
+    suffix.(i) <-
+      (Arena.unsafe_get st.b_src b, payload_of (Arena.unsafe_get st.b_pay b))
+      :: suffix.(i + 1)
+  done;
+  st.suffix <- suffix;
+  st.excl_end <- !excl_end
 
 let rec mem_int (x : int) = function
   | [] -> false
@@ -367,67 +394,80 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
 
 let view_delivered st = st.delivered
 
-(* Lazily expand one recipient's inbox: merge the (sender, seq)-sorted
-   broadcast records (skipping this recipient's exclusions) with the
-   recipient's sealed unicast slice. The resulting list is the only
-   per-read allocation the core makes. *)
+(* The first sorted broadcast position whose (raw sender, seq) comes after
+   [(src, seq)]. *)
+let first_after st ~src ~seq =
+  let order = st.b_order in
+  let lo = ref 0 and hi = ref (Array.length order) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let b = order.(mid) in
+    let c = compare (raw (Arena.unsafe_get st.b_src b)) src in
+    if c < 0 || (c = 0 && Arena.unsafe_get st.b_seq b < seq) then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* One recipient's inbox. Its cut is the first sorted broadcast position
+   after both its last unicast and the round's last record with an
+   exclusion: from there on the inbox IS the shared tail [suffix.(cut)].
+   The records before the cut (minus this recipient's exclusions) are
+   merged with its unicast slice from the back, each entry consed onto
+   the tail built so far, so the merge needs no [List.rev] and the
+   records' entries are shared too. A recipient with no unicasts in a
+   round without exclusions reads [suffix.(0)] and allocates nothing. *)
 let view_inbox st id =
-  match Interner.find_opt st.intr id with
-  | Some rix
-    when rix < Array.length st.present_at && st.present_at.(rix) = st.stamp ->
-      let border = st.b_order in
-      let nb = Array.length border in
+  (* [mem] then [slot] rather than [find_opt]: no option per read. *)
+  if not (Interner.mem st.intr id) then []
+  else
+    let rix = Interner.slot st.intr id in
+    if rix >= Array.length st.present_at || st.present_at.(rix) <> st.stamp then []
+    else begin
+      let order = st.b_order in
       let uoff, ulen =
         if rix < Array.length st.sl_stamp && st.sl_stamp.(rix) = st.stamp then
           (st.sl_off.(rix), st.sl_len.(rix))
         else (0, 0)
       in
-      let excluded b = List.exists (Int.equal rix) (Arena.unsafe_get st.b_excl b) in
-      let acc = ref [] in
-      let bi = ref 0 and ui = ref 0 in
-      let emit_b b =
-        acc :=
-          (Arena.unsafe_get st.b_src b, payload_of (Arena.unsafe_get st.b_pay b))
-          :: !acc
+      let cut =
+        if ulen = 0 then st.excl_end
+        else
+          let u = st.u_pos.(uoff + ulen - 1) in
+          Int.max st.excl_end
+            (first_after st ~src:(raw (Arena.unsafe_get st.u_src u))
+               ~seq:(Arena.unsafe_get st.u_seq u))
       in
-      let emit_u u =
-        acc :=
-          (Arena.unsafe_get st.u_src u, payload_of (Arena.unsafe_get st.u_pay u))
-          :: !acc
-      in
-      while !bi < nb && excluded border.(!bi) do incr bi done;
-      while !bi < nb || !ui < ulen do
-        if !bi >= nb then begin
-          emit_u st.u_pos.(uoff + !ui);
-          incr ui
-        end
-        else if !ui >= ulen then begin
-          emit_b border.(!bi);
-          incr bi;
-          while !bi < nb && excluded border.(!bi) do incr bi done
+      let acc = ref st.suffix.(cut) in
+      let bi = ref (cut - 1) and ui = ref (ulen - 1) in
+      while !bi >= 0 || !ui >= 0 do
+        let b_last =
+          !ui < 0
+          || !bi >= 0
+             &&
+             let b = order.(!bi) and u = st.u_pos.(uoff + !ui) in
+             let c =
+               compare (raw (Arena.unsafe_get st.b_src b)) (raw (Arena.unsafe_get st.u_src u))
+             in
+             if c <> 0 then c > 0
+             else Arena.unsafe_get st.b_seq b > Arena.unsafe_get st.u_seq u
+        in
+        if b_last then begin
+          (if not (mem_int rix (Arena.unsafe_get st.b_excl order.(!bi))) then
+             match st.suffix.(!bi) with
+             | entry :: _ -> acc := entry :: !acc
+             | [] -> assert false);
+          decr bi
         end
         else begin
-          let b = border.(!bi) and u = st.u_pos.(uoff + !ui) in
-          let c =
-            compare (raw (Arena.unsafe_get st.b_src b)) (raw (Arena.unsafe_get st.u_src u))
-          in
-          let b_first =
-            if c <> 0 then c < 0
-            else Arena.unsafe_get st.b_seq b < Arena.unsafe_get st.u_seq u
-          in
-          if b_first then begin
-            emit_b b;
-            incr bi;
-            while !bi < nb && excluded border.(!bi) do incr bi done
-          end
-          else begin
-            emit_u u;
-            incr ui
-          end
+          let u = st.u_pos.(uoff + !ui) in
+          acc :=
+            (Arena.unsafe_get st.u_src u, payload_of (Arena.unsafe_get st.u_pay u))
+            :: !acc;
+          decr ui
         end
       done;
-      List.rev !acc
-  | _ -> []
+      !acc
+    end
 
 let view_present st =
   Arena.fold st.pres_ids ~init:[] ~f:(fun acc id -> id :: acc) |> List.rev

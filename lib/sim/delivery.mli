@@ -16,8 +16,8 @@
     randomized traffic through both cores, and the SCALE experiment runs
     both on the same workloads. {!route_arena} is the fast core and the
     network default — a grow-only flat-arena state reused across rounds,
-    with broadcasts kept as single logical records expanded lazily at read
-    time, built for the n ≈ 10,000 SCALE sweeps. *)
+    with broadcasts kept as single logical records listed once per round
+    and shared by every inbox, built for the n ≈ 10,000 SCALE sweeps. *)
 
 open Ubpa_util
 
@@ -46,9 +46,18 @@ val route_reference :
 
 type 'm arena_state
 (** Arena round state: interner, presence stamps, flat record arenas and
-    CSR inbox slices, all grow-only and reused across rounds. Create one
-    per network and feed it every round through {!route_arena}; a
-    steady-state round allocates only the inbox lists actually read. *)
+    CSR inbox slices, all grow-only and reused across rounds, plus the
+    current round's sealed broadcast list. Create one per network and
+    feed it every round through {!route_arena}.
+
+    Each seal lists the round's broadcast entries once, in (sender id,
+    send order), and keeps every tail of that list; inboxes share those
+    tails (see {!view_inbox}). A steady-state round allocates that list
+    and, per read, only the entries before the reader's cut. Inbox lists
+    are never mutated or reused, so a protocol state may keep entries
+    across rounds. The next seal replaces the tails, so the state itself
+    holds at most one round of lists, as it holds at most one round of
+    payloads. *)
 
 val arena_create : ?hint:int -> unit -> 'm arena_state
 (** Fresh arena state. [hint] sizes the interner and backing arrays to
@@ -56,9 +65,10 @@ val arena_create : ?hint:int -> unit -> 'm arena_state
 
 type 'm view
 (** One routed round, borrowed from an {!arena_state}: valid until the
-    state's next {!route_arena} call. Inboxes are expanded on demand from
-    broadcast records and unicast slices — reading is the only per-inbox
-    allocation. *)
+    state's next {!route_arena} call (lists already read stay valid for
+    good). Inboxes are assembled on demand from the sealed broadcast list
+    and unicast slices; a read allocates only the entries before its
+    cut, nothing for a recipient that reads the shared list whole. *)
 
 val route_arena :
   ?on_deliver:'m on_deliver ->
@@ -80,15 +90,21 @@ val view_delivered : 'm view -> int
 (** Total deliveries this round — same number the reference core returns. *)
 
 val view_inbox : 'm view -> Node_id.t -> (Node_id.t * 'm) list
-(** [view_inbox v id] expands [id]'s inbox: a merge of the broadcast
-    records (minus exclusions) with [id]'s unicast slice, sorted by
-    (sender id, send order) exactly like the reference core's inboxes.
+(** [view_inbox v id] is [id]'s inbox: the broadcast records (minus
+    exclusions) merged with [id]'s unicast slice, sorted by (sender id,
+    send order) exactly like the reference core's inboxes. [id]'s cut is
+    the first sealed broadcast position after both its last unicast and
+    the round's last record with an exclusion; from there on the result
+    is the sealed list's tail itself, and only the entries before the
+    cut are new cells. In a round without exclusions a recipient with no
+    unicasts gets the whole sealed list and the read allocates nothing.
     Empty for absent or unknown recipients. *)
 
 val view_present : 'm view -> Node_id.t list
 (** The round's present set in ascending id order. *)
 
 val view_to_map : 'm view -> (Node_id.t * 'm) list Node_id.Map.t
-(** Materialise every present inbox — the bridge back to the reference
-    core's map-shaped result, used by the differential tests. Costs the
-    full fan-out the lazy representation avoids. *)
+(** Every present inbox in a map — the bridge back to the reference
+    core's map-shaped result, used by the differential tests. Each entry
+    is what {!view_inbox} returns, so the lists share the sealed
+    broadcast list as well. *)

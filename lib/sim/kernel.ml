@@ -67,8 +67,8 @@ module Make (P : Protocol.S) = struct
              trace: its closures were 2.5 % of all allocation in an
              untraced 61-node consensus run. *)
           if Trace.enabled t.tr then
-            Trace.record t.tr ~round:t.round ~node:n.id ~kind:Trace.Send
-              (Fmt.str "send %a" (Envelope.pp P.pp_message) env);
+            Trace.recordf t.tr ~round:t.round ~node:n.id ~kind:Trace.Send
+              "send %a" (Envelope.pp P.pp_message) env;
           t.pending <- env :: t.pending
         end;
         emit t n send rest
@@ -97,8 +97,8 @@ module Make (P : Protocol.S) = struct
 
   let send_byzantine t (env : P.message Envelope.t) =
     if Trace.enabled t.tr then
-      Trace.record t.tr ~round:t.round ~node:env.src ~kind:Trace.Byz_send
-        (Fmt.str "byz-send %a" (Envelope.pp P.pp_message) env);
+      Trace.recordf t.tr ~round:t.round ~node:env.src ~kind:Trace.Byz_send
+        "byz-send %a" (Envelope.pp P.pp_message) env;
     t.pending <- env :: t.pending
 
   let all_halted t ~written_off =

@@ -29,6 +29,9 @@ type event = {
 }
 
 type t
+(** An enabled trace has one writer at a time: its event list and its
+    {!recordf} formatter are plain mutable state. A runtime node thread
+    owns its own trace until the join. *)
 
 val create : ?live:bool -> unit -> t
 (** [live] additionally prints each event as it is recorded. *)
@@ -52,8 +55,11 @@ val recordf :
   ?kind:kind ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
-(** As {!record}, with the message formatted. On {!disabled} nothing is
-    formatted: the arguments are consumed and no printer is called. *)
+(** As {!record}, with the message formatted. An enabled trace formats
+    every event into one buffer and formatter, made on first use and
+    flushed and cleared after each event, so an event costs no fresh
+    printer. On {!disabled} nothing is formatted: the arguments are
+    consumed, no printer is called and no formatter is made. *)
 
 val enabled : t -> bool
 (** False only for {!disabled}. {!recordf} already skips formatting on a

@@ -111,6 +111,22 @@ let test_differential_adversarial () =
       (* Sender not present still delivers (rushing nodes may have halted). *)
       [ b ~src:(id 9) 3 ];
       [];
+      (* Where an inbox stops merging and starts sharing the sealed
+         broadcast list: a unicast sender below, above and between the
+         broadcast senders. *)
+      [ b ~src:(id 1) 7; b ~src:(id 2) 8; u ~src:(id 0) ~dst:(id 1) 5 ];
+      [ b ~src:(id 0) 7; b ~src:(id 1) 8; u ~src:(id 2) ~dst:(id 1) 5 ];
+      [ b ~src:(id 0) 7; b ~src:(id 2) 8; u ~src:(id 1) ~dst:(id 0) 5 ];
+      (* One sender's broadcast and unicast, in both send orders. *)
+      [ b ~src:(id 0) 6; b ~src:(id 1) 7; u ~src:(id 1) ~dst:(id 0) 8;
+        b ~src:(id 2) 9 ];
+      [ b ~src:(id 0) 6; u ~src:(id 1) ~dst:(id 0) 8; b ~src:(id 1) 7;
+        b ~src:(id 2) 9 ];
+      (* An exclusion at the first sealed position, and one at the last. *)
+      [ u ~src:(id 0) ~dst:(id 1) 7; b ~src:(id 0) 7; b ~src:(id 1) 8;
+        b ~src:(id 2) 9 ];
+      [ b ~src:(id 0) 7; b ~src:(id 1) 8; u ~src:(id 2) ~dst:(id 0) 9;
+        b ~src:(id 2) 9 ];
     ]
   in
   List.iter (fun envelopes -> check_same ~present ~envelopes) cases
@@ -183,6 +199,63 @@ let test_arena_state_reuse () =
       (Node_id.Set.equal present
          (Node_id.Set.of_list (Delivery.view_present view)))
   done
+
+(* Inbox lists are shared, never rebuilt or overwritten: a list read in
+   one round still holds that round's inbox after later rounds reuse the
+   state. *)
+let test_arena_inbox_retention () =
+  let rng = Rng.create 0x5EA1ED1157L in
+  let state : int Delivery.arena_state = Delivery.arena_create () in
+  let route (present, envelopes) =
+    Delivery.route_arena ~state ~equal:Int.equal ~present ~envelopes ()
+  in
+  for _ = 1 to 100 do
+    let ((present, envelopes) as round) = random_traffic rng in
+    let ref_inboxes, _ =
+      Delivery.route_reference ~equal:Int.equal ~present ~envelopes ()
+    in
+    let view = route round in
+    let kept =
+      Node_id.Map.mapi (fun nid _ -> Delivery.view_inbox view nid) ref_inboxes
+    in
+    for _ = 1 to 2 do
+      let view = route (random_traffic rng) in
+      List.iter
+        (fun nid -> ignore (Delivery.view_inbox view nid))
+        (Delivery.view_present view)
+    done;
+    Alcotest.(check bool)
+      "kept inboxes unchanged two rounds later" true
+      (same_inboxes ref_inboxes kept)
+  done
+
+(* An all-broadcast round at n = 301: every inbox is the one sealed list,
+   so routing the round and reading every inbox costs a few words per
+   node, not a copy of the n-entry list per recipient (about 14n words). *)
+let test_arena_shared_inbox_allocation () =
+  let n = 301 in
+  let ids = List.init n id in
+  let present = Node_id.Set.of_list ids in
+  let envelopes =
+    List.map (fun src -> Envelope.broadcast ~src (Node_id.to_int src)) ids
+  in
+  let state : int Delivery.arena_state = Delivery.arena_create () in
+  let route () =
+    Delivery.route_arena ~state ~equal:Int.equal ~present ~envelopes ()
+  in
+  ignore (route ());
+  let w0 = Gc.minor_words () in
+  let view = route () in
+  List.iter (fun nid -> ignore (Delivery.view_inbox view nid)) ids;
+  let per_node = (Gc.minor_words () -. w0) /. float_of_int n in
+  let ref_inboxes, _ =
+    Delivery.route_reference ~equal:Int.equal ~present ~envelopes ()
+  in
+  Alcotest.(check bool)
+    "second round's inboxes match the reference" true
+    (same_inboxes ref_inboxes (Delivery.view_to_map view));
+  if per_node >= 64. then
+    Alcotest.failf "route + reads: %.1f minor words per node, bound 64" per_node
 
 (* QCheck differential: structured random batches — unicasts, broadcasts,
    back-to-back duplicates, absent recipients, absent senders — through
@@ -414,6 +487,10 @@ let suite =
       Alcotest.test_case "inbox ordering" `Quick test_inbox_order;
       Alcotest.test_case "arena: reused state matches reference" `Quick
         test_arena_state_reuse;
+      Alcotest.test_case "arena: read inboxes survive later rounds" `Quick
+        test_arena_inbox_retention;
+      Alcotest.test_case "arena: shared inboxes allocate per node, not per message"
+        `Quick test_arena_shared_inbox_allocation;
       Alcotest.test_case "engine equivalence: full consensus run" `Quick
         test_engine_equivalence;
       Alcotest.test_case "wire accounting off: same run, silent wire" `Quick
