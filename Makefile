@@ -115,8 +115,7 @@ chaos:
 
 # Networked-runtime smoke: per-node concurrent processes on both
 # transports, each run gated by the lockstep-simulator oracle (the exit
-# code is the verdict). Needs an OCaml 5 build; on 4.14 this fails with
-# "runtime unavailable". See EXPERIMENTS.md (RT1) for the bench version.
+# code is the verdict). See EXPERIMENTS.md (RT1) for the bench version.
 # Then sizes past OCaml's 128-domain cap (n=130 in-process) and past
 # select's FD_SETSIZE (the n=40 socket mesh), and consensus at n=40 on
 # both transports, where a round's inbox holds hundreds of messages.

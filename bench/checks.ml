@@ -269,9 +269,8 @@ let sim_equal = [ "decisions"; "decide-rounds"; "rounds"; "trace" ]
    same population; the oracle / sim / wire columns are the verdict's
    exact-mode checks. Byte counts are deliberately absent from the
    table — frame counts are deterministic, marshalled sizes are an
-   implementation detail of the OCaml version. Needs OCaml 5; the
-   sequential fallback renders error rows (CI only gates RT1 on the 5.x
-   leg, next to the pool-backend assertions). *)
+   implementation detail of the OCaml version. CI diffs RT1 against its
+   baseline in the bench-smoke job, which runs OCaml 5.2 alone. *)
 let rt1 =
   v "RT1" "networked runtime oracle" @@ fun _ ->
   let rows =

@@ -457,24 +457,25 @@ let trace_pp_event ppf (e : Trace.event) =
     | Some id -> Fmt.str " %a" Ubpa_util.Node_id.pp id)
     e.Trace.what
 
+(* A recorded JSONL trace; a file that cannot be read or parsed exits 1. *)
+let load_trace path =
+  let contents =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      Fmt.epr "%s@." msg;
+      exit 1
+  in
+  match Trace.of_jsonl contents with
+  | Ok events -> events
+  | Error msg ->
+      Fmt.epr "%s: %s@." path msg;
+      exit 1
+
 (* ubpa trace --diff A.jsonl B.jsonl: first divergent event + per-kind
    count deltas, nonzero exit on divergence — the offline face of the
    Trace.diff_events primitive the runtime's oracle gate uses. *)
 let trace_diff path_a path_b =
-  let load path =
-    let contents =
-      try In_channel.with_open_bin path In_channel.input_all
-      with Sys_error msg ->
-        Fmt.epr "%s@." msg;
-        exit 1
-    in
-    match Trace.of_jsonl contents with
-    | Ok events -> events
-    | Error msg ->
-        Fmt.epr "%s: %s@." path msg;
-        exit 1
-  in
-  let a = load path_a and b = load path_b in
+  let a = load_trace path_a and b = load_trace path_b in
   let d = Trace.diff_events a b in
   Fmt.pr "%s: %d event(s)@.%s: %d event(s)@." path_a d.Trace.length_a path_b
     d.Trace.length_b;
@@ -571,39 +572,29 @@ let trace_cmd =
     match file with
     | Some path ->
         (* Offline mode: no simulation, just the recorded events. *)
-        let contents =
-          try In_channel.with_open_bin path In_channel.input_all
-          with Sys_error msg ->
-            Fmt.epr "%s@." msg;
-            exit 1
+        let events = load_trace path in
+        let analyses =
+          List.concat
+            [
+              (if summarize then [ fun () -> trace_summarize events ] else []);
+              (if per_round then [ fun () -> trace_per_round events ] else []);
+              (match top_senders with
+              | Some k -> [ (fun () -> trace_top_senders k events) ]
+              | None -> []);
+              (match grep with
+              | Some kind -> [ (fun () -> trace_grep kind events) ]
+              | None -> []);
+            ]
         in
-        (match Trace.of_jsonl contents with
-        | Error msg ->
-            Fmt.epr "%s: %s@." path msg;
-            exit 1
-        | Ok events ->
-            let analyses =
-              List.concat
-                [
-                  (if summarize then [ fun () -> trace_summarize events ] else []);
-                  (if per_round then [ fun () -> trace_per_round events ] else []);
-                  (match top_senders with
-                  | Some k -> [ (fun () -> trace_top_senders k events) ]
-                  | None -> []);
-                  (match grep with
-                  | Some kind -> [ (fun () -> trace_grep kind events) ]
-                  | None -> []);
-                ]
-            in
-            if analyses = [] then
-              (* Default view: the round timeline. *)
-              Fmt.pr "%s@." (Timeline.to_string (Timeline.of_events events))
-            else
-              List.iteri
-                (fun i analyze ->
-                  if i > 0 then Fmt.pr "@.";
-                  analyze ())
-                analyses)
+        if analyses = [] then
+          (* Default view: the round timeline. *)
+          Fmt.pr "%s@." (Timeline.to_string (Timeline.of_events events))
+        else
+          List.iteri
+            (fun i analyze ->
+              if i > 0 then Fmt.pr "@.";
+              analyze ())
+            analyses
     | None ->
         check_nf n f;
         (* A small consensus run with the engine's live trace enabled: every
@@ -663,8 +654,7 @@ let trace_cmd =
    recorded delivery schedule must replay cleanly through the arena core,
    and decisions, decide rounds, trace events and wire accounting must
    match a fresh simulator run on the same population. With --faults the
-   gate is graceful degradation instead. Needs an OCaml 5 build; on 4.14
-   it fails gracefully with "runtime unavailable". *)
+   gate is graceful degradation instead. *)
 let run_cmd =
   let runtime_t =
     Arg.(

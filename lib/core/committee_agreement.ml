@@ -197,23 +197,10 @@ module Make (V : Value.S) = struct
 
   (* ----- introspection (tests, traces, CLI) ----- *)
 
-  let is_member st = match st.role with Member _ -> true | Observer _ -> false
-
   let committee st =
     match st.role with
     | Member m -> m.committee_list
     | Observer _ -> Committee.members ~seed:st.seed ~universe:st.universe
-
-  let attestor_ids st =
-    match st.role with
-    | Member _ -> []
-    | Observer o -> Node_id.Set.elements o.attestors
-
-  let reports_heard st =
-    match st.role with
-    | Member _ -> []
-    | Observer o ->
-        List.sort (fun (a, _) (b, _) -> Node_id.compare a b) o.reports
 
   let decided st = st.decided
 end

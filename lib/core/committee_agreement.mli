@@ -64,16 +64,8 @@ module Make (V : Value.S) : sig
 
   (** {2 Introspection (tests, traces)} *)
 
-  val is_member : state -> bool
-
   val committee : state -> Node_id.t list
   (** The sampled committee, ascending (recomputed from public data). *)
-
-  val attestor_ids : state -> Node_id.t list
-  (** This observer's attestor sample; [[]] for members. *)
-
-  val reports_heard : state -> (Node_id.t * V.t) list
-  (** Accepted (first-per-attestor) reports, ascending by attestor. *)
 
   val decided : state -> V.t option
 end

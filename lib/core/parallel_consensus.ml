@@ -21,6 +21,4 @@ module Make (V : Value.S) = struct
     match status with
     | Core.Running -> (st, sends, Protocol.Continue)
     | Core.Done outputs -> (st, sends, Protocol.Stop outputs)
-
-  let decided_all = Core.decided
 end

@@ -16,7 +16,4 @@ module Make (V : Value.S) : sig
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = (int * V.t) list
        and type message = Core.message
-
-  val decided_all : state -> (int * V.t option) list
-  (** All decided instances including ⊥ decisions (tests). *)
 end

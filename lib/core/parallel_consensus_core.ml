@@ -137,10 +137,6 @@ module Make (V : Value.S) = struct
       (fun i -> Option.map (fun d -> (i.inst_id, d)) i.terminated)
       t.insts
 
-  let opinion_of t id =
-    List.find_opt (fun i -> i.inst_id = id) t.insts
-    |> Option.map (fun i -> i.x)
-
   let members t = Node_id.Set.elements t.members
 
   let phase t =

@@ -95,9 +95,6 @@ module Make (V : Value.S) : sig
   val decided : t -> (int * opinion) list
   (** Decided instances so far including ⊥ decisions, ascending id. *)
 
-  val opinion_of : t -> int -> opinion option
-  (** Current opinion in one instance, [None] if unknown id. *)
-
   val members : t -> Node_id.t list
 
   val phase : t -> int

@@ -63,9 +63,9 @@ module Make (P : Protocol.S) : sig
     correct:(Node_id.t * P.input) list ->
     unit ->
     (verdict, string) result
-  (** [Error] only when the networked run itself fails (runtime
-      unavailable, bad population or plan, node crash); an inequivalence
-      or a violation is a failed check, not an error.
+  (** [Error] only when the networked run itself fails (bad population
+      or plan, node crash); an inequivalence or a violation is a failed
+      check, not an error.
 
       With [faults] empty (the default) the checks are exact lockstep
       equivalence with a fresh simulator run, outputs compared

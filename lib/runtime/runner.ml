@@ -1,6 +1,25 @@
 open Ubpa_util
 open Ubpa_sim
 
+(* Node processes. A node spends nearly all of its time blocked in a
+   system call (a read on the peer it waits for), so a system thread is
+   enough: unlike a domain it costs no stop-the-world on spawn, join or
+   minor GC, and it has no cap of 128 per program. [Thread.join] does
+   not re-raise what the thread died of, so the handle carries it
+   across. *)
+type handle = { h_thread : Thread.t; h_exn : exn option ref }
+
+let spawn f =
+  let h_exn = ref None in
+  let h_thread =
+    Thread.create (fun () -> try f () with e -> h_exn := Some e) ()
+  in
+  { h_thread; h_exn }
+
+let join h =
+  Thread.join h.h_thread;
+  Option.iter raise !(h.h_exn)
+
 module Make (P : Protocol.S) = struct
   module Oracle = Replay.Make (P)
   module K = Kernel.Make (P)
@@ -34,8 +53,8 @@ module Make (P : Protocol.S) = struct
     r_crashed : (Node_id.t * int) list;
   }
 
-  let available = Runtime_backend.available
-  let unavailable_reason = Runtime_backend.unavailable_reason
+  let available = true
+  let unavailable_reason = ""
 
   (* Per-node recording cell. Written only by the owning node's thread
      while it runs; read only by the coordinator after the join, which
@@ -272,7 +291,7 @@ module Make (P : Protocol.S) = struct
     let handles =
       List.map
         (fun (slot, ep, sync) ->
-          Runtime_backend.spawn (fun () ->
+          spawn (fun () ->
               try
                 node_loop (module F) ~slot ~ids ~plan ~sync ~ep ~max_rounds
               with e ->
@@ -283,7 +302,7 @@ module Make (P : Protocol.S) = struct
                        (Printexc.to_string e))))
         cells
     in
-    List.iter Runtime_backend.join handles;
+    List.iter join handles;
     F.close hub;
     (* Collect the per-endpoint fault observations now the owners are
        gone (join is the synchronization edge) into each node's trace,
@@ -428,8 +447,7 @@ module Make (P : Protocol.S) = struct
       () =
     let ids = List.map fst correct in
     let known id = List.exists (Node_id.equal id) ids in
-    if not available then Error unavailable_reason
-    else if correct = [] then Error "Runner.run: no nodes"
+    if correct = [] then Error "Runner.run: no nodes"
     else if List.length (Node_id.sorted ids) <> List.length correct then
       Error "Runner.run: duplicate node identifiers"
     else if max_rounds < 1 then Error "Runner.run: max_rounds must be >= 1"

@@ -26,11 +26,7 @@
     for runs with holes), plus trace events in the simulator's exact
     vocabulary, wire counters, transport-level accounting (frame bytes,
     late frames), and the fault-injection ledger (injected drops /
-    duplicates / delays, presumed-dead marks, crashes).
-
-    On OCaml 4.14 builds the backend is the sequential stub and
-    {!Make.run} returns [Error "runtime unavailable: ..."] without
-    touching any concurrency primitive. *)
+    duplicates / delays, presumed-dead marks, crashes). *)
 
 open Ubpa_util
 open Ubpa_sim
@@ -104,10 +100,12 @@ module Make (P : Protocol.S) : sig
       senders are all kept. *)
 
   val available : bool
-  (** False on sequential-only (4.14) builds; {!run} then fails
-      gracefully. *)
+  (** Always [true]. Kept only because the end-to-end benchmark
+      ([bench/e2e]) still reads it. *)
 
   val unavailable_reason : string
+  (** Always [""]. Kept only because the end-to-end benchmark
+      ([bench/e2e]) still reads it. *)
 
   val run :
     ?transport:transport ->
@@ -128,11 +126,11 @@ module Make (P : Protocol.S) : sig
       seeded by [fault_seed] (default 1); crash/leave faults stop the
       node's process at their round. [dead_after] (default 2) is the
       liveness tracker's silent-round threshold. Defaults to the
-      [`Domains] transport. Errors: runtime unavailable, empty/duplicate
-      node list, a plan naming unknown nodes, recovery/rejoin plans
-      (a real crashed process cannot resume), crash plans without a
-      deadline, a node process raising, or a transport edge failing
-      ({!Transport.error}; the run still shuts down cleanly). *)
+      [`Domains] transport. Errors: empty/duplicate node list, a plan
+      naming unknown nodes, recovery/rejoin plans (a real crashed
+      process cannot resume), crash plans without a deadline, a node
+      process raising, or a transport edge failing ({!Transport.error};
+      the run still shuts down cleanly). *)
 
   val replay : ?delivered:bool -> run -> Oracle.outcome
   (** Feed the recorded schedule through the simulator's arena delivery

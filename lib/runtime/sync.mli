@@ -32,8 +32,8 @@
     peer whose marker sits unread would be reported missing.
 
     The synchronizer is pure state + an injected clock ([~now]), so the
-    deadline/liveness logic unit-tests on any OCaml, including the 4.14
-    leg where the runtime itself cannot run. *)
+    deadline/liveness logic unit-tests without threads or a wall
+    clock. *)
 
 open Ubpa_util
 

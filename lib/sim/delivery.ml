@@ -70,9 +70,10 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
 (*     slices — (offset, length) ranges into one position array — by a   *)
 (*     counting sort, so reading an inbox is a merge of two sorted       *)
 (*     cursors;                                                          *)
-(*   - sender-level broadcast dedup is a Bitset membership test in the   *)
-(*     common one-payload-per-sender case, falling back to a hashed      *)
-(*     payload list only for senders that broadcast twice.               *)
+(*   - sender-level broadcast dedup is a Bitset membership test, so      *)
+(*     only a sender that already broadcast this round pays for a scan   *)
+(*     of its hashed payload list; every accepted broadcast still adds   *)
+(*     its payload to that list.                                         *)
 (*                                                                       *)
 (* Delivery identity with the reference core is the contract: same      *)
 (* sorted inboxes, same [delivered] count, same accept-point             *)
@@ -142,8 +143,11 @@ type 'm view = 'm arena_state
 
 let dummy_id = Node_id.of_int 0
 
-let arena_create ?(hint = 16) () =
-  let hint = max hint 1 in
+(* Initial capacity of the interner and the backing arrays; every one of
+   them grows past it on demand. *)
+let hint = 16
+
+let arena_create () =
   {
     intr = Interner.create ~hint ();
     stamp = 0;

@@ -59,9 +59,8 @@ type 'm arena_state
     holds at most one round of lists, as it holds at most one round of
     payloads. *)
 
-val arena_create : ?hint:int -> unit -> 'm arena_state
-(** Fresh arena state. [hint] sizes the interner and backing arrays to
-    the expected participant count. *)
+val arena_create : unit -> 'm arena_state
+(** Fresh arena state, sized for 16 participants; it grows on demand. *)
 
 type 'm view
 (** One routed round, borrowed from an {!arena_state}: valid until the

@@ -4,13 +4,6 @@ let mean = function
   | [] -> 0.
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let stddev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
-      sqrt var
-
 let sorted xs = List.sort Float.compare xs
 
 let median = function

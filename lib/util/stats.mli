@@ -3,9 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val median : float list -> float
 (** Median (average of middle two for even length); 0 on the empty list. *)
 

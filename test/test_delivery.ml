@@ -18,10 +18,10 @@ let id i = Node_id.of_int i
    subset is present (models halted / not-yet-joined recipients), unicasts
    and broadcasts in random proportion, with deliberate duplicate sends —
    same (sender, payload) repeated as broadcast, as unicast, and as a
-   broadcast/unicast mix. *)
-let random_traffic rng =
+   broadcast/unicast mix. Node ids start at [base]. *)
+let random_traffic ?(base = 0) rng =
   let universe = 2 + Rng.int rng 9 in
-  let ids = List.init universe id in
+  let ids = List.init universe (fun i -> id (base + i)) in
   let present =
     List.filter (fun _ -> Rng.int rng 4 > 0) ids |> Node_id.Set.of_list
   in
@@ -160,12 +160,13 @@ let test_inbox_order () =
    structure fed round after round, presence changing under it, with every
    round's view still matching the reference core on fresh state. This is
    the test that would catch stale-round leakage (marks, slices or dedup
-   tables surviving a clear). *)
+   tables surviving a clear). The ids move up by 10 every 25 rounds, so
+   the state also grows past its initial 16 participants while in use. *)
 let test_arena_state_reuse () =
   let rng = Rng.create 0xA7E4A57A7EL in
-  let state : int Delivery.arena_state = Delivery.arena_create ~hint:4 () in
-  for _ = 1 to 200 do
-    let present, envelopes = random_traffic rng in
+  let state : int Delivery.arena_state = Delivery.arena_create () in
+  for i = 0 to 199 do
+    let present, envelopes = random_traffic ~base:(i / 25 * 10) rng in
     let ref_inboxes, ref_count =
       Delivery.route_reference ~equal:Int.equal ~present ~envelopes ()
     in

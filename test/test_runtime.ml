@@ -1,14 +1,11 @@
 (* The networked runtime against the lockstep simulator: frame codec
    units (including hostile-header rejection), the deadline synchronizer
-   as pure state, the doorbell, flush and receive contracts, inbox
-   assembly, trace diffing, PR-6-style differentials — the same
-   protocol on concurrent per-node processes must produce byte-identical
-   decide sets, trace events, wire counters and monitor verdicts as the
+   as pure state, the in-process doorbell, flush and receive contracts,
+   inbox assembly, trace diffing, differentials — the same protocol on
+   concurrent per-node processes must produce byte-identical decide
+   sets, trace events, wire counters and monitor verdicts as the
    simulator — and the fault-injection path, gated on graceful
-   degradation under the delivered-schedule oracle. The codec and
-   synchronizer tests run on any OCaml; on sequential-only builds the
-   differentials collapse to asserting the graceful "runtime
-   unavailable" error path. *)
+   degradation under the delivered-schedule oracle. *)
 
 open Ubpa_util
 open Ubpa_sim
@@ -16,7 +13,6 @@ open Helpers
 
 module Frame = Ubpa_runtime.Frame
 module Sync = Ubpa_runtime.Sync
-module Backend = Ubpa_runtime.Runtime_backend
 module Transport = Ubpa_runtime.Transport
 module Socket = Ubpa_runtime.Transport_socket
 module Domains = Ubpa_runtime.Transport_domains
@@ -276,23 +272,19 @@ let elapsed f =
 let test_doorbell_ring_before_wait () =
   (* The ring lands before the owner waits: the wait must not sleep
      through it. *)
-  if Backend.available then begin
-    let d = Backend.doorbell () in
-    Backend.ring d;
-    let dt = elapsed (fun () -> Backend.wait d ~timeout:10.) in
-    Backend.close_doorbell d;
-    check_true (Printf.sprintf "returned at once (%.3f s)" dt) (dt < 1.)
-  end
+  let d = Domains.doorbell () in
+  Domains.ring d;
+  let dt = elapsed (fun () -> Domains.wait d ~timeout:10.) in
+  Domains.close_doorbell d;
+  check_true (Printf.sprintf "returned at once (%.3f s)" dt) (dt < 1.)
 
 let test_doorbell_timeout () =
-  if Backend.available then begin
-    let d = Backend.doorbell () in
-    let dt = elapsed (fun () -> Backend.wait d ~timeout:0.02) in
-    Backend.close_doorbell d;
-    check_true
-      (Printf.sprintf "an unrung wait lasts its timeout (%.3f s)" dt)
-      (dt >= 0.02 && dt < 1.)
-  end
+  let d = Domains.doorbell () in
+  let dt = elapsed (fun () -> Domains.wait d ~timeout:0.02) in
+  Domains.close_doorbell d;
+  check_true
+    (Printf.sprintf "an unrung wait lasts its timeout (%.3f s)" dt)
+    (dt >= 0.02 && dt < 1.)
 
 let ok_exn = function
   | Ok x -> x
@@ -379,7 +371,7 @@ let test_closed_hub () =
     T.close hub
   in
   go (module Socket);
-  if Backend.available then go (module Domains)
+  go (module Domains)
 
 (* ----- trace diff ----- *)
 
@@ -476,63 +468,49 @@ let assert_verdict_rb name = function
   | Error e -> Alcotest.failf "%s: runtime error: %s" name e
   | Ok v -> assert_checks name v.Er.v_checks
 
-let test_unavailable_graceful () =
-  if not Ec.RT.available then
-    match Ec.RT.run ~correct:(consensus_correct ~seed:1L 4) () with
-    | Ok _ -> Alcotest.fail "sequential build must not run the runtime"
-    | Error e ->
-        check_true "mentions runtime unavailable"
-          (String.length e >= 19
-          && String.equal (String.sub e 0 19) "runtime unavailable")
-
 let test_consensus_domains_differential () =
-  if Ec.RT.available then
-    List.iter
-      (fun (seed, n) ->
-        assert_verdict
-          (Printf.sprintf "consensus domains seed=%Ld n=%d" seed n)
-          (Ec.run ~transport:`Domains ~max_rounds:40
-             ~correct:(consensus_correct ~seed n) ()))
-      [ (1L, 4); (2L, 5); (7L, 7) ]
+  List.iter
+    (fun (seed, n) ->
+      assert_verdict
+        (Printf.sprintf "consensus domains seed=%Ld n=%d" seed n)
+        (Ec.run ~transport:`Domains ~max_rounds:40
+           ~correct:(consensus_correct ~seed n) ()))
+    [ (1L, 4); (2L, 5); (7L, 7) ]
 
 let test_consensus_socket_differential () =
-  if Ec.RT.available then
-    assert_verdict "consensus socket seed=1 n=5"
-      (Ec.run ~transport:`Socket ~max_rounds:40
-         ~correct:(consensus_correct ~seed:1L 5) ())
+  assert_verdict "consensus socket seed=1 n=5"
+    (Ec.run ~transport:`Socket ~max_rounds:40
+       ~correct:(consensus_correct ~seed:1L 5) ())
 
 let test_rb_differential () =
   (* RB never halts: both runs execute exactly max_rounds and must agree
      on the cumulative accepted sets. *)
-  if Er.RT.available then
-    List.iter
-      (fun transport ->
-        assert_verdict_rb
-          (Printf.sprintf "rb %s" (Er.RT.transport_name transport))
-          (Er.run ~transport ~max_rounds:6
-             ~correct:(rb_correct ~seed:3L 5) ()))
-      [ `Domains; `Socket ]
+  List.iter
+    (fun transport ->
+      assert_verdict_rb
+        (Printf.sprintf "rb %s" (Er.RT.transport_name transport))
+        (Er.run ~transport ~max_rounds:6
+           ~correct:(rb_correct ~seed:3L 5) ()))
+    [ `Domains; `Socket ]
 
 let test_rb_in_process_n130 () =
   (* More node processes than OCaml's 128-domain cap. *)
-  if Er.RT.available then
-    assert_verdict_rb "rb domains n=130"
-      (Er.run ~transport:`Domains ~max_rounds:3
-         ~correct:(rb_correct ~seed:3L 130) ())
+  assert_verdict_rb "rb domains n=130"
+    (Er.run ~transport:`Domains ~max_rounds:3
+       ~correct:(rb_correct ~seed:3L 130) ())
 
 let test_rb_socket_n40 () =
   (* The mesh holds 40 * 39 socket fds, well past select's FD_SETSIZE
      of 1024. *)
-  if Er.RT.available then
-    assert_verdict_rb "rb socket n=40"
-      (Er.run ~transport:`Socket ~max_rounds:3
-         ~correct:(rb_correct ~seed:3L 40) ())
+  assert_verdict_rb "rb socket n=40"
+    (Er.run ~transport:`Socket ~max_rounds:3
+       ~correct:(rb_correct ~seed:3L 40) ())
 
 let test_runs_release_fds () =
   (* Every run opens descriptors: the in-process transport one doorbell
      per node, the socket transport its mesh and no doorbell. All of
      them must be closed when [run] returns. *)
-  if Ec.RT.available && Sys.file_exists "/proc/self/fd" then
+  if Sys.file_exists "/proc/self/fd" then
     let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
     List.iter
       (fun transport ->
@@ -590,120 +568,116 @@ let test_round_ms_pacing () =
   (* A real round deadline on a fault-free run must not change behaviour:
      the marker fast path completes every round before the timer can
      fire, so the exact-lockstep gate still holds. *)
-  if Ec.RT.available then
-    assert_verdict "consensus domains round-ms=50"
-      (Ec.run ~transport:`Domains ~round_ms:50. ~max_rounds:40
-         ~correct:(consensus_correct ~seed:1L 4) ())
+  assert_verdict "consensus domains round-ms=50"
+    (Ec.run ~transport:`Domains ~round_ms:50. ~max_rounds:40
+       ~correct:(consensus_correct ~seed:1L 4) ())
 
 let test_decides_byte_identical () =
   (* The decide sets, rendered, must match byte for byte — the sharpest
      form of the decision-equivalence claim. *)
-  if Ec.RT.available then
-    match
-      Ec.run ~transport:`Domains ~max_rounds:40
-        ~correct:(consensus_correct ~seed:5L 5) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok v ->
-        let render outs =
-          String.concat ";"
-            (List.map
-               (fun (id, o) -> Fmt.str "%a=%d" Node_id.pp id o)
-               outs)
-        in
-        let rt =
-          List.filter_map
-            (fun (s : Ec.RT.node_summary) ->
-              Option.map (fun o -> (s.Ec.RT.ns_id, o)) s.Ec.RT.ns_output)
-            v.Ec.v_run.Ec.RT.r_nodes
-        in
-        let sim = Option.get v.Ec.v_sim in
-        Alcotest.(check string)
-          "decide sets byte-identical" (render sim.Ec.H.outputs) (render rt);
-        Alcotest.(check string)
-          "oracle decide set too" (render sim.Ec.H.outputs)
-          (render v.Ec.v_oracle.Ec.RT.Oracle.outputs)
+  match
+    Ec.run ~transport:`Domains ~max_rounds:40
+      ~correct:(consensus_correct ~seed:5L 5) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok v ->
+      let render outs =
+        String.concat ";"
+          (List.map
+             (fun (id, o) -> Fmt.str "%a=%d" Node_id.pp id o)
+             outs)
+      in
+      let rt =
+        List.filter_map
+          (fun (s : Ec.RT.node_summary) ->
+            Option.map (fun o -> (s.Ec.RT.ns_id, o)) s.Ec.RT.ns_output)
+          v.Ec.v_run.Ec.RT.r_nodes
+      in
+      let sim = Option.get v.Ec.v_sim in
+      Alcotest.(check string)
+        "decide sets byte-identical" (render sim.Ec.H.outputs) (render rt);
+      Alcotest.(check string)
+        "oracle decide set too" (render sim.Ec.H.outputs)
+        (render v.Ec.v_oracle.Ec.RT.Oracle.outputs)
 
 let test_monitor_verdicts_identical () =
   (* Feed the runtime's outcome and the simulator's through the same
      monitor (agreement + event sanity) and compare verdicts. *)
-  if Ec.RT.available then
-    match
-      Ec.run ~transport:`Domains ~max_rounds:40
-        ~correct:(consensus_correct ~seed:4L 5) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok v ->
-        let verdict events obs ~round =
-          let m =
-            Ubpa_monitor.create
-              [
-                Ubpa_monitor.agreement ~equal:Int.equal ();
-                Ubpa_monitor.no_send_after_halt ();
-              ]
-          in
-          List.iter (Ubpa_monitor.observe_event m) events;
-          Ubpa_monitor.observe m ~round obs;
-          List.map
-            (fun (x : Ubpa_monitor.violation) ->
-              (x.Ubpa_monitor.invariant, x.Ubpa_monitor.detail))
-            (Ubpa_monitor.violations m)
+  match
+    Ec.run ~transport:`Domains ~max_rounds:40
+      ~correct:(consensus_correct ~seed:4L 5) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok v ->
+      let verdict events obs ~round =
+        let m =
+          Ubpa_monitor.create
+            [
+              Ubpa_monitor.agreement ~equal:Int.equal ();
+              Ubpa_monitor.no_send_after_halt ();
+            ]
         in
-        let rt_obs =
-          List.map
-            (fun (s : Ec.RT.node_summary) ->
-              {
-                Ubpa_monitor.node = s.Ec.RT.ns_id;
-                joined_at = 1;
-                halted_at = s.Ec.RT.ns_halted_at;
-                down = false;
-                output = s.Ec.RT.ns_output;
-              })
-            v.Ec.v_run.Ec.RT.r_nodes
-        in
-        let round = v.Ec.v_run.Ec.RT.r_rounds in
-        let rt_verdict = verdict v.Ec.v_run.Ec.RT.r_events rt_obs ~round in
-        let sim = Option.get v.Ec.v_sim in
-        let sim_verdict =
-          verdict
-            (Trace.events (Ec.H.Net.trace sim.Ec.H.net))
-            (Ec.H.observations sim.Ec.H.net)
-            ~round
-        in
-        check_true "both monitors green" (rt_verdict = [] && sim_verdict = []);
-        check_true "verdicts identical" (rt_verdict = sim_verdict)
+        List.iter (Ubpa_monitor.observe_event m) events;
+        Ubpa_monitor.observe m ~round obs;
+        List.map
+          (fun (x : Ubpa_monitor.violation) ->
+            (x.Ubpa_monitor.invariant, x.Ubpa_monitor.detail))
+          (Ubpa_monitor.violations m)
+      in
+      let rt_obs =
+        List.map
+          (fun (s : Ec.RT.node_summary) ->
+            {
+              Ubpa_monitor.node = s.Ec.RT.ns_id;
+              joined_at = 1;
+              halted_at = s.Ec.RT.ns_halted_at;
+              down = false;
+              output = s.Ec.RT.ns_output;
+            })
+          v.Ec.v_run.Ec.RT.r_nodes
+      in
+      let round = v.Ec.v_run.Ec.RT.r_rounds in
+      let rt_verdict = verdict v.Ec.v_run.Ec.RT.r_events rt_obs ~round in
+      let sim = Option.get v.Ec.v_sim in
+      let sim_verdict =
+        verdict
+          (Trace.events (Ec.H.Net.trace sim.Ec.H.net))
+          (Ec.H.observations sim.Ec.H.net)
+          ~round
+      in
+      check_true "both monitors green" (rt_verdict = [] && sim_verdict = []);
+      check_true "verdicts identical" (rt_verdict = sim_verdict)
 
 let test_oracle_catches_tampering () =
   (* Drop one delivered message from the recorded schedule: the replay
      oracle must flag the exact round, instead of rubber-stamping. *)
-  if Ec.RT.available then
-    match Ec.RT.run ~max_rounds:40 ~correct:(consensus_correct ~seed:1L 4) () with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok run ->
-        check_true "untampered schedule replays clean"
-          (Ec.RT.replay run).Ec.RT.Oracle.ok;
-        let sc = run.Ec.RT.r_schedule in
-        let tampered_rounds =
-          List.mapi
-            (fun i m ->
-              if i <> 1 then m
-              else
-                Node_id.Map.mapi
-                  (fun _ (nr : Ec.RT.Oracle.node_round) ->
-                    match nr.Ec.RT.Oracle.nr_inbox with
-                    | [] -> nr
-                    | _ :: rest -> { nr with Ec.RT.Oracle.nr_inbox = rest })
-                  m)
-            sc.Ec.RT.Oracle.sc_rounds
-        in
-        let outcome =
-          Ec.RT.Oracle.replay
-            { sc with Ec.RT.Oracle.sc_rounds = tampered_rounds }
-        in
-        check_false "tampered schedule flagged" outcome.Ec.RT.Oracle.ok;
-        match outcome.Ec.RT.Oracle.divergence with
-        | Some d -> check_int "flagged at round 2" 2 d.Ec.RT.Oracle.d_round
-        | None -> Alcotest.fail "expected a divergence report"
+  match Ec.RT.run ~max_rounds:40 ~correct:(consensus_correct ~seed:1L 4) () with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok run ->
+      check_true "untampered schedule replays clean"
+        (Ec.RT.replay run).Ec.RT.Oracle.ok;
+      let sc = run.Ec.RT.r_schedule in
+      let tampered_rounds =
+        List.mapi
+          (fun i m ->
+            if i <> 1 then m
+            else
+              Node_id.Map.mapi
+                (fun _ (nr : Ec.RT.Oracle.node_round) ->
+                  match nr.Ec.RT.Oracle.nr_inbox with
+                  | [] -> nr
+                  | _ :: rest -> { nr with Ec.RT.Oracle.nr_inbox = rest })
+                m)
+          sc.Ec.RT.Oracle.sc_rounds
+      in
+      let outcome =
+        Ec.RT.Oracle.replay
+          { sc with Ec.RT.Oracle.sc_rounds = tampered_rounds }
+      in
+      check_false "tampered schedule flagged" outcome.Ec.RT.Oracle.ok;
+      match outcome.Ec.RT.Oracle.divergence with
+      | Some d -> check_int "flagged at round 2" 2 d.Ec.RT.Oracle.d_round
+      | None -> Alcotest.fail "expected a divergence report"
 
 (* ----- fault injection: graceful degradation differentials ----- *)
 
@@ -720,67 +694,62 @@ let test_deadline_reads_unread_peers () =
      deadlines, after which every survivor presumes it dead. The round
      deadline is roomy so that a loaded host cannot make a live peer
      miss it. *)
-  if Ec.RT.available then begin
-    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
-    let victim = List.hd (Node_id.sorted ids) in
-    let plan = plan_exn ~ids "crash:0@2" in
-    match
-      Ec.RT.run ~transport:`Socket ~round_ms:250. ~max_rounds:6 ~faults:plan
-        ~correct:(consensus_correct ~seed:1L 4) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok run ->
-        check_true "only the crashed node is presumed dead"
-          (List.for_all (fun (_, p, _) -> Node_id.equal p victim) run.r_dead);
-        check_int "every survivor presumes it dead" 3 (List.length run.r_dead);
-        check_int "missing: three survivors, two deadlines each" 6
-          run.r_missing
-  end
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
+  let victim = List.hd (Node_id.sorted ids) in
+  let plan = plan_exn ~ids "crash:0@2" in
+  match
+    Ec.RT.run ~transport:`Socket ~round_ms:250. ~max_rounds:6 ~faults:plan
+      ~correct:(consensus_correct ~seed:1L 4) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok run ->
+      check_true "only the crashed node is presumed dead"
+        (List.for_all (fun (_, p, _) -> Node_id.equal p victim) run.r_dead);
+      check_int "every survivor presumes it dead" 3 (List.length run.r_dead);
+      check_int "missing: three survivors, two deadlines each" 6
+        run.r_missing
 
 let test_faulty_crash_degrades () =
   (* One crash plus background loss, real deadline: the four survivors
      must agree, decide, and replay clean through the delivered-schedule
      oracle, with the victim on the crash ledger. *)
-  if Ec.RT.available then
-    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
-    let plan = plan_exn ~ids "crash:1@3,loss=0.05" in
-    match
-      Ec.run ~round_ms:60. ~max_rounds:40 ~faults:plan ~fault_seed:7L
-        ~correct:(consensus_correct ~seed:1L 5) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok fv ->
-        assert_checks "crash+loss" fv.Ec.v_checks;
-        check_true "graceful degradation verdict" fv.Ec.v_ok;
-        check_int "four survivors" 4 (List.length fv.Ec.v_survivors)
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
+  let plan = plan_exn ~ids "crash:1@3,loss=0.05" in
+  match
+    Ec.run ~round_ms:60. ~max_rounds:40 ~faults:plan ~fault_seed:7L
+      ~correct:(consensus_correct ~seed:1L 5) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok fv ->
+      assert_checks "crash+loss" fv.Ec.v_checks;
+      check_true "graceful degradation verdict" fv.Ec.v_ok;
+      check_int "four survivors" 4 (List.length fv.Ec.v_survivors)
 
 let test_faulty_same_seed_deterministic () =
   (* Every fault decision derives from (seed, src, dst, direction): the
      same plan and seed must reproduce the identical event stream and
      injection counters on both transports — byte for byte. *)
-  if Ec.RT.available then begin
-    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
-    let plan = plan_exn ~ids "loss=0.10" in
-    let go transport =
-      match
-        Ec.run ~transport ~max_rounds:40 ~faults:plan ~fault_seed:3L
-          ~correct:(consensus_correct ~seed:1L 5) ()
-      with
-      | Error e -> Alcotest.failf "runtime error: %s" e
-      | Ok fv ->
-          ( Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events),
-            fv.Ec.v_run.Ec.RT.r_injected )
-    in
-    let ja, ia = go `Domains in
-    let jb, ib = go `Domains in
-    Alcotest.(check string) "same seed, same transport: identical trace" ja jb;
-    let jc, ic = go `Socket in
-    Alcotest.(check string)
-      "domains and socket identical, faults included" ja jc;
-    check_true "injection counters identical" (ia = ib && ia = ic);
-    check_true "loss was actually injected"
-      (ia.Ubpa_runtime.Transport_faulty.inj_lost > 0)
-  end
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
+  let plan = plan_exn ~ids "loss=0.10" in
+  let go transport =
+    match
+      Ec.run ~transport ~max_rounds:40 ~faults:plan ~fault_seed:3L
+        ~correct:(consensus_correct ~seed:1L 5) ()
+    with
+    | Error e -> Alcotest.failf "runtime error: %s" e
+    | Ok fv ->
+        ( Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events),
+          fv.Ec.v_run.Ec.RT.r_injected )
+  in
+  let ja, ia = go `Domains in
+  let jb, ib = go `Domains in
+  Alcotest.(check string) "same seed, same transport: identical trace" ja jb;
+  let jc, ic = go `Socket in
+  Alcotest.(check string)
+    "domains and socket identical, faults included" ja jc;
+  check_true "injection counters identical" (ia = ib && ia = ic);
+  check_true "loss was actually injected"
+    (ia.Ubpa_runtime.Transport_faulty.inj_lost > 0)
 
 (* The chaos-smoke RB cell ([ubpa run --runtime socket --protocol rb -n 5
    --faults "delay:1@1..4=0.5x1,dup=0.05"], seed 1). RB tallies echoes
@@ -815,67 +784,62 @@ let test_rb_delay_cell_late_in_maturing_round () =
   (* Every delay in the cell is one round and every duplicate is held
      one round, so each held frame matures in its send round + 1 and
      must be counted late exactly then, once. *)
-  if Er.RT.available then
-    List.iter
-      (fun transport ->
-        let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
-        let plan = plan_exn ~ids "delay:1@1..4=0.5x1,dup=0.05" in
-        let correct =
-          List.mapi (fun i id -> (id, if i = 0 then Some "m1" else None)) ids
-        in
-        match
-          Er.RT.run ~transport ~max_rounds:6 ~faults:plan ~fault_seed:1L
-            ~correct ()
-        with
-        | Error e -> Alcotest.failf "runtime error: %s" e
-        | Ok run ->
-            let late =
-              List.filter_map
-                (fun (e : Trace.event) ->
-                  try
-                    Scanf.sscanf e.what
-                      "fault: late frame from #%d (sent r%d) dropped"
-                      (fun _ sent -> Some (e.round, sent))
-                  with Scanf.Scan_failure _ | End_of_file -> None)
-                run.r_events
-            in
-            let name = Er.RT.transport_name transport in
-            check_int (name ^ ": one trace event per late frame")
-              run.r_late_frames (List.length late);
-            check_true (name ^ ": delay and duplicates fired") (late <> []);
-            List.iter
-              (fun (round, sent) ->
-                check_int
-                  (Printf.sprintf "%s: frame sent in round %d is late in round"
-                     name sent)
-                  (sent + 1) round)
-              late)
-      [ `Domains; `Socket ]
+  List.iter
+    (fun transport ->
+      let ids = Ubpa_harness.Harness.make_ids ~seed:1L 5 in
+      let plan = plan_exn ~ids "delay:1@1..4=0.5x1,dup=0.05" in
+      let correct =
+        List.mapi (fun i id -> (id, if i = 0 then Some "m1" else None)) ids
+      in
+      match
+        Er.RT.run ~transport ~max_rounds:6 ~faults:plan ~fault_seed:1L
+          ~correct ()
+      with
+      | Error e -> Alcotest.failf "runtime error: %s" e
+      | Ok run ->
+          let late =
+            List.filter_map
+              (fun (e : Trace.event) ->
+                try
+                  Scanf.sscanf e.what
+                    "fault: late frame from #%d (sent r%d) dropped"
+                    (fun _ sent -> Some (e.round, sent))
+                with Scanf.Scan_failure _ | End_of_file -> None)
+              run.r_events
+          in
+          let name = Er.RT.transport_name transport in
+          check_int (name ^ ": one trace event per late frame")
+            run.r_late_frames (List.length late);
+          check_true (name ^ ": delay and duplicates fired") (late <> []);
+          List.iter
+            (fun (round, sent) ->
+              check_int
+                (Printf.sprintf "%s: frame sent in round %d is late in round"
+                   name sent)
+                (sent + 1) round)
+            late)
+    [ `Domains; `Socket ]
 
 let test_rb_delay_cell_victim_only () =
-  if Er.RT.available then begin
-    let victims, undecided, fv = rb_delay_cell ~max_rounds:6 in
-    check_int "one plan victim" 1 (List.length victims);
-    check_int "every node outside the plan accepts" 0 (List.length undecided);
-    check_true "safety stays green"
-      (X.passed fv.Er.v_checks "monitors"
-      && X.passed fv.Er.v_checks "survivor-agreement"
-      && X.passed fv.Er.v_checks "oracle-replay"
-      && X.passed fv.Er.v_checks "crash-view");
-    check_true "survivors-decide passes with the victim excused"
-      (X.passed fv.Er.v_checks "survivors-decide");
-    check_int "the four nodes outside the plan are the survivors" 4
-      (List.length fv.Er.v_survivors)
-  end
+  let victims, undecided, fv = rb_delay_cell ~max_rounds:6 in
+  check_int "one plan victim" 1 (List.length victims);
+  check_int "every node outside the plan accepts" 0 (List.length undecided);
+  check_true "safety stays green"
+    (X.passed fv.Er.v_checks "monitors"
+    && X.passed fv.Er.v_checks "survivor-agreement"
+    && X.passed fv.Er.v_checks "oracle-replay"
+    && X.passed fv.Er.v_checks "crash-view");
+  check_true "survivors-decide passes with the victim excused"
+    (X.passed fv.Er.v_checks "survivors-decide");
+  check_int "the four nodes outside the plan are the survivors" 4
+    (List.length fv.Er.v_survivors)
 
 let test_rb_delay_cell_short_run_fails () =
-  if Er.RT.available then begin
-    let _, undecided, fv = rb_delay_cell ~max_rounds:2 in
-    check_int "no node outside the plan accepts by round 2" 4
-      (List.length undecided);
-    check_false "survivors-decide fails"
-      (X.passed fv.Er.v_checks "survivors-decide")
-  end
+  let _, undecided, fv = rb_delay_cell ~max_rounds:2 in
+  check_int "no node outside the plan accepts by round 2" 4
+    (List.length undecided);
+  check_false "survivors-decide fails"
+    (X.passed fv.Er.v_checks "survivors-decide")
 
 (* RB's consistency relation is not transitive. In [(m1, s)], [(x, t)],
    [(m2, s)] both neighbour pairs are consistent, yet the outer pair
@@ -903,25 +867,24 @@ let isolation_plan = "recv-omit:1@1..12=1.0,recv-omit:2@1..12=1.0"
 let test_faulty_beyond_budget_violates () =
   (* A liveness violation outside the plan: the gate must report it, not
      paper over it. *)
-  if Ec.RT.available then
-    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
-    let plan = plan_exn ~ids isolation_plan in
-    match
-      Ec.run ~max_rounds:12 ~faults:plan ~fault_seed:1L
-        ~correct:(consensus_correct ~seed:1L 4) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok fv ->
-        check_false "isolation must be flagged as a violation" fv.Ec.v_ok;
-        check_true "safety stays green while liveness fails"
-          (X.passed fv.Ec.v_checks "monitors"
-          && X.passed fv.Ec.v_checks "survivor-agreement"
-          && X.passed fv.Ec.v_checks "crash-view"
-          && X.passed fv.Ec.v_checks "oracle-replay");
-        check_int "two survivors outside the plan" 2
-          (List.length fv.Ec.v_survivors);
-        check_false "the survivors cannot decide"
-          (X.passed fv.Ec.v_checks "survivors-decide")
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
+  let plan = plan_exn ~ids isolation_plan in
+  match
+    Ec.run ~max_rounds:12 ~faults:plan ~fault_seed:1L
+      ~correct:(consensus_correct ~seed:1L 4) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok fv ->
+      check_false "isolation must be flagged as a violation" fv.Ec.v_ok;
+      check_true "safety stays green while liveness fails"
+        (X.passed fv.Ec.v_checks "monitors"
+        && X.passed fv.Ec.v_checks "survivor-agreement"
+        && X.passed fv.Ec.v_checks "crash-view"
+        && X.passed fv.Ec.v_checks "oracle-replay");
+      check_int "two survivors outside the plan" 2
+        (List.length fv.Ec.v_survivors);
+      check_false "the survivors cannot decide"
+        (X.passed fv.Ec.v_checks "survivors-decide")
 
 (* ----- golden: the committed beyond-budget trace ----- *)
 
@@ -936,24 +899,22 @@ let test_committed_rt2_trace_golden () =
   (* Re-run RT2's beyond-budget isolation cell with the bench's exact
      parameters and require the recorded trace to match the committed
      artifact byte for byte. *)
-  if Ec.RT.available then begin
-    let ic = open_in_bin baseline_rt2 in
-    let len = in_channel_length ic in
-    let committed = really_input_string ic len in
-    close_in ic;
-    let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
-    let plan = plan_exn ~ids isolation_plan in
-    match
-      Ec.run ~transport:`Domains ~max_rounds:12 ~faults:plan
-        ~fault_seed:1L ~correct:(consensus_correct ~seed:1L 4) ()
-    with
-    | Error e -> Alcotest.failf "runtime error: %s" e
-    | Ok fv ->
-        Alcotest.(check string)
-          "fresh violation trace matches bench/baseline/TRACE_RT2.jsonl"
-          committed
-          (Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events))
-  end
+  let ic = open_in_bin baseline_rt2 in
+  let len = in_channel_length ic in
+  let committed = really_input_string ic len in
+  close_in ic;
+  let ids = Ubpa_harness.Harness.make_ids ~seed:1L 4 in
+  let plan = plan_exn ~ids isolation_plan in
+  match
+    Ec.run ~transport:`Domains ~max_rounds:12 ~faults:plan
+      ~fault_seed:1L ~correct:(consensus_correct ~seed:1L 4) ()
+  with
+  | Error e -> Alcotest.failf "runtime error: %s" e
+  | Ok fv ->
+      Alcotest.(check string)
+        "fresh violation trace matches bench/baseline/TRACE_RT2.jsonl"
+        committed
+        (Trace.to_jsonl (Trace.of_events fv.Ec.v_run.Ec.RT.r_events))
 
 let suite =
   ( "runtime",
@@ -980,7 +941,6 @@ let suite =
       quick "trace diff divergence" test_trace_diff_divergence;
       quick "trace diff prefix" test_trace_diff_prefix;
       quick "trace of_events roundtrip" test_trace_of_events_roundtrip;
-      quick "unavailable is graceful" test_unavailable_graceful;
       quick "consensus domains differential" test_consensus_domains_differential;
       quick "consensus socket differential" test_consensus_socket_differential;
       quick "rb differential both transports" test_rb_differential;
