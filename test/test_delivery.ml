@@ -19,7 +19,7 @@ let id i = Node_id.of_int i
    and broadcasts in random proportion, with deliberate duplicate sends —
    same (sender, payload) repeated as broadcast, as unicast, and as a
    broadcast/unicast mix. Node ids start at [base]. *)
-let random_traffic ?(base = 0) rng =
+let random_traffic ~base rng =
   let universe = 2 + Rng.int rng 9 in
   let ids = List.init universe (fun i -> id (base + i)) in
   let present =
@@ -86,7 +86,7 @@ let check_same ~present ~envelopes =
 let test_differential_random () =
   let rng = Rng.create 0xD311FEA7L in
   for _ = 1 to 300 do
-    let present, envelopes = random_traffic rng in
+    let present, envelopes = random_traffic ~base:0 rng in
     check_same ~present ~envelopes
   done
 
@@ -211,7 +211,7 @@ let test_arena_inbox_retention () =
     Delivery.route_arena ~state ~equal:Int.equal ~present ~envelopes ()
   in
   for _ = 1 to 100 do
-    let ((present, envelopes) as round) = random_traffic rng in
+    let ((present, envelopes) as round) = random_traffic ~base:0 rng in
     let ref_inboxes, _ =
       Delivery.route_reference ~equal:Int.equal ~present ~envelopes ()
     in
@@ -220,7 +220,7 @@ let test_arena_inbox_retention () =
       Node_id.Map.mapi (fun nid _ -> Delivery.view_inbox view nid) ref_inboxes
     in
     for _ = 1 to 2 do
-      let view = route (random_traffic rng) in
+      let view = route (random_traffic ~base:0 rng) in
       List.iter
         (fun nid -> ignore (Delivery.view_inbox view nid))
         (Delivery.view_present view)
