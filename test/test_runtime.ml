@@ -1,11 +1,11 @@
 (* The networked runtime against the lockstep simulator: frame codec
    units (including hostile-header rejection), the deadline synchronizer
-   as pure state, the in-process doorbell, flush and receive contracts,
-   inbox assembly, trace diffing, differentials — the same protocol on
-   concurrent per-node processes must produce byte-identical decide
-   sets, trace events, wire counters and monitor verdicts as the
-   simulator — and the fault-injection path, gated on graceful
-   degradation under the delivered-schedule oracle. *)
+   as pure state, the in-process mailbox and doorbell, the flush and
+   receive contracts, inbox assembly, trace diffing, differentials —
+   the same protocol on concurrent per-node processes must produce
+   byte-identical decide sets, trace events, wire counters and monitor
+   verdicts as the simulator — and the fault-injection path, gated on
+   graceful degradation under the delivered-schedule oracle. *)
 
 open Ubpa_util
 open Ubpa_sim
@@ -262,7 +262,7 @@ let test_sync_halt_excuses () =
   check_true "round completes without the halted peer"
     (Sync.ready s ~now:0. <> None)
 
-(* ----- doorbell, flush and receive contracts ----- *)
+(* ----- mailbox, doorbell, flush and receive contracts ----- *)
 
 let elapsed f =
   let t0 = Unix.gettimeofday () in
@@ -285,6 +285,42 @@ let test_doorbell_timeout () =
   check_true
     (Printf.sprintf "an unrung wait lasts its timeout (%.3f s)" dt)
     (dt >= 0.02 && dt < 1.)
+
+let test_mailbox_fifo_per_producer () =
+  (* Producers push while the owner drains: every item arrives exactly
+     once, and each producer's items arrive in the order it pushed them,
+     across drains. *)
+  let producers = 3 and per = 500 in
+  let m = Domains.mailbox () in
+  let threads =
+    List.init producers (fun p ->
+        Thread.create
+          (fun () ->
+            for k = 0 to per - 1 do
+              Domains.push m (p, k);
+              if k mod 50 = 0 then Thread.yield ()
+            done)
+          ())
+  in
+  let next = Array.make producers 0 in
+  let received = ref 0 in
+  let take (p, k) =
+    if k <> next.(p) then
+      Alcotest.failf "producer %d: item %d arrived, expected %d" p k next.(p);
+    next.(p) <- k + 1;
+    incr received
+  in
+  while !received < producers * per do
+    match Domains.drain m with
+    | [] -> Thread.yield ()
+    | items -> List.iter take items
+  done;
+  List.iter Thread.join threads;
+  check_int "nothing left after the last push" 0
+    (List.length (Domains.drain m));
+  Array.iteri
+    (fun p n -> check_int (Printf.sprintf "producer %d complete" p) per n)
+    next
 
 let ok_exn = function
   | Ok x -> x
@@ -932,6 +968,7 @@ let suite =
       quick "sync halt excuses the peer" test_sync_halt_excuses;
       quick "doorbell ring before wait" test_doorbell_ring_before_wait;
       quick "doorbell wait times out" test_doorbell_timeout;
+      quick "mailbox FIFO per producer" test_mailbox_fifo_per_producer;
       quick "socket frames wait for flush" test_socket_flush_contract;
       quick "socket peer closed is a typed outcome" test_socket_peer_closed;
       quick "socket mesh holds n(n-1) descriptors" test_socket_mesh_fds;
