@@ -1068,6 +1068,14 @@ let check_cmd =
       no_symmetry cex_file expect seed =
     (* No n > 3f warning: the checker explores the boundary on purpose. *)
     valid_nf n f;
+    (* [Checker.check]'s other preconditions, as a usage error *)
+    if max_rounds < 1 || crashes < 0 || omissions < 0 then begin
+      Fmt.epr
+        "ubpa check: need --max-rounds >= 1 and non-negative --crashes and \
+         --omissions, got %d, %d and %d@."
+        max_rounds crashes omissions;
+      exit 2
+    end;
     let check (module M : Ubpa_check.Model.S) =
       let module C = Ubpa_check.Checker.Make (M) in
       let r =

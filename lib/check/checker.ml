@@ -5,13 +5,14 @@
    scripts and re-executed on expansion (protocol states are mutable, so
    a config is cheapest to materialize by replaying its script from the
    root); within one expansion the replayed simulation is branched into
-   siblings that step each (node, delivered inbox) once ([memo]).
-   Expansion runs on the multicore Pool in strict submission order and
-   dedup keeps first occurrences, so results are byte-identical at any
-   --jobs. Correct nodes run through the round kernel Network runs
-   (Ubpa_sim.Kernel); the checker keeps the adversary's scripted
-   actions, routing through the reference delivery core, the state keys
-   and the step memo. See docs/CHECKING.md. *)
+   siblings that share one routing of the base's sends, step each (node,
+   delivered inbox) once ([memo]) and share each enumeration of the next
+   round's Byzantine vectors. Expansion runs on the multicore Pool in
+   strict submission order and dedup keeps first occurrences, so results
+   are byte-identical at any --jobs. Correct nodes run through the round
+   kernel Network runs (Ubpa_sim.Kernel); the checker keeps the
+   adversary's scripted actions, routing through the reference delivery
+   core, the state keys and the step memo. See docs/CHECKING.md. *)
 
 open Ubpa_util
 module Envelope = Ubpa_sim.Envelope
@@ -68,13 +69,76 @@ module Make (M : Model.S) = struct
 
   module K = Ubpa_sim.Kernel.Make (M.P)
 
+  (* ---------------------------------------------------------------- *)
+  (* Key writers                                                       *)
+  (* ---------------------------------------------------------------- *)
+
+  (* Keys are binary and prefix-free ({!Key}). Protocol messages have no
+     binary writer of their own, so a payload is keyed by its printed
+     form: [payload] is a per-expansion memo that prints each distinct
+     message once (see [payload_writer]). *)
+
+  module Pmap = Map.Make (struct
+    type t = P.message
+
+    let compare = P.compare_message
+  end)
+
+  (* A fresh memo per call, so Pool workers never share one. *)
+  let payload_writer () =
+    let memo = ref Pmap.empty in
+    fun b m ->
+      let s =
+        match Pmap.find_opt m !memo with
+        | Some s -> s
+        | None ->
+            let s = Fmt.str "%a" P.pp_message m in
+            memo := Pmap.add m s !memo;
+            s
+      in
+      Key.string b s
+
+  let envelope_key ~payload b (env : P.message Envelope.t) =
+    Key.id b env.src;
+    (match env.dst with
+    | Envelope.Broadcast -> Key.tag b 0
+    | Envelope.To dst ->
+        Key.tag b 1;
+        Key.id b dst);
+    payload b env.payload
+
+  (* One node's part of [config_key]. *)
+  let node_key b (n : K.node) state_key =
+    Key.id b n.id;
+    Key.option Key.int b n.halted_at;
+    Key.option Key.int b n.down_since;
+    Key.string b state_key;
+    Key.option (fun b o -> Key.string b (M.output_key o)) b n.last_output
+
+  (* One node's step as the memo stores it: the delivered inbox it was
+     stepped on, the kernel's step result, and the parts [config_key]
+     writes for the node and for its sends, deferred until first asked
+     for. *)
+  type stepped = {
+    s_inbox : (Node_id.t * P.message) list;
+    s_step : K.step;
+    s_node : string Lazy.t;  (** the node's [node_key] after [K.apply] *)
+    s_sends : string Lazy.t;  (** its sends' envelope keys, in send order *)
+    s_count : int;  (** its send count *)
+  }
+
+  (* How [config_key] writes a node: from its record and its lazily
+     computed state key, or, for a node stepped under a memo, from the
+     memo entry's cached parts. *)
+  type keyed = Own of string Lazy.t | Memo of stepped
+
   (* A configuration in execution: the kernel's nodes (ascending id),
      round, trace and pending envelopes, plus what only the checker
-     keeps — each node's input and lazily computed state key. *)
+     keeps — each node's input and how its key is written. *)
   type sim = {
     k : K.t;
     inputs : P.input array;  (** by node position, never copied *)
-    keys : string Lazy.t array;  (** [M.state_key] of each node's state *)
+    keyed : keyed array;
     byz_ids : Node_id.t list;  (** ascending *)
   }
 
@@ -93,7 +157,8 @@ module Make (M : Model.S) = struct
     {
       k = K.create ?trace nodes;
       inputs = Array.of_list (List.map snd correct);
-      keys = Array.map (fun (n : K.node) -> lazy (M.state_key n.state)) nodes;
+      keyed =
+        Array.map (fun (n : K.node) -> Own (lazy (M.state_key n.state))) nodes;
       byz_ids = Node_id.sorted byzantine;
     }
 
@@ -104,34 +169,60 @@ module Make (M : Model.S) = struct
     let nodes =
       Array.map (fun (n : K.node) -> { n with state = n.state }) base.k.nodes
     in
-    { base with k = { base.k with nodes }; keys = Array.copy base.keys }
-
-  (* One node's step as the memo stores it: the delivered inbox it was
-     stepped on, the kernel's step result and the state key, deferred
-     until first asked for. *)
-  type stepped = {
-    s_inbox : (Node_id.t * P.message) list;
-    s_step : K.step;
-    s_key : string Lazy.t;
-  }
+    { base with k = { base.k with nodes }; keyed = Array.copy base.keyed }
 
   (* The step memo of one expansion: per node, one entry per distinct
      delivered inbox (after routing and the omission filter). The
      siblings of an expansion share the round and every base state, and
      a step is a deterministic function of (self, round, state, inbox),
      so siblings that deliver a node the same inbox share one stepped
-     state, its sends, status and key. Sharing is safe because a sibling
-     is only read after its one step (properties, [all_done], vector
-     enumeration, [config_key]); the next layer replays from scripts. *)
-  type memo = stepped list array
+     state, its sends, status and key parts. Sharing is safe because a
+     sibling is only read after its one step (properties, [all_halted],
+     vector enumeration, [config_key]); the next layer replays from
+     scripts. *)
+  type memo = {
+    payload : Buffer.t -> P.message -> unit;  (** the expansion's writer *)
+    entries : stepped list array;  (** by node position *)
+  }
 
-  (* Senders first; then payloads, by [==] before [P.equal_message]:
-     siblings deliver the physically same correct payloads. *)
+  (* Physically equal first: a node no Byzantine vector addresses is
+     delivered the base's routed inbox itself. Then senders; then
+     payloads, by [==] before [P.equal_message]: siblings deliver the
+     physically same correct payloads. *)
   let same_inbox a b =
-    List.equal (fun (s, _) (s', _) -> Node_id.equal s s') a b
-    && List.for_all2
-         (fun (_, m) (_, m') -> m == m' || P.equal_message m m')
-         a b
+    a == b
+    || List.equal (fun (s, _) (s', _) -> Node_id.equal s s') a b
+       && List.for_all2
+            (fun (_, m) (_, m') -> m == m' || P.equal_message m m')
+            a b
+
+  (* The memo entry of node [n] stepped on [inbox]. Its node part is
+     [node_key] of [n] itself, written once the kernel has applied the
+     step: every sibling that shares the entry stepped the same base node
+     on the same inbox in the same round, so [K.apply] leaves all their
+     records alike, and a sibling is read only after its step. Its sends
+     are the envelopes [K.apply] emits from [n]: every one, in send
+     order, since the memo step's filter accepts all. *)
+  let memo_entry ~payload (n : K.node) inbox
+      ((state, sends, _) as step : K.step) =
+    {
+      s_inbox = inbox;
+      s_step = step;
+      s_node =
+        lazy
+          (Key.to_string ~size:256
+             (fun b n -> node_key b n (M.state_key state))
+             n);
+      s_sends =
+        lazy
+          (Key.to_string
+             (fun b ->
+               List.iter (fun (dst, m) ->
+                   envelope_key ~payload b
+                     { Envelope.src = n.id; dst; payload = m }))
+             sends);
+      s_count = List.length sends;
+    }
 
   (* The step supplier of the kernel's loop. Without a memo the node
      steps its own state. Under a memo, node [i] of a sibling still holds
@@ -141,30 +232,40 @@ module Make (M : Model.S) = struct
     match memo with
     | None ->
         let ((state, _, _) as s) = K.call sim.k n ~stim:[] n.state ~inbox in
-        sim.keys.(i) <- lazy (M.state_key state);
+        sim.keyed.(i) <- Own (lazy (M.state_key state));
         s
     | Some memo ->
         let s =
           match
-            List.find_opt (fun s -> same_inbox s.s_inbox inbox) memo.(i)
+            List.find_opt (fun s -> same_inbox s.s_inbox inbox) memo.entries.(i)
           with
           | Some s -> s
           | None ->
-              let ((state, _, _) as step) =
-                K.call sim.k n ~stim:[] (M.copy_state n.state) ~inbox
-              in
               let s =
-                {
-                  s_inbox = inbox;
-                  s_step = step;
-                  s_key = lazy (M.state_key state);
-                }
+                memo_entry ~payload:memo.payload n inbox
+                  (K.call sim.k n ~stim:[] (M.copy_state n.state) ~inbox)
               in
-              memo.(i) <- s :: memo.(i);
+              memo.entries.(i) <- s :: memo.entries.(i);
               s
         in
-        sim.keys.(i) <- s.s_key;
+        sim.keyed.(i) <- Memo s;
         s.s_step
+
+  (* Who a round's envelopes can reach: every live correct node and
+     every Byzantine node. *)
+  let present_of sim =
+    Node_id.Set.union
+      (Node_id.Set.of_list (K.active_ids sim.k))
+      (Node_id.Set.of_list sim.byz_ids)
+
+  let route ~present envelopes =
+    fst
+      (Delivery.route_reference ~equal:P.equal_message ~present ~envelopes ())
+
+  let inbox_in inboxes id =
+    match Node_id.Map.find_opt id inboxes with Some l -> l | None -> []
+
+  let by_sender (a, _) (b, _) = Node_id.compare a b
 
   (* One synchronous round under adversary action [a]: the scripted
      joins and crash, delivery through the engine's reference core (so
@@ -172,8 +273,18 @@ module Make (M : Model.S) = struct
      are inherited rather than re-implemented), the scripted receive
      omission, the kernel's step loop, then the rushing adversary's
      scripted sends. Under [memo] the nodes step through the expansion's
-     step memo. *)
-  let step ?memo sim (a : action) =
+     step memo.
+
+     [routed] is [(present, inboxes)]: the routing of envelopes already
+     taken out of this configuration, an expansion's base sends. The
+     round then routes only what is pending, a sibling's Byzantine
+     unicasts, and merges each recipient's two inboxes by sender. That
+     equals routing them all at once: the two sender sets are disjoint,
+     dedup is per (sender, payload), [route_reference] stable-sorts by
+     sender, and a recipient's inbox does not depend on who else is
+     present (the base's [present] still holds a node this round
+     crashes, but a crashed node is never stepped). *)
+  let step ?memo ?routed sim (a : action) =
     let k = sim.k in
     k.round <- k.round + 1;
     let round = k.round and tr = k.tr in
@@ -196,19 +307,21 @@ module Make (M : Model.S) = struct
             n.down_since <- Some round;
             Trace.recordf tr ~round ~node:id ~kind:Trace.Fault "fault: crash"
         | _ -> ()));
-    let present =
-      Node_id.Set.union
-        (Node_id.Set.of_list (K.active_ids k))
-        (Node_id.Set.of_list sim.byz_ids)
-    in
-    let inboxes, _delivered =
-      Delivery.route_reference ~equal:P.equal_message ~present
-        ~envelopes:(K.take_pending k) ()
+    let routed_inbox =
+      match routed with
+      | None -> inbox_in (route ~present:(present_of sim) (K.take_pending k))
+      | Some (present, base) -> (
+          match K.take_pending k with
+          | [] -> inbox_in base
+          | envelopes ->
+              let own = route ~present envelopes in
+              fun id ->
+                match inbox_in own id with
+                | [] -> inbox_in base id
+                | l -> List.merge by_sender (inbox_in base id) l)
     in
     let inbox_of id =
-      let inbox =
-        match Node_id.Map.find_opt id inboxes with Some l -> l | None -> []
-      in
+      let inbox = routed_inbox id in
       match a.omit with
       | Some (src, dst) when Node_id.equal dst id ->
           List.filter
@@ -259,65 +372,44 @@ module Make (M : Model.S) = struct
   (* Canonical configuration key                                       *)
   (* ---------------------------------------------------------------- *)
 
-  (* Keys are binary and prefix-free ({!Key}). Protocol messages have no
-     binary writer of their own, so a payload is keyed by its printed
-     form: [payload] is a per-expansion memo that prints each distinct
-     message once (see [payload_writer]). *)
-
-  module Pmap = Map.Make (struct
-    type t = P.message
-
-    let compare = P.compare_message
-  end)
-
-  (* A fresh memo per call, so Pool workers never share one. *)
-  let payload_writer () =
-    let memo = ref Pmap.empty in
-    fun b m ->
-      let s =
-        match Pmap.find_opt m !memo with
-        | Some s -> s
-        | None ->
-            let s = Fmt.str "%a" P.pp_message m in
-            memo := Pmap.add m s !memo;
-            s
-      in
-      Key.string b s
-
-  let envelope_key ~payload b (env : P.message Envelope.t) =
-    Key.id b env.src;
-    (match env.dst with
-    | Envelope.Broadcast -> Key.tag b 0
-    | Envelope.To dst ->
-        Key.tag b 1;
-        Key.id b dst);
-    payload b env.payload
-
   (* Everything but the round's Byzantine vector, which [byz_vectors]
-     keys separately as a [vector_suffix]. Node state keys come from
-     [keys], so a state shared by siblings is keyed once. Pending
-     envelopes are keyed in delivery order, as [Key.list] would key the
-     reversal of the kernel's newest-first list, without building it. *)
-  let config_key ~payload sim =
-    let b = Buffer.create 1024 in
+     keys separately as a [vector_suffix]: the round, then each node's
+     [node_key], then the pending envelopes in delivery order. A node
+     stepped under the memo contributes its entry's cached parts; any
+     other node (the root's, or one halted, down or crashed by this
+     sibling's action) is written from its record and shared state key.
+     Pending envelopes are exactly the memo-stepped nodes' sends, in node
+     order — the kernel's step loop emits them so, the memo step's filter
+     keeps every send, and a sibling's action sends nothing Byzantine —
+     so they are those nodes' cached send keys, concatenated, and the
+     count check below guards that. The root has neither stepped nodes
+     nor pending envelopes. *)
+  let config_key sim =
+    let size = ref 16 and sends = ref 0 in
+    Array.iter
+      (function
+        | Memo s ->
+            size :=
+              !size + String.length (Lazy.force s.s_node)
+              + String.length (Lazy.force s.s_sends);
+            sends := !sends + s.s_count
+        | Own key -> size := !size + 32 + String.length (Lazy.force key))
+      sim.keyed;
+    assert (!sends = List.length sim.k.pending);
+    let b = Buffer.create !size in
     Key.int b sim.k.round;
     Key.int b (Array.length sim.k.nodes);
     Array.iteri
       (fun i (n : K.node) ->
-        Key.id b n.id;
-        Key.option Key.int b n.halted_at;
-        Key.option Key.int b n.down_since;
-        Key.string b (Lazy.force sim.keys.(i));
-        Key.option (fun b o -> Key.string b (M.output_key o)) b n.last_output)
+        match sim.keyed.(i) with
+        | Memo s -> Buffer.add_string b (Lazy.force s.s_node)
+        | Own key -> node_key b n (Lazy.force key))
       sim.k.nodes;
-    Key.int b (List.length sim.k.pending);
-    let rec oldest_first = function
-      | [] -> ()
-      | env :: older ->
-          oldest_first older;
-          envelope_key ~payload b env
-    in
-    oldest_first sim.k.pending;
+    Key.int b !sends;
+    Array.iter
+      (function
+        | Memo s -> Buffer.add_string b (Lazy.force s.s_sends) | Own _ -> ())
+      sim.keyed;
     Buffer.contents b
 
   (* A Byzantine vector's key: its entry count, then each entry's
@@ -472,9 +564,11 @@ module Make (M : Model.S) = struct
      [gr_benign] and differing only in the round-[k] byz vector (one
      entry of [gr_vectors]). Siblings have identical protocol states —
      byz sends only extend [pending] — so one replay serves the whole
-     group, and a successor costs a route plus a step and a key per
-     distinct delivered inbox ([memo]). [gr_benign = None] only for the
-     root (round 0, no action yet). *)
+     group. The base's sends are routed once per expansion; a successor
+     costs the routing of its own vector, a step and a key part per
+     distinct delivered inbox ([memo]), and one enumeration of next-round
+     vectors per distinct tagged recipient list. [gr_benign = None] only
+     for the root (round 0, no action yet). *)
   type group = {
     gr_prefix : action list;  (** newest first; rounds 1..k-1 *)
     gr_benign : action option;  (** round k's benign action, [byz = []] *)
@@ -509,8 +603,10 @@ module Make (M : Model.S) = struct
      lexicographically non-decreasing within a clone class (identical
      input and identical adversary history, neither pinned) — per-sender
      sorting alone would prune both representatives of some orbits when
-     several byz senders are in play. *)
-  let byz_vectors ~payload ~symmetry ~palette ~byz ~recipients ~clone_class =
+     several byz senders are in play. [tagged] lists the recipients in
+     ascending id order, each with its clone class, or [None] where the
+     reduction does not apply. *)
+  let byz_vectors ~payload ~palette ~byz tagged =
     let opts = Array.of_list palette in
     let n_opts = 1 + Array.length opts in
     let byz = Array.of_list byz in
@@ -528,11 +624,6 @@ module Make (M : Model.S) = struct
             c := !c / n_opts
           done;
           a)
-    in
-    let tagged =
-      List.map
-        (fun r -> (r, if symmetry then clone_class r else None))
-        recipients
     in
     (* group equal classes adjacently (stable, so ascending id within) *)
     let tagged =
@@ -687,17 +778,45 @@ module Make (M : Model.S) = struct
       List.iter (step sim) (List.rev script_newest);
       sim
     in
+    let symmetric = symmetry && M.recipient_symmetric in
+    let silent_vectors = ([ ([], silent_suffix) ], 0) in
     (* Expand one sibling group: replay the shared prefix once, take the
-       shared benign step, then per sibling vector attach the byz
-       envelopes, branch over the next round's benign events, step the
-       sibling through the expansion's memo, check properties and
-       enumerate the next canonical byz vectors. Pure, and the memo is
-       local: safe on the Pool. *)
+       shared benign step and route its sends once, then per sibling
+       vector route the byz envelopes, branch over the next round's
+       benign events, step the sibling through the expansion's memo,
+       check properties and enumerate the next canonical byz vectors.
+       Pure, and every memo is local: safe on the Pool. *)
     let expand g =
       let payload = payload_writer () in
       let base = replay_script g.gr_prefix in
       (match g.gr_benign with None -> () | Some b -> step base b);
-      let memo : memo = Array.make (Array.length base.k.nodes) [] in
+      (* the base's sends come from correct nodes only, and every
+         sibling delivers them alike *)
+      let routed =
+        let present = present_of base in
+        (present, route ~present (K.take_pending base.k))
+      in
+      let memo =
+        { payload; entries = Array.make (Array.length base.k.nodes) [] }
+      in
+      (* The next round's vectors depend only on the arrival round and on
+         the tagged recipients (who is live, and in which clone class),
+         which the siblings of an expansion mostly share: enumerate them
+         once per distinct pair. *)
+      let vector_memo = ref [] in
+      let vectors_for ~arrival tagged =
+        match List.assoc_opt (arrival, tagged) !vector_memo with
+        | Some v -> v
+        | None ->
+            let v =
+              match M.palette ~arrival ~correct ~byzantine with
+              | [] -> silent_vectors
+              | palette ->
+                  byz_vectors ~payload ~palette ~byz:base.byz_ids tagged
+            in
+            vector_memo := ((arrival, tagged), v) :: !vector_memo;
+            v
+      in
       let benign' =
         let crashes =
           if g.gr_crashes < crash_budget then
@@ -741,9 +860,8 @@ module Make (M : Model.S) = struct
           List.iter
             (fun (crash, omit) ->
               let sim' = sibling base in
-              (* the vector's envelopes go out after the base's sends *)
-              sim'.k.pending <- List.rev_append byz_envs sim'.k.pending;
-              step ~memo sim' { crash; omit; byz = [] };
+              sim'.k.pending <- List.rev byz_envs;
+              step ~memo ~routed sim' { crash; omit; byz = [] };
               let action' = { crash; omit; byz = [] } in
               match check_properties ~props sim' with
               | Some (property, detail) ->
@@ -763,24 +881,21 @@ module Make (M : Model.S) = struct
                     K.all_halted sim'.k ~written_off:(fun _ -> true)
                   in
                   let vectors, skipped =
-                    if terminal || sim'.k.round >= max_rounds then
-                      ([ ([], silent_suffix) ], 0)
+                    if terminal || sim'.k.round >= max_rounds || byzantine = []
+                    then silent_vectors
                     else
-                      let palette =
-                        M.palette ~arrival:(sim'.k.round + 1) ~correct
-                          ~byzantine
+                      let recipients = K.active_ids sim'.k in
+                      let tagged =
+                        if symmetric then
+                          let clone_class =
+                            clone_classes ~payload ~pinned
+                              ~inputs:correct_inputs
+                              (List.rev (action' :: parent_script))
+                          in
+                          List.map (fun r -> (r, clone_class r)) recipients
+                        else List.map (fun r -> (r, None)) recipients
                       in
-                      if palette = [] || byzantine = [] then
-                        ([ ([], silent_suffix) ], 0)
-                      else
-                        byz_vectors ~payload
-                          ~symmetry:(symmetry && M.recipient_symmetric)
-                          ~palette ~byz:base.byz_ids
-                          ~recipients:(K.active_ids sim'.k)
-                          ~clone_class:
-                            (clone_classes ~payload ~pinned
-                               ~inputs:correct_inputs
-                               (List.rev (action' :: parent_script)))
+                      vectors_for ~arrival:(sim'.k.round + 1) tagged
                   in
                   skips := !skips + skipped;
                   succs :=
@@ -788,7 +903,7 @@ module Make (M : Model.S) = struct
                       {
                         b_prefix = parent_script;
                         b_benign = action';
-                        b_base = config_key ~payload sim';
+                        b_base = config_key sim';
                         b_keyed = vectors;
                         b_terminal = terminal;
                         b_round = sim'.k.round;
@@ -846,9 +961,7 @@ module Make (M : Model.S) = struct
           } )
     in
     let root_sim = make_sim ~correct:correct_inputs ~byzantine () in
-    Pair_tbl.add seen
-      (base_id (config_key ~payload:(payload_writer ()) root_sim), silent_suffix)
-      ();
+    Pair_tbl.add seen (base_id (config_key root_sim), silent_suffix) ();
     let frontier =
       ref
         [
@@ -948,6 +1061,9 @@ module Make (M : Model.S) = struct
       ?(crash_budget = 0) ?(omit_budget = 0) ?(seed = 7L) ~n ~f ~max_rounds ()
       =
     if f < 0 || f >= n then invalid_arg "Checker.check: need 0 <= f < n";
+    if max_rounds < 1 then invalid_arg "Checker.check: need max_rounds >= 1";
+    if crash_budget < 0 || omit_budget < 0 then
+      invalid_arg "Checker.check: need non-negative fault budgets";
     let correct, byzantine =
       Ubpa_harness.Harness.split_population ~seed ~n_correct:(n - f) ~n_byz:f
     in

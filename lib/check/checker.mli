@@ -77,7 +77,10 @@ module Make (M : Model.S) : sig
       distinct configurations per root; [crash_budget] / [omit_budget]
       (default 0) bound benign fault events per execution; [seed]
       (default 7) scatters the node-id population exactly like the
-      harness does. *)
+      harness does.
+
+      @raise Invalid_argument unless [0 <= f < n], [max_rounds >= 1] and
+      both budgets are non-negative. *)
 
   type replay_outcome = {
     finished : [ `All_halted | `Max_rounds_reached of Node_id.t list ];

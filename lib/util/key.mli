@@ -8,10 +8,14 @@
     bytes: they are compared and hashed, never printed. *)
 
 val int : Buffer.t -> int -> unit
-(** Eight bytes, little-endian. *)
+(** Zigzag LEB128: the sign folded into the low bit, then seven bits per
+    byte, least significant first, the high bit set on every byte but the
+    last. One byte for [-64 <= i < 64], two for [-8192 <= i < 8192], and
+    at most nine ([max_int], [min_int]). The code is injective and
+    prefix-free, so string lengths and list counts use it too. *)
 
 val id : Buffer.t -> Node_id.t -> unit
-(** As {!int}. *)
+(** As {!int}: five bytes for the 30-bit ids of {!Node_id.scatter}. *)
 
 val tag : Buffer.t -> int -> unit
 (** One byte; [0 <= tag < 256]. Distinguishes constructors. *)

@@ -307,6 +307,82 @@ let prop_arena_differential =
       && same_inboxes ref_inboxes inboxes
       && Ubpa_obs.Wire.equal ref_wire wire)
 
+(* The bounded checker routes an expansion's base sends (correct
+   senders, broadcasts and unicasts) once, and each sibling's Byzantine
+   unicasts apart, then merges every recipient's two inboxes by sender.
+   With disjoint sender sets that equals routing the concatenation. It
+   also routes the base once for a superset of a sibling's recipients,
+   which is sound because removing a recipient changes only that
+   recipient's inbox. *)
+let gen_split =
+  QCheck2.Gen.(
+    let* universe = int_range 2 9 in
+    let* present_mask = array_size (pure universe) bool in
+    let* second_mask = array_size (pure universe) bool in
+    let node = int_bound (universe - 1) in
+    let* msgs =
+      list_size (int_bound 50) (triple node (option node) (int_bound 4))
+    in
+    let* removed = node in
+    pure (universe, present_mask, second_mask, msgs, removed))
+
+let prop_split_routing =
+  QCheck2.Test.make ~count:300
+    ~name:"reference routing splits by disjoint sender sets" gen_split
+    (fun (universe, present_mask, second_mask, msgs, removed) ->
+      let present =
+        List.init universe Fun.id
+        |> List.filter (fun i -> present_mask.(i))
+        |> List.map id |> Node_id.Set.of_list
+      in
+      let envelopes msgs =
+        List.concat
+          (List.mapi
+             (fun i (src, dst, payload) ->
+               let env =
+                 match dst with
+                 | None -> Envelope.broadcast ~src:(id src) payload
+                 | Some d -> Envelope.send ~src:(id src) ~dst:(id d) payload
+               in
+               if i mod 3 = 0 then [ env; env ] else [ env ])
+             msgs)
+      in
+      let first, second =
+        List.partition (fun (src, _, _) -> not second_mask.(src)) msgs
+      in
+      (* the second set sends unicasts only *)
+      let first = envelopes first
+      and second =
+        envelopes
+          (List.map
+             (fun (src, dst, payload) ->
+               (src, Some (Option.value dst ~default:src), payload))
+             second)
+      in
+      let route present envelopes =
+        fst (Delivery.route_reference ~equal:Int.equal ~present ~envelopes ())
+      in
+      let inbox inboxes r =
+        Option.value (Node_id.Map.find_opt r inboxes) ~default:[]
+      in
+      let same =
+        List.equal (fun (s, p) (s', p') -> Node_id.equal s s' && p = p')
+      in
+      let by_sender (a, _) (b, _) = Node_id.compare a b in
+      let together = route present (first @ second) in
+      let a = route present first and b = route present second in
+      let without =
+        route (Node_id.Set.remove (id removed) present) (first @ second)
+      in
+      Node_id.Set.for_all
+        (fun r ->
+          same (inbox together r)
+            (List.merge by_sender (inbox a r) (inbox b r))
+          && (Node_id.equal r (id removed)
+             || same (inbox together r) (inbox without r)))
+        present
+      && not (Node_id.Map.mem (id removed) without))
+
 (* ----- full protocol runs under both cores ----- *)
 
 module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
@@ -506,4 +582,4 @@ let suite =
         test_queued_join_still_runs;
       Alcotest.test_case "clock shim is monotonic" `Quick test_clock_monotonic;
     ]
-    @ Helpers.qcheck_cases [ prop_arena_differential ] )
+    @ Helpers.qcheck_cases [ prop_arena_differential; prop_split_routing ] )
