@@ -94,10 +94,10 @@ check:
 	dune exec bin/bench_diff.exe -- --check-claims results/json-mc/
 
 # Deeper, slower sweeps straight through the CLI — not part of any gate.
-# On a 2-vCPU Xeon VM, serial: rb n=5 takes 0.3 s and consensus n=4 3.2 s;
-# rb n=4 at 6 rounds takes 18 s at a 3.8 GB peak RSS (5 rounds peak at
-# about 0.9 GB). `make check-full JOBS=0` uses every core for the
-# frontier expansion.
+# On a 2-vCPU Xeon VM, serial: rb n=5 takes 0.2 s and consensus n=4 1.7 s;
+# rb n=4 at 6 rounds takes 6.2 s at a 559 MB peak RSS (5 rounds: 1.9 s,
+# 185 MB). `make check-full JOBS=0` uses every core for the frontier
+# expansion.
 check-full:
 	dune exec bin/ubpa_cli.exe -- check --protocol rb -n 5 -f 1 \
 		--max-rounds 3 --jobs $(JOBS) --expect verified
