@@ -64,6 +64,66 @@ let renaming_fingerprint ~seed =
     s.R.outputs;
   fnv1a (Buffer.contents buf)
 
+(* The rotor-coordinator's hosts send their relay echoes in the order their
+   tally first saw each candidate, which follows the order in which the
+   host hands its buffered echoes over. Consensus and RB traces are pinned
+   elsewhere; these three seeded runs pin the send order of the standalone
+   rotor, binary consensus and parallel consensus under attack. *)
+let trace_fingerprint run =
+  let trace = Ubpa_sim.Trace.create () in
+  run trace;
+  fnv1a (Ubpa_sim.Trace.to_jsonl trace)
+
+let population ~n_correct ~n_byz =
+  Ubpa_harness.Harness.split_population ~seed:23L ~n_correct ~n_byz
+
+let rotor_trace trace =
+  let module R = Scenarios.Rotor_int in
+  let correct, byz = population ~n_correct:10 ~n_byz:3 in
+  let staggered i =
+    R.Attacks.staggered_announcer ~fraction:(0.35 +. (0.15 *. float_of_int i))
+  in
+  R.Net.create ~seed:23L ~trace
+    ~correct:(List.mapi (fun i id -> (id, i)) correct)
+    ~byzantine:(List.mapi (fun i id -> (id, staggered i)) byz)
+    ()
+  |> R.Net.run ~max_rounds:500
+  |> ignore
+
+let binary_trace trace =
+  let module B = Scenarios.Binary in
+  let correct, byz = population ~n_correct:7 ~n_byz:2 in
+  B.Net.create ~seed:23L ~trace
+    ~correct:(List.mapi (fun i id -> (id, i mod 2 = 0)) correct)
+    ~byzantine:
+      (List.map (fun id -> (id, Ubpa_adversary.Bc_attacks.split_world)) byz)
+    ()
+  |> B.Net.run ~max_rounds:2000
+  |> ignore
+
+let parallel_trace trace =
+  let module P = Scenarios.Parallel_int in
+  let correct, byz = population ~n_correct:7 ~n_byz:2 in
+  P.Net.create ~seed:23L ~trace
+    ~correct:(List.mapi (fun i id -> (id, [ (1, i mod 2); (2, 5) ])) correct)
+    ~byzantine:
+      (List.map (fun id -> (id, P.Attacks.split_instance ~id:1 0 1)) byz)
+    ()
+  |> P.Net.run ~max_rounds:1000
+  |> ignore
+
+let test_rotor_host_traces () =
+  List.iter
+    (fun (name, run, expected) ->
+      check_fp (name ^ ": JSONL fingerprint") expected (trace_fingerprint run))
+    [
+      ("rotor, staggered announcers", rotor_trace, 0x57bb0dfb68efd762L);
+      ("binary consensus, split world", binary_trace, 0xad8a8445f5c39c54L);
+      ( "parallel consensus, split instance",
+        parallel_trace,
+        0xfeb09f8dca025eaeL );
+    ]
+
 let test_total_order_goldens () =
   List.iter
     (fun (seed, expected) ->
@@ -97,4 +157,6 @@ let suite =
         test_total_order_goldens;
       quick "renaming sweep matches pre-refactor goldens"
         test_renaming_goldens;
+      quick "rotor hosts' seeded traces keep their send order"
+        test_rotor_host_traces;
     ] )
