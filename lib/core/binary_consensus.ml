@@ -22,7 +22,6 @@ type state = {
   mutable x_v : bool;
   mutable local_round : int;
   mutable heard_from : Node_id.Set.t;  (** n_v is cumulative here *)
-  mutable cand_buffer : (Node_id.t * Node_id.t) list;
   mutable coordinator : Node_id.t option;
   mutable strong_support : bool;
       (** saw a 2n_v/3 support quorum in this phase's position 3 *)
@@ -43,7 +42,6 @@ let init ~self ~round:_ ~index input =
     x_v = input;
     local_round = 0;
     heard_from = Node_id.Set.empty;
-    cand_buffer = [];
     coordinator = None;
     strong_support = false;
     rotor_finished = false;
@@ -91,6 +89,9 @@ let tally_bool st inbox ~extract =
     inbox;
   t
 
+let echo p = Cand_echo p
+let is_init = function Init -> true | _ -> false
+
 let step ~self:_ ~round:_ ~stim:_ st ~inbox =
   st.local_round <- st.local_round + 1;
   List.iter
@@ -100,21 +101,14 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
   List.iter
     (fun (src, msg) ->
       match msg with
-      | Cand_echo p -> st.cand_buffer <- (src, p) :: st.cand_buffer
+      | Cand_echo p -> Rotor_core.hear st.rotor ~sender:src p
       | _ -> ())
     inbox;
   match st.local_round with
-  | 1 -> (st, [ (Envelope.Broadcast, Init) ], Protocol.Continue)
-  | 2 ->
-      let sends =
-        List.filter_map
-          (fun (src, msg) ->
-            match msg with
-            | Init -> Some (Envelope.Broadcast, Cand_echo src)
-            | _ -> None)
-          inbox
-      in
-      (st, sends, Protocol.Continue)
+  | (1 | 2) as local_round ->
+      ( st,
+        Rotor_core.opening ~local_round ~init:Init ~is_init ~echo inbox,
+        Protocol.Continue )
   | _ -> (
       match position st with
       | 1 ->
@@ -147,35 +141,20 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
           | _ -> st.strong_support <- false);
           (st, [], Protocol.Continue)
       | 4 ->
-          let echoes = st.cand_buffer in
-          st.cand_buffer <- [];
-          let res =
-            Rotor_core.rotor_round st.rotor ~self:st.self ~n_v ~echoes
+          let turn =
+            Rotor_core.turn st.rotor ~self:st.self ~n_v ~echo
+              ~opinions:(fun () -> [ Opinion st.x_v ])
           in
-          st.coordinator <- res.selected;
-          st.rotor_finished <- res.finished;
-          let sends =
-            List.map (fun p -> (Envelope.Broadcast, Cand_echo p)) res.relay_echoes
-          in
-          let sends =
-            if res.i_am_coordinator then
-              (Envelope.Broadcast, Opinion st.x_v) :: sends
-            else sends
-          in
-          (st, sends, Protocol.Continue)
+          st.coordinator <- turn.selected;
+          st.rotor_finished <- turn.finished;
+          (st, turn.sends, Protocol.Continue)
       | _ ->
           (* Adopt the coordinator unless this phase produced a strong
              support quorum. *)
           let coordinator_opinion =
-            match st.coordinator with
-            | None -> None
-            | Some p ->
-                List.fold_left
-                  (fun acc (src, msg) ->
-                    match msg with
-                    | Opinion c when Node_id.equal src p -> Some c
-                    | _ -> acc)
-                  None inbox
+            Rotor_core.opinion_of st.coordinator inbox ~opinion:(function
+              | Opinion c -> Some c
+              | _ -> None)
           in
           (match coordinator_opinion with
           | Some c when (not st.strong_support) && st.decided = None ->

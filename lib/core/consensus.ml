@@ -27,8 +27,6 @@ module Make (V : Value.S) = struct
         st.decided_phase <- Some (Core.phase st.core);
         (st, sends, Protocol.Stop x)
 
-  let decided_phase st = st.decided_phase
-  let current_opinion st = Core.opinion st.core
   let member_count st = Core.n_v st.core
 
   let copy_state st = { st with core = Core.copy st.core }

@@ -21,11 +21,6 @@ module Make (V : Value.S) : sig
        and type output = V.t
        and type message = Core.message
 
-  val decided_phase : state -> int option
-  (** Phase in which this node decided, if it has. *)
-
-  val current_opinion : state -> V.t
-
   val member_count : state -> int
   (** The node's fixed [n_v], 0 before round 3. *)
 

@@ -57,8 +57,6 @@ module Make (V : Value.S) = struct
     mutable member_slots : int array;  (** [members], ascending, at freeze *)
     mutable members_asc : Node_id.t list;  (** ascending, cached at freeze *)
     mutable n_v : int;
-    mutable cand_buffer : (Node_id.t * Node_id.t) list;
-        (** (sender, candidate) echoes accumulated for the next rotor round *)
     mutable coordinator : Node_id.t option;
         (** selected at position 4, consulted at position 5 *)
     mutable strong_stash : (Node_id.t * V.t) list;
@@ -83,7 +81,6 @@ module Make (V : Value.S) = struct
       member_slots = [||];
       members_asc = [];
       n_v = 0;
-      cand_buffer = [];
       coordinator = None;
       strong_stash = [];
       sent_input = None;
@@ -109,17 +106,14 @@ module Make (V : Value.S) = struct
     |> List.sort Node_id.compare
 
   (* Canonical id-space fingerprint for the bounded checker's dedup.
-     Set-semantics fields ([members], [phase_silent], the echo and
-     strongprefer buffers — every consumer runs them through a tally whose
-     thresholds and deterministic tie-break are insertion-order free) are
-     written as sorted ids; everything else is written verbatim. *)
+     Set-semantics fields ([members], [phase_silent], the rotor's echo
+     buffer and the strongprefer buffer — every consumer runs them through
+     a tally whose thresholds and deterministic tie-break are
+     insertion-order free) are written as sorted ids; everything else is
+     written verbatim. *)
   let key b t =
     let members = ids_of t t.members in
     let silent = ids_of t t.phase_silent in
-    let pair_cmp (a, b) (c, d) =
-      match Node_id.compare a c with 0 -> Node_id.compare b d | x -> x
-    in
-    let cands = List.sort pair_cmp t.cand_buffer in
     let stash =
       List.sort
         (fun (a, x) (b, y) ->
@@ -131,11 +125,6 @@ module Make (V : Value.S) = struct
     Key.int b t.n_v;
     Key.list Key.id b members;
     Rotor_core.fingerprint b t.rotor;
-    Key.list
-      (fun b (s, p) ->
-        Key.id b s;
-        Key.id b p)
-      b cands;
     Key.option Key.id b t.coordinator;
     Key.list
       (fun b (s, x) ->
@@ -180,13 +169,8 @@ module Make (V : Value.S) = struct
           t.member_slots);
     (tally, spoke)
 
-  let buffer_cand_echoes t inbox =
-    List.iter
-      (fun (src, msg) ->
-        match msg with
-        | Cand_echo p -> t.cand_buffer <- (src, p) :: t.cand_buffer
-        | _ -> ())
-      inbox
+  let echo p = Cand_echo p
+  let is_init = function Init -> true | _ -> false
 
   let step t ~inbox =
     t.local_round <- t.local_round + 1;
@@ -205,17 +189,9 @@ module Make (V : Value.S) = struct
           inbox
     in
     match t.local_round with
-    | 1 -> ([ (Envelope.Broadcast, Init) ], Running)
-    | 2 ->
-        let sends =
-          List.filter_map
-            (fun (src, msg) ->
-              match msg with
-              | Init -> Some (Envelope.Broadcast, Cand_echo src)
-              | _ -> None)
-            inbox
-        in
-        (sends, Running)
+    | (1 | 2) as local_round ->
+        ( Rotor_core.opening ~local_round ~init:Init ~is_init ~echo inbox,
+          Running )
     | _ -> (
         if t.local_round = 3 then begin
           (* Freeze membership: the round >= 4 filter above rejects new
@@ -227,7 +203,12 @@ module Make (V : Value.S) = struct
                  (Bitset.fold t.members ~init:[] ~f:(fun acc s -> s :: acc)));
           t.members_asc <- ids_of t t.members
         end;
-        buffer_cand_echoes t inbox;
+        List.iter
+          (fun (src, msg) ->
+            match msg with
+            | Cand_echo p -> Rotor_core.hear t.rotor ~sender:src p
+            | _ -> ())
+          inbox;
         match position t with
         | 1 ->
             (* Fresh phase: broadcast the current opinion. *)
@@ -290,21 +271,12 @@ module Make (V : Value.S) = struct
                 (fun (src, msg) ->
                   match msg with Strongprefer x -> Some (src, x) | _ -> None)
                 inbox;
-            let echoes = t.cand_buffer in
-            t.cand_buffer <- [];
-            let res =
-              Rotor_core.rotor_round t.rotor ~self:t.self ~n_v:t.n_v ~echoes
+            let turn =
+              Rotor_core.turn t.rotor ~self:t.self ~n_v:t.n_v ~echo
+                ~opinions:(fun () -> [ Opinion t.x_v ])
             in
-            t.coordinator <- res.selected;
-            let sends =
-              List.map (fun p -> (Envelope.Broadcast, Cand_echo p)) res.relay_echoes
-            in
-            let sends =
-              if res.i_am_coordinator then
-                (Envelope.Broadcast, Opinion t.x_v) :: sends
-              else sends
-            in
-            (sends, Running)
+            t.coordinator <- turn.selected;
+            (turn.sends, Running)
         | _ ->
             (* Position 5: resolve the phase. The strongprefer tally comes
                from position 4's inbox; the coordinator's opinion arrives
@@ -333,15 +305,9 @@ module Make (V : Value.S) = struct
               tly
             in
             let coordinator_opinion =
-              match t.coordinator with
-              | None -> None
-              | Some p ->
-                  List.fold_left
-                    (fun acc (src, msg) ->
-                      match msg with
-                      | Opinion x when Node_id.equal src p -> Some x
-                      | _ -> acc)
-                    None inbox
+              Rotor_core.opinion_of t.coordinator inbox ~opinion:(function
+                | Opinion x -> Some x
+                | _ -> None)
             in
             let best = Value_tally.max_by_count tally in
             (match best with

@@ -90,7 +90,6 @@ module Make (V : Value.S) = struct
     mutable heard_from : Node_id.Set.t;
     mutable members : Node_id.Set.t;
     mutable n_v : int;
-    mutable cand_buffer : (Node_id.t * Node_id.t) list;
     mutable coordinator : Node_id.t option;
     mutable insts : inst list;  (** ascending instance id *)
   }
@@ -120,7 +119,6 @@ module Make (V : Value.S) = struct
       heard_from = Node_id.Set.empty;
       members = Node_id.Set.empty;
       n_v = 0;
-      cand_buffer = [];
       coordinator = None;
       insts =
         List.sort
@@ -183,14 +181,6 @@ module Make (V : Value.S) = struct
         | _ -> None)
       inbox
 
-  let buffer_cand_echoes t inbox =
-    List.iter
-      (fun (src, msg) ->
-        match msg with
-        | Cand_echo p -> t.cand_buffer <- (src, p) :: t.cand_buffer
-        | _ -> ())
-      inbox
-
   (* Identifiers appearing in this inbox with a body accepted for discovery
      at the current position. *)
   let discoveries t inbox ~extract =
@@ -204,6 +194,9 @@ module Make (V : Value.S) = struct
           | _ -> None)
         inbox
       |> List.sort_uniq Int.compare
+
+  let echo p = Cand_echo p
+  let is_init = function Init -> true | Cand_echo _ | Inst _ -> false
 
   let step t ~inbox =
     t.local_round <- t.local_round + 1;
@@ -223,23 +216,20 @@ module Make (V : Value.S) = struct
       else List.filter (fun (src, _) -> Node_id.Set.mem src t.members) inbox
     in
     match t.local_round with
-    | 1 -> ([ (Envelope.Broadcast, Init) ], Running)
-    | 2 ->
-        let sends =
-          List.filter_map
-            (fun (src, msg) ->
-              match msg with
-              | Init -> Some (Envelope.Broadcast, Cand_echo src)
-              | _ -> None)
-            inbox
-        in
-        (sends, Running)
+    | (1 | 2) as local_round ->
+        ( Rotor_core.opening ~local_round ~init:Init ~is_init ~echo inbox,
+          Running )
     | _ -> (
         if t.local_round = 3 then begin
           t.members <- t.heard_from;
           t.n_v <- Node_id.Set.cardinal t.members
         end;
-        buffer_cand_echoes t inbox;
+        List.iter
+          (fun (src, msg) ->
+            match msg with
+            | Cand_echo p -> Rotor_core.hear t.rotor ~sender:src p
+            | _ -> ())
+          inbox;
         let first_phase = phase t = 1 in
         match position t with
         | 1 ->
@@ -353,26 +343,13 @@ module Make (V : Value.S) = struct
                     | Nostrongpreference -> Some `Marker
                     | _ -> None))
               (live t);
-            let echoes = t.cand_buffer in
-            t.cand_buffer <- [];
-            let res =
-              Rotor_core.rotor_round t.rotor ~self:t.self ~n_v:t.n_v ~echoes
+            let turn =
+              Rotor_core.turn t.rotor ~self:t.self ~n_v:t.n_v ~echo
+                ~opinions:(fun () ->
+                  List.map (fun i -> Inst (i.inst_id, Opinion i.x)) (live t))
             in
-            t.coordinator <- res.selected;
-            let sends =
-              List.map
-                (fun p -> (Envelope.Broadcast, Cand_echo p))
-                res.relay_echoes
-            in
-            let sends =
-              if res.i_am_coordinator then
-                List.map
-                  (fun i -> (Envelope.Broadcast, Inst (i.inst_id, Opinion i.x)))
-                  (live t)
-                @ sends
-              else sends
-            in
-            (sends, Running)
+            t.coordinator <- turn.selected;
+            (turn.sends, Running)
         | _ ->
             (* Position 5: resolve every live instance. *)
             List.iter
@@ -397,17 +374,9 @@ module Make (V : Value.S) = struct
                     ~markers
                 in
                 let coordinator_opinion =
-                  match t.coordinator with
-                  | None -> None
-                  | Some p ->
-                      List.fold_left
-                        (fun acc (src, msg) ->
-                          match msg with
-                          | Inst (id, Opinion c)
-                            when id = i.inst_id && Node_id.equal src p ->
-                              Some c
-                          | _ -> acc)
-                        None inbox
+                  Rotor_core.opinion_of t.coordinator inbox ~opinion:(function
+                    | Inst (id, Opinion c) when id = i.inst_id -> Some c
+                    | _ -> None)
                 in
                 let best = Opinion_tally.max_by_count tally in
                 (match best with

@@ -59,22 +59,18 @@ module Make (V : Value.S) = struct
       (fun (src, _) -> st.heard_from <- Node_id.Set.add src st.heard_from)
       inbox
 
+  let echo p = Echo p
+  let is_init = function Init -> true | Echo _ | Opinion _ -> false
+
   let step ~self ~round ~stim:_ st ~inbox =
     st.local_round <- st.local_round + 1;
     note_senders st inbox;
     let n_v = Node_id.Set.cardinal st.heard_from in
     match st.local_round with
-    | 1 -> (st, [ (Envelope.Broadcast, Init) ], Protocol.Continue)
-    | 2 ->
-        let sends =
-          List.filter_map
-            (fun (src, msg) ->
-              match msg with
-              | Init -> Some (Envelope.Broadcast, Echo src)
-              | Echo _ | Opinion _ -> None)
-            inbox
-        in
-        (st, sends, Protocol.Continue)
+    | (1 | 2) as local_round ->
+        ( st,
+          Rotor_core.opening ~local_round ~init:Init ~is_init ~echo inbox,
+          Protocol.Continue )
     | _ ->
         (* Accept the opinion of the coordinator selected in the previous
            round, if it arrived (Algorithm 2, line "opnac"). *)
@@ -89,16 +85,19 @@ module Make (V : Value.S) = struct
                       (ridx, p', x) :: st.accepted_opinions
                 | Opinion _ | Init | Echo _ -> ())
               inbox);
-        let echoes =
-          List.filter_map
-            (fun (src, msg) ->
-              match msg with
-              | Echo p -> Some (src, p)
-              | Init | Opinion _ -> None)
-            inbox
+        (* Heard in reverse, so the turn hands this round's echoes to the
+           tally in inbox order. *)
+        List.iter
+          (fun (src, msg) ->
+            match msg with
+            | Echo p -> Rotor_core.hear st.core ~sender:src p
+            | Init | Opinion _ -> ())
+          (List.rev inbox);
+        let turn =
+          Rotor_core.turn st.core ~self ~n_v ~echo ~opinions:(fun () ->
+              [ Opinion st.opinion ])
         in
-        let res = Rotor_core.rotor_round st.core ~self ~n_v ~echoes in
-        if res.finished then
+        if turn.finished then
           ( st,
             [],
             Protocol.Stop
@@ -109,21 +108,7 @@ module Make (V : Value.S) = struct
               } )
         else begin
           st.prev_selected <-
-            Option.map
-              (fun p ->
-                (* rotor index of this selection = last recorded entry *)
-                match List.rev (Rotor_core.selections st.core) with
-                | (i, _) :: _ -> (i, p)
-                | [] -> (0, p))
-              res.selected;
-          let sends =
-            List.map (fun p -> (Envelope.Broadcast, Echo p)) res.relay_echoes
-          in
-          let sends =
-            if res.i_am_coordinator then
-              (Envelope.Broadcast, Opinion st.opinion) :: sends
-            else sends
-          in
-          (st, sends, Protocol.Continue)
+            Option.map (fun p -> (turn.loop_index, p)) turn.selected;
+          (st, turn.sends, Protocol.Continue)
         end
 end

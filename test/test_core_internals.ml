@@ -20,79 +20,170 @@ let index = Interner.of_ids ([ a; b; c; d ] @ strangers)
 let echoes_from senders candidate =
   List.map (fun s -> (s, candidate)) senders
 
+(* A host message type for driving the rotor by hand. *)
+type msg = Init | Echo of Node_id.t | Opinion of int
+
+let hear r echoes =
+  List.iter (fun (sender, p) -> Rotor_core.hear r ~sender p) echoes
+
+(* One rotor turn at n_v = 4 over everything heard so far, plus [echoes]. *)
+let turn ?(self = a) ?(echoes = []) r =
+  hear r echoes;
+  Rotor_core.turn r ~self ~n_v:4
+    ~echo:(fun p -> Echo p)
+    ~opinions:(fun () -> [ Opinion 42 ])
+
+let relayed (t : msg Rotor_core.turn) =
+  List.filter_map (function _, Echo p -> Some p | _ -> None) t.sends
+
 let test_rotor_core_thresholds () =
   let r = Rotor_core.create ~index () in
   (* 1 echo out of n_v = 4: below n_v/3 -> neither relayed nor added. *)
-  let res =
-    Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(echoes_from [ b ] (id 7))
-  in
-  check_true "not relayed" (res.relay_echoes = []);
+  let res = turn r ~echoes:(echoes_from [ b ] (id 7)) in
+  check_true "not relayed" (relayed res = []);
   check_true "not selected" (res.selected = None);
   (* 2 of 4 echoes: past n_v/3, below 2n_v/3 -> relayed, not added. *)
-  let res =
-    Rotor_core.rotor_round r ~self:a ~n_v:4
-      ~echoes:(echoes_from [ b; c ] (id 7))
-  in
-  check_true "relayed" (res.relay_echoes = [ id 7 ]);
+  let res = turn r ~echoes:(echoes_from [ b; c ] (id 7)) in
+  check_true "relayed" (relayed res = [ id 7 ]);
   check_true "still not in C" (Rotor_core.candidates r = []);
   (* 3 of 4: past 2n_v/3 -> added and immediately selectable. *)
-  let res =
-    Rotor_core.rotor_round r ~self:a ~n_v:4
-      ~echoes:(echoes_from [ b; c; d ] (id 7))
-  in
+  let res = turn r ~echoes:(echoes_from [ b; c; d ] (id 7)) in
   check_true "added" (Rotor_core.candidates r = [ id 7 ]);
   check_true "selected" (res.selected = Some (id 7))
 
 let test_rotor_core_duplicate_echo_senders () =
   let r = Rotor_core.create ~index () in
   (* The same sender echoing thrice counts once. *)
-  let res =
-    Rotor_core.rotor_round r ~self:a ~n_v:4
-      ~echoes:[ (b, id 7); (b, id 7); (b, id 7) ]
-  in
+  let res = turn r ~echoes:[ (b, id 7); (b, id 7); (b, id 7) ] in
   check_true "one sender is not a quorum" (Rotor_core.candidates r = []);
-  check_true "not relayed either" (res.relay_echoes = [])
+  check_true "not relayed either" (relayed res = [])
 
 let test_rotor_core_round_robin_and_wrap () =
   let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
   (* Round 0: all three candidates arrive at once. *)
-  let res0 =
-    Rotor_core.rotor_round r ~self:a ~n_v:4
-      ~echoes:(all (id 10) @ all (id 20) @ all (id 30))
-  in
+  let res0 = turn r ~echoes:(all (id 10) @ all (id 20) @ all (id 30)) in
   check_true "sorted C" (Rotor_core.candidates r = [ id 10; id 20; id 30 ]);
   check_true "select smallest first" (res0.selected = Some (id 10));
-  let res1 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:[] in
+  check_int "loop index 0" 0 res0.loop_index;
+  let res1 = turn r in
   check_true "then second" (res1.selected = Some (id 20));
-  let res2 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:[] in
+  check_int "loop index 1" 1 res1.loop_index;
+  let res2 = turn r in
   check_true "then third" (res2.selected = Some (id 30));
-  let res3 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:[] in
-  check_true "wrap terminates" res3.finished
+  let res3 = turn r in
+  check_true "wrap terminates" res3.finished;
+  check_true "selections oldest first"
+    (Rotor_core.selections r = [ (0, id 10); (1, id 20); (2, id 30) ])
 
 let test_rotor_core_shift_repeats_instead_of_breaking () =
   let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
-  let res0 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(all (id 20)) in
+  let res0 = turn r ~echoes:(all (id 20)) in
   check_true "first selection" (res0.selected = Some (id 20));
   (* A smaller candidate arrives late and shifts C: position 1 now re-hits
      20. This must repeat the turn, not terminate (r=1 < |C|=2). *)
-  let res1 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(all (id 5)) in
+  let res1 = turn r ~echoes:(all (id 5)) in
   check_false "no premature break" res1.finished;
   check_true "repeat of 20" (res1.selected = Some (id 20));
   (* r=2 wraps onto the never-selected newcomer 5: it still gets a turn. *)
-  let res2 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:[] in
+  let res2 = turn r in
   check_false "newcomer still gets its turn" res2.finished;
   check_true "newcomer selected" (res2.selected = Some (id 5));
   (* r=3 >= |C|=2 re-hits a selected coordinator: now the break fires. *)
-  let res3 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:[] in
+  let res3 = turn r in
   check_true "wrap break" res3.finished
 
 let test_rotor_core_i_am_coordinator () =
   let r = Rotor_core.create ~index () in
   let all = echoes_from [ a; b; c; d ] in
-  let res = Rotor_core.rotor_round r ~self:(id 10) ~n_v:4 ~echoes:(all (id 10)) in
-  check_true "self selected" res.i_am_coordinator
+  let res = turn r ~self:(id 10) ~echoes:(all (id 10)) in
+  (* The coordinator's opinions go out before the relay echoes. *)
+  check_true "self selected: opinion first"
+    (List.map snd res.sends = [ Opinion 42; Echo (id 10) ]);
+  let other = Rotor_core.create ~index () in
+  let res = turn other ~echoes:(all (id 10)) in
+  check_true "other node: relay only"
+    (List.map snd res.sends = [ Echo (id 10) ])
+
+let test_rotor_core_echoes_across_rounds () =
+  let r = Rotor_core.create ~index () in
+  (* Heard over three rounds, with b repeating: three distinct senders. *)
+  hear r [ (b, id 7) ];
+  hear r [ (c, id 7); (b, id 7) ];
+  hear r [ (b, id 7) ];
+  check_true "nothing counts before the turn" (Rotor_core.candidates r = []);
+  let res = turn r ~echoes:[ (d, id 7) ] in
+  check_true "b, c, d: added and selected" (res.selected = Some (id 7));
+  (* b thrice and c once are two senders: relayed, not added. *)
+  let r = Rotor_core.create ~index () in
+  hear r [ (b, id 8); (c, id 8) ];
+  hear r [ (b, id 8); (b, id 8) ];
+  let res = turn r in
+  check_true "two senders relay" (relayed res = [ id 8 ]);
+  check_true "two senders do not add" (Rotor_core.candidates r = [])
+
+let test_rotor_core_turn_empties_buffer () =
+  let r = Rotor_core.create ~index () in
+  let res = turn r ~echoes:(echoes_from [ b; c ] (id 7)) in
+  check_true "relayed once" (relayed res = [ id 7 ]);
+  let res = turn r in
+  check_true "not relayed again" (relayed res = []);
+  hear r (echoes_from [ b ] (id 7));
+  let res = turn r in
+  check_true "earlier echoes do not count again" (relayed res = [])
+
+let key r =
+  let buf = Buffer.create 64 in
+  Rotor_core.fingerprint buf r;
+  Buffer.contents buf
+
+let test_rotor_core_copy_keeps_buffer_apart () =
+  let r = Rotor_core.create ~index () in
+  hear r [ (b, id 7) ];
+  let before = key r in
+  let r' = Rotor_core.copy r in
+  hear r' [ (c, id 7) ];
+  check_true "original's buffer untouched" (String.equal before (key r));
+  check_true "original relays nothing" (relayed (turn r) = []);
+  check_true "copy counts both echoes" (relayed (turn r') = [ id 7 ])
+
+let test_rotor_core_fingerprint_covers_buffer () =
+  let fresh () = Rotor_core.create ~index () in
+  let empty = fresh () and one = fresh () in
+  hear one [ (b, id 7) ];
+  check_false "a buffered echo changes the key"
+    (String.equal (key empty) (key one));
+  let ab = fresh () and ba = fresh () in
+  hear ab [ (b, id 7); (c, id 8) ];
+  hear ba [ (c, id 8); (b, id 7) ];
+  check_true "buffer order does not" (String.equal (key ab) (key ba));
+  ignore (turn one);
+  ignore (turn empty);
+  check_true "a turn clears it from the key"
+    (String.equal (key empty) (key one))
+
+let test_rotor_core_opening_and_opinion () =
+  let open Ubpa_sim in
+  let is_init = function Init -> true | Echo _ | Opinion _ -> false in
+  let opening local_round inbox =
+    Rotor_core.opening ~local_round ~init:Init ~is_init
+      ~echo:(fun p -> Echo p)
+      inbox
+  in
+  check_true "round 1 broadcasts init"
+    (opening 1 [ (b, Init) ] = [ (Envelope.Broadcast, Init) ]);
+  check_true "round 2 echoes each init sender, in inbox order"
+    (opening 2 [ (c, Init); (b, Opinion 1); (b, Init) ]
+    = [ (Envelope.Broadcast, Echo c); (Envelope.Broadcast, Echo b) ]);
+  let opinion = function Opinion x -> Some x | Init | Echo _ -> None in
+  let inbox = [ (b, Opinion 1); (c, Opinion 2); (b, Echo a); (b, Opinion 3) ] in
+  check_true "last opinion of the coordinator wins"
+    (Rotor_core.opinion_of (Some b) ~opinion inbox = Some 3);
+  check_true "no coordinator, no opinion"
+    (Rotor_core.opinion_of None ~opinion inbox = None);
+  check_true "a silent coordinator has none"
+    (Rotor_core.opinion_of (Some d) ~opinion inbox = None)
 
 (* ----- Consensus_core round schedule ----- *)
 
@@ -310,6 +401,16 @@ let suite =
       quick "rotor-core: insertion shift repeats, never breaks early"
         test_rotor_core_shift_repeats_instead_of_breaking;
       quick "rotor-core: coordinator self-detection" test_rotor_core_i_am_coordinator;
+      quick "rotor-core: echoes heard over rounds count once at the turn"
+        test_rotor_core_echoes_across_rounds;
+      quick "rotor-core: a turn empties the buffer"
+        test_rotor_core_turn_empties_buffer;
+      quick "rotor-core: hearing on a copy leaves the original alone"
+        test_rotor_core_copy_keeps_buffer_apart;
+      quick "rotor-core: fingerprint covers the echo buffer"
+        test_rotor_core_fingerprint_covers_buffer;
+      quick "rotor-core: opening and the coordinator's opinion"
+        test_rotor_core_opening_and_opinion;
       quick "consensus-core: exact 5-round phase schedule"
         test_consensus_core_schedule;
       quick "consensus-core: non-members are discarded"
