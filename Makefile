@@ -54,7 +54,7 @@ bench-only:
 # cross-core identity claim, the flat-allocation and shared-inbox
 # claims and the RB state-per-pair claim gated. About 37 s serial on a
 # 2-vCPU Xeon VM, peaking at 1.8 GB RSS: the consensus n=301 cell's
-# candidate-echo buffer sets the peak, and the RB n=10,000 cell needs
+# rotor echo buffer (Rotor_core) sets the peak, and the RB n=10,000 cell needs
 # about 75 MB.
 scale:
 	dune exec bench/main.exe -- --only SCALE --json results/json-scale/ \
